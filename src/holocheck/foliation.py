@@ -25,9 +25,11 @@ from .tensor_core import (
     ChartPoint,
     MetricField,
     TangentVector,
+    _christoffel,
+    _coords,
+    _curvature,
     _metric,
-    christoffel_at,
-    riemann_at,
+    chunks,
     sectional_curvature,
 )
 from .transport import (
@@ -87,8 +89,10 @@ def induced_line_metric(m: MetricField) -> MetricField:
     """Restriction of ``m`` to the xt-line through (., 0, 1): a 1x1 metric."""
 
     def components(c):
-        g = _metric(m, np.array([c[0], 0.0, 1.0]))
-        return g[:1, :1]
+        full = np.zeros(c.shape[:-1] + (3,))
+        full[..., 0] = c[..., 0]
+        full[..., 2] = 1.0
+        return _metric(m, full)[..., :1, :1]
 
     return MetricField(components, None, label=f"line leaf of ({m.label})",
                        dim=1, fiber_axis=None)
@@ -97,17 +101,21 @@ def induced_line_metric(m: MetricField) -> MetricField:
 def induced_halfplane_metric(m: MetricField) -> MetricField:
     """Restriction of ``m`` to the (yt, z) half-plane through xt = 0."""
 
+    def embed(c):
+        full = np.zeros(c.shape[:-1] + (3,))
+        full[..., 1:] = c
+        return full
+
     def components(c):
-        g = _metric(m, np.array([0.0, c[0], c[1]]))
-        return g[1:, 1:]
+        return _metric(m, embed(c))[..., 1:, 1:]
 
     partials = None
     if m.exact_partials is not None:
         base_p = m.exact_partials
 
         def partials(c):
-            d = np.asarray(base_p(np.array([0.0, c[0], c[1]])), dtype=float)
-            return d[1:, 1:, 1:]
+            d = np.asarray(base_p(embed(c)), dtype=float)
+            return d[..., 1:, 1:, 1:]
 
     return MetricField(components, partials,
                        label=f"half-plane leaf of ({m.label})", dim=2)
@@ -121,14 +129,17 @@ def halfplane_leaf(m: MetricField) -> LeafModel:
     return LeafModel(HALFPLANE_LEAF, induced_halfplane_metric(m))
 
 
-def gaussian_curvature(m2: MetricField, coords: Sequence[float]) -> float:
-    """Gaussian curvature of a 2D metric: the only sectional curvature."""
+def gaussian_curvature(m2: MetricField, coords):
+    """Gaussian curvature of a 2D metric: the only sectional curvature.
+
+    ``coords`` of shape (2,) gives a float; shape (..., 2) gives one value
+    per point.
+    """
     if m2.dim != 2:
         raise ValueError("gaussian curvature is defined for 2D metrics")
-    coords = np.asarray(coords, dtype=float)
-    curv = riemann_at(m2, coords)
-    g = _metric(m2, coords)
-    return sectional_curvature(g, curv.riemann,
+    c = _coords(m2, coords, batch=True)
+    riemann, _, _ = _curvature(m2, c)
+    return sectional_curvature(_metric(m2, c), riemann,
                                np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
@@ -165,10 +176,13 @@ def leaf_second_check(m: MetricField, z_samples: Sequence[float],
                       cfg: IntegratorConfig = DEFAULT_CONFIG) -> FoliationReport:
     """Half-plane leaf: Gaussian curvature -2/z^2 and finite-time escape."""
     leaf = halfplane_leaf(m)
+    z_all = np.asarray(z_samples, dtype=float)
     curv_res = 0.0
-    for z in z_samples:
-        k = gaussian_curvature(leaf.induced_metric, np.array([0.0, float(z)]))
-        curv_res = max(curv_res, abs(k * z * z / -2.0 - 1.0))
+    for sl in chunks(len(z_all)):
+        z = z_all[sl]
+        k = gaussian_curvature(leaf.induced_metric,
+                               np.stack([np.zeros_like(z), z], axis=-1))
+        curv_res = max(curv_res, float(np.max(np.abs(k * z * z / -2.0 - 1.0))))
     ts, _, _, term = integrate_geodesic_coords(
         leaf.induced_metric, np.array([0.0, 1.0]), np.array([0.0, -1.0]), 2.0, cfg)
     if term.status == BOUNDARY_ESCAPE:
@@ -181,38 +195,44 @@ def leaf_second_check(m: MetricField, z_samples: Sequence[float],
     ))
 
 
-def product_split_check(m: MetricField, points: Sequence[ChartPoint],
+def product_split_check(m: MetricField, points,
                         cfg: Optional[IntegratorConfig] = None,
                         seed: int = 0) -> FoliationReport:
     """Orthogonal product splitting span(e1) + span(e2, e3) at sample points.
 
-    Checks block-diagonality of g, constancy of the line block, pure
+    ``points`` is a sequence of :class:`ChartPoint` or an (n, 3) coordinate
+    array.  Checks block-diagonality of g, constancy of the line block, pure
     z-dependence of the half-plane block, vanishing of every Christoffel
     symbol touching the line direction, and flatness of planes containing
-    it.
+    it.  Each point draws a theta and then an x for its mixed plane
+    (x, cos theta, sin theta).
     """
-    rng = np.random.default_rng(seed)
+    if not isinstance(points, np.ndarray):
+        points = np.array([p.coords for p in points]).reshape(-1, 3)
+    c_all = _coords(m, points, batch=True)
+    draws = np.random.default_rng(seed).uniform([0.0, -1.0], [2 * np.pi, 1.0],
+                                                (len(c_all), 2))
+    v_all = np.stack([draws[:, 1], np.cos(draws[:, 0]), np.sin(draws[:, 0])], axis=-1)
+    mask = np.zeros((3, 3, 3), dtype=bool)
+    mask[0, :, :] = mask[:, 0, :] = mask[:, :, 0] = True
+    e1 = np.array([1.0, 0.0, 0.0])
     block_res = 0.0
     const_res = 0.0
     zdep_res = 0.0
     mixed_gamma_res = 0.0
     mixed_plane_res = 0.0
-    for p in points:
-        c = p.coords
+    for sl in chunks(len(c_all)):
+        c = c_all[sl]
         g = _metric(m, c)
-        block_res = max(block_res, abs(g[0, 1]), abs(g[0, 2]))
-        const_res = max(const_res, abs(g[0, 0] - 1.0))
+        block_res = max(block_res, float(np.max(np.abs(g[:, 0, 1:]))))
+        const_res = max(const_res, float(np.max(np.abs(g[:, 0, 0] - 1.0))))
         shifted = c + np.array([1.3, -0.7, 0.0])
         zdep_res = max(zdep_res, float(np.max(np.abs(_metric(m, shifted) - g))))
-        gamma = christoffel_at(m, p).gamma
-        mask = np.zeros((3, 3, 3), dtype=bool)
-        mask[0, :, :] = mask[:, 0, :] = mask[:, :, 0] = True
-        mixed_gamma_res = max(mixed_gamma_res, float(np.max(np.abs(gamma[mask]))))
-        curv = riemann_at(m, p)
-        theta = rng.uniform(0.0, 2 * np.pi)
-        v = np.array([rng.uniform(-1.0, 1.0), np.cos(theta), np.sin(theta)])
-        k = sectional_curvature(g, curv.riemann, np.array([1.0, 0.0, 0.0]), v)
-        mixed_plane_res = max(mixed_plane_res, abs(k))
+        gamma = _christoffel(m, c)
+        mixed_gamma_res = max(mixed_gamma_res, float(np.max(np.abs(gamma[:, mask]))))
+        riemann, _, _ = _curvature(m, c)
+        k = sectional_curvature(g, riemann, e1, v_all[sl])
+        mixed_plane_res = max(mixed_plane_res, float(np.max(np.abs(k))))
     return FoliationReport("product_split", (
         check_item("metric_block_diagonal", block_res, 1e-12),
         check_item("line_block_constant", const_res, 1e-12),

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor_core import ChartDomainError, ChartPoint, MetricField, _metric
+from .tensor_core import ChartDomainError, ChartPoint, MetricField, _coords, _metric
 from .transport import (
     CurveSpec,
     DEFAULT_CONFIG,
@@ -178,23 +178,29 @@ def deck_differential(a: ToralMatrix, frame: Optional[EigenBasis] = None) -> np.
     return np.diag([frame.lam, 1.0 / frame.lam, frame.lam])
 
 
-def pullback_metric_residual(a: ToralMatrix, m: MetricField, p: ChartPoint,
-                             expected_factor: Optional[float] = None) -> float:
+def pullback_metric_residual(a: ToralMatrix, m: MetricField, p,
+                             expected_factor: Optional[float] = None):
     """Max-abs entry of df^T g(f(p)) df - factor * g(p) in the eigen frame.
 
     With the default factor lambda^2 this measures the failure of the deck
     map to be a homothety of ``m``; it vanishes identically for the model
     metric.  Pass ``expected_factor=1.0`` to test strict invariance (as for
     the conformal representative z^-2 g, which descends to the quotient).
+
+    ``p`` is a :class:`ChartPoint`, giving a float, or a coordinate array of
+    shape (..., 3), giving one residual per point; the eigen data is built
+    once per call either way.
     """
     frame = eigen_basis(a)
     df = deck_differential(a, frame)
     if expected_factor is None:
         expected_factor = frame.lam ** 2
-    c = p.coords
+    c = p.coords if isinstance(p, ChartPoint) else _coords(m, p, batch=True)
     g_here = _metric(m, c)
-    g_image = _metric(m, df @ c)
-    return float(np.max(np.abs(df.T @ g_image @ df - expected_factor * g_here)))
+    g_image = _metric(m, c @ df.T)
+    residual = np.max(np.abs(df.T @ g_image @ df - expected_factor * g_here),
+                      axis=(-2, -1))
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def reduce_to_fundamental_domain(a: ToralMatrix, p: Sequence[float]):
@@ -229,13 +235,14 @@ def quotient_conformal_metric(m: MetricField) -> MetricField:
     base_p = m.exact_partials
 
     def components(c):
-        return np.asarray(base_c(c), dtype=float) / c[2] ** 2
+        return np.asarray(base_c(c), dtype=float) / (c[..., 2] ** 2)[..., None, None]
 
     partials = None
     if base_p is not None:
         def partials(c):
-            out = np.asarray(base_p(c), dtype=float) / c[2] ** 2
-            out[2] += -2.0 / c[2] ** 3 * np.asarray(base_c(c), dtype=float)
+            z = c[..., 2, None, None]
+            out = np.asarray(base_p(c), dtype=float) / (z ** 2)[..., None]
+            out[..., 2, :, :] += -2.0 / z ** 3 * np.asarray(base_c(c), dtype=float)
             return out
 
     label = f"z^-2 ({m.label})" if m.label else "z^-2 rescaling"

@@ -1,4 +1,4 @@
-"""Pointwise tensor calculus on the chart R^(dim-1) x R_+.
+"""Tensor calculus on the chart R^(dim-1) x R_+, over leading batch axes.
 
 The engine works in coordinates in which the model metric is diagonal:
 (xt, yt, z) on the three-dimensional chart, with the fiber coordinate z
@@ -6,7 +6,15 @@ placed last.  A metric is a small callable model (:class:`MetricField`);
 every operation below is a pure function of immutable inputs, so values
 are safe to evaluate from many threads at once.
 
-Index conventions, fixed here and used everywhere:
+The core functions take coordinates of shape ``(..., dim)`` and return
+arrays with the same leading shape, so one call evaluates a whole batch of
+points; a single point is the empty leading shape.  The public ``*_at``
+functions are single-point calls on that core.  Sampled checks walk their
+point arrays in slices of :data:`CHUNK` points (:func:`chunks`), which keeps
+the rank-4 curvature arrays small.
+
+Index conventions, fixed here and used everywhere (leading batch axes are
+left out):
 
 * ``gamma[k, i, j]`` is the Christoffel symbol with upper index k,
   ``Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)``.
@@ -24,7 +32,7 @@ every plane containing dx is flat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +42,11 @@ Z_FLOOR = 1e-6
 
 # Default central-difference step is FD_STEP_SCALE * max(1, |z|).
 FD_STEP_SCALE = 1e-5
+
+# Points per batch in the sampled checks: large enough that numpy overhead
+# is spread over many points, small enough that the (CHUNK, 3, 3, 3, 3)
+# curvature arrays stay a few hundred kB.
+CHUNK = 256
 
 
 class ChartDomainError(ValueError):
@@ -98,12 +111,15 @@ class TangentVector:
 class MetricField:
     """A metric model: coordinate array -> symmetric positive-definite matrix.
 
-    ``components`` maps a length-``dim`` coordinate array to the (dim, dim)
-    component matrix.  ``exact_partials``, when present, returns an array of
-    shape (dim, dim, dim) with ``partials[k] = d_k g``; otherwise partial
-    derivatives fall back to central finite differences.  ``fiber_axis``
-    names the boundary coordinate guarded by the z > 0 domain (-1 means the
-    last coordinate, None means the metric has no chart boundary).
+    ``components`` maps coordinates of shape ``(..., dim)`` to components of
+    shape ``(..., dim, dim)``.  ``exact_partials``, when present, returns an
+    array of shape ``(..., dim, dim, dim)`` with ``partials[..., k, :, :] =
+    d_k g``; otherwise partial derivatives fall back to central finite
+    differences.  A model written for single points only (shape ``(dim,)``)
+    works with every single-point call but not with batches.
+    ``fiber_axis`` names the boundary coordinate guarded by the z > 0 domain
+    (-1 means the last coordinate, None means the metric has no chart
+    boundary).
     """
 
     components: Callable[[np.ndarray], np.ndarray]
@@ -124,6 +140,12 @@ def fiber_index(m: MetricField) -> Optional[int]:
     return m.fiber_axis % m.dim
 
 
+def chunks(n: int) -> Iterator[slice]:
+    """Slices that cover ``range(n)`` in consecutive runs of CHUNK points."""
+    for start in range(0, n, CHUNK):
+        yield slice(start, min(start + CHUNK, n))
+
+
 def warped_metric(exponent: float = 4.0) -> MetricField:
     """The model metric dx^2 + z^exponent dy^2 + dz^2 on the 3D chart.
 
@@ -133,15 +155,15 @@ def warped_metric(exponent: float = 4.0) -> MetricField:
     e = float(exponent)
 
     def components(c):
-        g = np.zeros((3, 3))
-        g[0, 0] = 1.0
-        g[1, 1] = c[2] ** e
-        g[2, 2] = 1.0
+        g = np.zeros(c.shape[:-1] + (3, 3))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = c[..., 2] ** e
+        g[..., 2, 2] = 1.0
         return g
 
     def partials(c):
-        d = np.zeros((3, 3, 3))
-        d[2, 1, 1] = e * c[2] ** (e - 1.0)
+        d = np.zeros(c.shape[:-1] + (3, 3, 3))
+        d[..., 2, 1, 1] = e * c[..., 2] ** (e - 1.0)
         return d
 
     return MetricField(components, partials, label=f"warped z^{e:g}", dim=3)
@@ -151,10 +173,10 @@ def euclidean_metric(dim: int = 3) -> MetricField:
     """Constant identity metric on the chart (flat comparison model)."""
 
     def components(c):
-        return np.eye(dim)
+        return np.zeros(c.shape[:-1] + (dim, dim)) + np.eye(dim)
 
     def partials(c):
-        return np.zeros((dim, dim, dim))
+        return np.zeros(c.shape[:-1] + (dim, dim, dim))
 
     return MetricField(components, partials, label="euclidean", dim=dim)
 
@@ -175,21 +197,29 @@ class CurvatureAtPoint:
     scalar: float
 
 
-def _coords(m: MetricField, p: PointLike) -> np.ndarray:
-    """Normalize a point argument to a coordinate array inside the chart."""
+def _coords(m: MetricField, p: PointLike, batch: bool = False) -> np.ndarray:
+    """Normalize a point argument to a coordinate array inside the chart.
+
+    With ``batch`` the argument may carry leading axes, shape (..., dim);
+    every point of it is validated.
+    """
     if isinstance(p, ChartPoint):
         if m.dim != 3:
             raise ChartDomainError(f"chart points are 3D but metric has dim={m.dim}")
         c = p.coords
     else:
         c = np.asarray(p, dtype=float)
-        if c.shape != (m.dim,):
+        ok = c.ndim >= 1 and c.shape[-1] == m.dim if batch else c.shape == (m.dim,)
+        if not ok:
             raise ChartDomainError(f"expected {m.dim} coordinates, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ChartDomainError("point has non-finite coordinates")
     fi = fiber_index(m)
-    if fi is not None and c[fi] <= Z_FLOOR:
-        raise ChartDomainError(f"fiber coordinate {c[fi]} is at or below the floor {Z_FLOOR}")
+    if fi is not None:
+        z = c[..., fi]
+        if np.any(z <= Z_FLOOR):
+            raise ChartDomainError(
+                f"fiber coordinate {np.min(z)} is at or below the floor {Z_FLOOR}")
     return c
 
 
@@ -205,7 +235,8 @@ def _vector(v: VectorLike, dim: int, base: Optional[np.ndarray] = None) -> np.nd
     return arr
 
 
-def _fd_step(m: MetricField, c: np.ndarray, h: Optional[float]) -> float:
+def _fd_step(m: MetricField, c: np.ndarray, h: Optional[float]):
+    """Central-difference step: ``h``, or one default step per point of ``c``."""
     if h is not None:
         if h <= 0:
             raise ValueError("finite-difference step must be positive")
@@ -213,11 +244,34 @@ def _fd_step(m: MetricField, c: np.ndarray, h: Optional[float]) -> float:
     fi = fiber_index(m)
     if fi is None:
         return FD_STEP_SCALE
+    z = c[..., fi]
+    step = FD_STEP_SCALE * np.maximum(1.0, np.abs(z))
     # default step shrinks near the boundary so the stencil stays inside
-    step = FD_STEP_SCALE * max(1.0, abs(c[fi]))
-    if c[fi] > 0.0:
-        step = min(step, 0.5 * c[fi])
-    return step
+    return np.where(z > 0.0, np.minimum(step, 0.5 * z), step)
+
+
+def _check_stencil(m: MetricField, c: np.ndarray, step) -> None:
+    """Reject a difference stencil that reaches the chart boundary."""
+    fi = fiber_index(m)
+    if fi is None:
+        return
+    z = c[..., fi]
+    low = z - step <= 0.0
+    if np.any(low):
+        k = np.flatnonzero(low)[0]
+        raise ChartDomainError(
+            f"difference stencil leaves the chart: z={np.ravel(z)[k]}, "
+            f"h={np.ravel(np.broadcast_to(step, z.shape))[k]}")
+
+
+def _stencil_shifts(c: np.ndarray, step) -> list:
+    """``step * e_k`` for each coordinate direction k, shaped like ``c``."""
+    shifts = []
+    for k in range(c.shape[-1]):
+        e = np.zeros(c.shape)
+        e[..., k] = step
+        shifts.append(e)
+    return shifts
 
 
 def _metric(m: MetricField, c: np.ndarray) -> np.ndarray:
@@ -225,27 +279,37 @@ def _metric(m: MetricField, c: np.ndarray) -> np.ndarray:
 
 
 def _inv_small(g: np.ndarray) -> np.ndarray:
-    """Closed-form inverse for the 2x2/3x3 matrices on the hot path."""
-    n = g.shape[0]
+    """Closed-form inverse for the 2x2/3x3 matrices of the chart metrics.
+
+    An unbatched matrix unpacks into Python floats (the transport hot path);
+    a batch unpacks into arrays over its leading axes.  Both run the same
+    cofactor formula in IEEE double, so a point gives the same bits either
+    way.
+    """
+    n = g.shape[-1]
+    if n not in (2, 3):
+        return np.linalg.inv(g)
+    rows = g.tolist() if g.ndim == 2 else np.moveaxis(g, (-2, -1), (0, 1))
     if n == 3:
-        a, b, c = g[0]
-        d, e, f = g[1]
-        p, q, r = g[2]
+        (a, b, c), (d, e, f), (p, q, r) = rows
         det = a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
-        return np.array([
+        cof = np.array([
             [e * r - f * q, c * q - b * r, b * f - c * e],
             [f * p - d * r, a * r - c * p, c * d - a * f],
             [d * q - e * p, b * p - a * q, a * e - b * d],
-        ]) / det
-    if n == 2:
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        return np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
-    return np.linalg.inv(g)
+        ])
+    else:
+        (a, b), (d, e) = rows
+        det = a * e - b * d
+        cof = np.array([[e, -b], [-d, a]])
+    if g.ndim == 2:
+        return cof / det
+    return np.moveaxis(cof, (0, 1), (-2, -1)) / det[..., None, None]
 
 
 def _partials(m: MetricField, c: np.ndarray, method: str = "auto",
               h: Optional[float] = None) -> np.ndarray:
-    """d_k g_ij as ``out[k, i, j]``, without domain checks."""
+    """d_k g_ij as ``out[..., k, i, j]``, without domain checks on ``c``."""
     if method not in ("auto", "exact", "numeric"):
         raise ValueError(f"unknown partials method {method!r}")
     if method == "exact" and m.exact_partials is None:
@@ -253,15 +317,11 @@ def _partials(m: MetricField, c: np.ndarray, method: str = "auto",
     if method in ("auto", "exact") and m.exact_partials is not None:
         return np.asarray(m.exact_partials(c), dtype=float)
     step = _fd_step(m, c, h)
-    fi = fiber_index(m)
-    if fi is not None and c[fi] - step <= 0.0:
-        raise ChartDomainError(
-            f"difference stencil leaves the chart: z={c[fi]}, h={step}")
-    out = np.empty((m.dim, m.dim, m.dim))
-    for k in range(m.dim):
-        e = np.zeros(m.dim)
-        e[k] = step
-        out[k] = (_metric(m, c + e) - _metric(m, c - e)) / (2.0 * step)
+    _check_stencil(m, c, step)
+    den = 2.0 * np.asarray(step)[..., None, None]
+    out = np.empty(c.shape[:-1] + (m.dim, m.dim, m.dim))
+    for k, e in enumerate(_stencil_shifts(c, step)):
+        out[..., k, :, :] = (_metric(m, c + e) - _metric(m, c - e)) / den
     return out
 
 
@@ -271,8 +331,55 @@ def _christoffel(m: MetricField, c: np.ndarray, method: str = "auto",
     ginv = _inv_small(g)
     d = _partials(m, c, method, h)
     # s[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    s = np.transpose(d, (2, 0, 1)) + np.transpose(d, (2, 1, 0)) - d
-    return 0.5 * np.einsum("kl,lij->kij", ginv, s)
+    dt = d.swapaxes(-1, -3)
+    s = dt.swapaxes(-1, -2) + dt - d
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, s)
+
+
+def _curvature(m: MetricField, c: np.ndarray, method: str = "auto",
+               h: Optional[float] = None):
+    """``(riemann, ricci, scalar)`` at ``c``; see :func:`riemann_at`."""
+    gamma = _christoffel(m, c, method, h)
+    step = _fd_step(m, c, h)
+    _check_stencil(m, c, step)
+    den = 2.0 * np.asarray(step)[..., None, None, None]
+    dgamma = np.empty(c.shape[:-1] + (m.dim,) + gamma.shape[-3:])
+    for k, e in enumerate(_stencil_shifts(c, step)):
+        dgamma[..., k, :, :, :] = (_christoffel(m, c + e, method, h)
+                                   - _christoffel(m, c - e, method, h)) / den
+    # R^i_jkl = d_k G^i_lj - d_l G^i_kj + G^i_kp G^p_lj - G^i_lp G^p_kj
+    riemann = (np.einsum("...kilj->...ijkl", dgamma)
+               - np.einsum("...likj->...ijkl", dgamma)
+               + np.einsum("...ikp,...plj->...ijkl", gamma, gamma)
+               - np.einsum("...ilp,...pkj->...ijkl", gamma, gamma))
+    ricci = np.einsum("...ijil->...jl", riemann)
+    ginv = _inv_small(_metric(m, c))
+    scalar = np.einsum("...jl,...jl->...", ginv, ricci)
+    return riemann, ricci, scalar
+
+
+def _covariant_metric_derivative(m_conn: MetricField, m_target: MetricField,
+                                 c: np.ndarray, method: str = "auto",
+                                 h: Optional[float] = None) -> np.ndarray:
+    gamma = _christoffel(m_conn, c, method, h)
+    g = _metric(m_target, c)
+    d = _partials(m_target, c, method, h)
+    correction = (np.einsum("...lki,...lj->...kij", gamma, g)
+                  + np.einsum("...lkj,...il->...kij", gamma, g))
+    return d - correction
+
+
+def _conformal_deviation(m_conn: MetricField, m_target: MetricField,
+                         c: np.ndarray, v: np.ndarray):
+    """``(mu, residual)`` per point; see :func:`conformal_deviation_at`."""
+    if np.any(np.all(v == 0.0, axis=-1)):
+        raise ValueError("direction vector is zero")
+    nabla = _covariant_metric_derivative(m_conn, m_target, c)
+    t = np.einsum("...k,...kij->...ij", v, nabla)
+    g = _metric(m_target, c)
+    mu = np.sum(t * g, axis=(-2, -1)) / np.sum(g * g, axis=(-2, -1))
+    r = t - mu[..., None, None] * g
+    return mu, np.sqrt(np.sum(r * r, axis=(-2, -1)))
 
 
 def metric_at(m: MetricField, p: PointLike) -> np.ndarray:
@@ -319,42 +426,28 @@ def riemann_at(m: MetricField, p: PointLike, method: str = "auto",
     Derivatives of the Christoffel symbols are taken by central differences
     (the symbols themselves are exact when the model ships exact partials).
     """
-    c = _coords(m, p)
-    gamma = _christoffel(m, c, method, h)
-    step = _fd_step(m, c, h)
-    fi = fiber_index(m)
-    if fi is not None and c[fi] - step <= 0.0:
-        raise ChartDomainError(
-            f"difference stencil leaves the chart: z={c[fi]}, h={step}")
-    dgamma = np.empty((m.dim,) + gamma.shape)
-    for k in range(m.dim):
-        e = np.zeros(m.dim)
-        e[k] = step
-        dgamma[k] = (_christoffel(m, c + e, method, h)
-                     - _christoffel(m, c - e, method, h)) / (2.0 * step)
-    # R^i_jkl = d_k G^i_lj - d_l G^i_kj + G^i_kp G^p_lj - G^i_lp G^p_kj
-    riemann = (np.einsum("kilj->ijkl", dgamma)
-               - np.einsum("likj->ijkl", dgamma)
-               + np.einsum("ikp,plj->ijkl", gamma, gamma)
-               - np.einsum("ilp,pkj->ijkl", gamma, gamma))
-    ricci = np.einsum("ijil->jl", riemann)
-    ginv = _inv_small(_metric(m, c))
-    scalar = float(np.einsum("jl,jl->", ginv, ricci))
-    return CurvatureAtPoint(riemann=riemann, ricci=ricci, scalar=scalar)
+    riemann, ricci, scalar = _curvature(m, _coords(m, p), method, h)
+    return CurvatureAtPoint(riemann=riemann, ricci=ricci, scalar=float(scalar))
 
 
 def sectional_curvature(g: np.ndarray, riemann: np.ndarray,
-                        u: np.ndarray, v: np.ndarray) -> float:
-    """Sectional curvature of span(u, v) from precomputed g and R^i_jkl."""
-    ruvv = np.einsum("ijkl,j,k,l->i", riemann, v, u, v)
-    inner = float(u @ g @ ruvv)
-    uu = float(u @ g @ u)
-    vv = float(v @ g @ v)
-    uv = float(u @ g @ v)
+                        u: np.ndarray, v: np.ndarray):
+    """Sectional curvature of span(u, v) from precomputed g and R^i_jkl.
+
+    ``g`` and ``riemann`` may carry leading batch axes, and ``u``, ``v``
+    broadcast against them; a single point gives a float, a batch an array.
+    Raises :class:`DegeneratePlaneError` if the plane degenerates at any point.
+    """
+    ruvv = np.einsum("...ijkl,...j,...k,...l->...i", riemann, v, u, v)
+    inner = np.einsum("...i,...ij,...j->...", u, g, ruvv)
+    uu = np.einsum("...i,...ij,...j->...", u, g, u)
+    vv = np.einsum("...i,...ij,...j->...", v, g, v)
+    uv = np.einsum("...i,...ij,...j->...", u, g, v)
     gram = uu * vv - uv * uv
-    if gram <= 1e-12 * uu * vv:
+    if np.any(gram <= 1e-12 * uu * vv):
         raise DegeneratePlaneError("directions are linearly dependent")
-    return inner / gram
+    k = inner / gram
+    return float(k) if k.ndim == 0 else k
 
 
 def sectional_curvature_at(m: MetricField, p: PointLike, u: VectorLike,
@@ -363,8 +456,8 @@ def sectional_curvature_at(m: MetricField, p: PointLike, u: VectorLike,
     c = _coords(m, p)
     uc = _vector(u, m.dim, base=c)
     vc = _vector(v, m.dim, base=c)
-    curv = riemann_at(m, p)
-    return sectional_curvature(_metric(m, c), curv.riemann, uc, vc)
+    riemann, _, _ = _curvature(m, c)
+    return sectional_curvature(_metric(m, c), riemann, uc, vc)
 
 
 def covariant_metric_derivative_at(m_conn: MetricField, m_target: MetricField,
@@ -377,12 +470,8 @@ def covariant_metric_derivative_at(m_conn: MetricField, m_target: MetricField,
     compatibility).  ``method`` applies to both the connection and the
     target partials.
     """
-    c = _coords(m_conn, p)
-    gamma = _christoffel(m_conn, c, method, h)
-    g = _metric(m_target, c)
-    d = _partials(m_target, c, method, h)
-    correction = np.einsum("lki,lj->kij", gamma, g) + np.einsum("lkj,il->kij", gamma, g)
-    return d - correction
+    return _covariant_metric_derivative(m_conn, m_target, _coords(m_conn, p),
+                                        method, h)
 
 
 def conformal_deviation_at(m_conn: MetricField, m_target: MetricField,
@@ -396,11 +485,5 @@ def conformal_deviation_at(m_conn: MetricField, m_target: MetricField,
     """
     c = _coords(m_conn, p)
     vc = _vector(direction, m_conn.dim, base=c)
-    if not np.any(vc):
-        raise ValueError("direction vector is zero")
-    nabla = covariant_metric_derivative_at(m_conn, m_target, p)
-    t = np.einsum("k,kij->ij", vc, nabla)
-    g = _metric(m_target, c)
-    mu = float(np.sum(t * g) / np.sum(g * g))
-    residual = float(np.linalg.norm(t - mu * g))
-    return mu, residual
+    mu, residual = _conformal_deviation(m_conn, m_target, c, vc)
+    return float(mu), float(residual)

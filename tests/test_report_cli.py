@@ -94,6 +94,21 @@ class TestRunChecklist:
         assert by_id["C2"].status == "fail"
         assert by_id["C2"].residual > 0.0
 
+    def test_mutated_exponent_fails_homothety_by_a_margin(self):
+        # z^3: the pullback differs from lambda^2 g by the factor 1 - 1/lambda
+        rep = hc.run_checklist(hc.ChecklistConfig(metric_exponent=3.0, samples=40))
+        c2 = next(c for c in rep.checks if c.id == "C2")
+        assert c2.status == "fail"
+        assert c2.residual > 0.1
+
+    @pytest.mark.parametrize("matrix", [((5, 4), (1, 1)), ((1000, 999), (1, 1))])
+    def test_large_trace_matrices_pass(self, matrix):
+        # C2 measures roundoff relative to lambda^2 g, so it holds at any trace
+        rep = hc.run_checklist(hc.ChecklistConfig(matrix=matrix, seed=0))
+        assert [c.id for c in rep.checks if c.status != "pass"] == []
+        c2 = next(c for c in rep.checks if c.id == "C2")
+        assert "absolute max" in c2.note
+
     def test_config_validation(self):
         with pytest.raises(hc.ConfigError):
             hc.ChecklistConfig(samples=0)
