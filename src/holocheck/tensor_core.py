@@ -48,6 +48,11 @@ FD_STEP_SCALE = 1e-5
 # curvature arrays stay a few hundred kB.
 CHUNK = 256
 
+# Flat indices into a row-major 3x3 matrix for its cofactors as cross
+# products of rolled rows: _ROLL[a, b][i, j] = 3 * (i + a) + (j + b), mod 3.
+_ROLL = {(a, b): 3 * ((np.arange(3)[:, None] + a) % 3) + (np.arange(3) + b) % 3
+         for a in (1, 2) for b in (1, 2)}
+
 
 class ChartDomainError(ValueError):
     """A point, stencil or curve leaves the chart domain."""
@@ -281,27 +286,34 @@ def _metric(m: MetricField, c: np.ndarray) -> np.ndarray:
 def _inv_small(g: np.ndarray) -> np.ndarray:
     """Closed-form inverse for the 2x2/3x3 matrices of the chart metrics.
 
-    An unbatched matrix unpacks into Python floats (the transport hot path);
-    a batch unpacks into arrays over its leading axes.  Both run the same
-    cofactor formula in IEEE double, so a point gives the same bits either
-    way.
+    An unbatched matrix unpacks into Python floats (the geodesic hot path).
+    A batch of 3x3 matrices takes its cofactors as cross products of
+    cyclically rolled rows, ``cof[:, i] = row(i + 1) x row(i + 2)``, on whole
+    arrays.  Both run the same products and subtractions in the same order
+    in IEEE double, so a point gives the same bits either way.
     """
     n = g.shape[-1]
     if n not in (2, 3):
         return np.linalg.inv(g)
+    if n == 3 and g.ndim > 2:
+        flat = g.reshape(g.shape[:-2] + (9,))
+        cr = (flat.take(_ROLL[1, 1], -1) * flat.take(_ROLL[2, 2], -1)
+              - flat.take(_ROLL[1, 2], -1) * flat.take(_ROLL[2, 1], -1))
+        terms = g[..., 0, :] * cr[..., 0, :]
+        det = terms[..., 0] + terms[..., 1] + terms[..., 2]
+        return cr.swapaxes(-1, -2) / det[..., None, None]
     rows = g.tolist() if g.ndim == 2 else np.moveaxis(g, (-2, -1), (0, 1))
     if n == 3:
         (a, b, c), (d, e, f), (p, q, r) = rows
         det = a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
-        cof = np.array([
+        return np.array([
             [e * r - f * q, c * q - b * r, b * f - c * e],
             [f * p - d * r, a * r - c * p, c * d - a * f],
             [d * q - e * p, b * p - a * q, a * e - b * d],
-        ])
-    else:
-        (a, b), (d, e) = rows
-        det = a * e - b * d
-        cof = np.array([[e, -b], [-d, a]])
+        ]) / det
+    (a, b), (d, e) = rows
+    det = a * e - b * d
+    cof = np.array([[e, -b], [-d, a]])
     if g.ndim == 2:
         return cof / det
     return np.moveaxis(cof, (0, 1), (-2, -1)) / det[..., None, None]

@@ -1,12 +1,21 @@
 """Geodesic integration and parallel transport along piecewise-smooth curves.
 
 The workhorse is an embedded Dormand-Prince 5(4) pair with PI step-size
-control.  Geodesics solve x'' + Gamma(x)[x', x'] = 0; escape through the
-chart floor is an event on the fiber coordinate, detected at accepted step
-endpoints and refined by bisection in the affine parameter.  Transport
-solves w' + Gamma(c)[c', w] = 0 segment by segment along a curve whose
-tangents are carried exactly by the curve model, never differenced from
-sampled positions.
+control; the step after a rejected one does not grow.  Geodesics solve
+x'' + Gamma(x)[x', x'] = 0, one right-hand-side call per stage; escape
+through the chart floor is an event on the fiber coordinate, detected at
+accepted step endpoints and refined by bisection in the affine parameter.
+
+Transport solves the linear equation w' = A(s) w with
+A(s) = -Gamma(c(s))[c'(s), .], which does not depend on w, so each
+attempted step asks for A at its five distinct stage abscissae in one
+batched Christoffel evaluation.  Segments of a curve can run as lanes of
+one integration: they share the step, and the error norm is the worst
+lane's, so every segment is held to the tolerance on its own.  A transport
+matrix integrates each segment from the identity as a lane and composes
+the segment matrices; vectors and recorded frame traces are carried
+segment by segment.  Curve tangents come exactly from the curve model,
+never differenced from sampled positions.
 """
 
 from __future__ import annotations
@@ -33,6 +42,9 @@ STEP_LIMIT = "step_limit"
 
 # Bisection window for the escape parameter.
 EVENT_T_TOL = 1e-9
+
+# Parameters at which a curve segment is checked against the chart floor.
+_SCAN = np.linspace(0.0, 1.0, 17)
 
 
 class CurveError(ValueError):
@@ -88,38 +100,92 @@ _PI_ALPHA = 0.17
 _PI_BETA = 0.04
 
 
+class _LinearField:
+    """The right-hand side A(s) w of the linear transport equation w' = A w.
+
+    A(s) = -Gamma(c(s))[c'(s), .] does not depend on w, so its values at
+    several abscissae come from one batched Christoffel evaluation.  Each
+    segment is one lane; the state is the lanes' (3, width) blocks, flat.
+    """
+
+    def __init__(self, m: MetricField, segments: Sequence["Segment"], width: int):
+        self.m = m
+        self.segments = tuple(segments)
+        self.width = width
+
+    def matrices(self, s: np.ndarray) -> np.ndarray:
+        """A at the abscissae ``s`` (shape (n,)) for every lane: (n, lanes, 3, 3).
+
+        A point at or below z = 0 gives NaN coefficients, so the step that
+        asked for it is rejected.
+        """
+        c = np.array([seg.point(s) for seg in self.segments])
+        if np.any(c[..., 2] <= 0.0):
+            return np.full((len(s), len(self.segments), 3, 3), np.nan)
+        v = np.array([seg.velocity(s) for seg in self.segments])
+        a = -np.einsum("...kij,...i->...kj", _christoffel(self.m, c), v)
+        return a.swapaxes(0, 1)
+
+    def apply(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return (a @ w.reshape(len(self.segments), 3, self.width)).ravel()
+
+    def __call__(self, s: float, w: np.ndarray) -> np.ndarray:
+        return self.apply(self.matrices(np.array([s]))[0], w)
+
+
 def _rk_step(f, t, y, h, k1):
-    """One Dormand-Prince step; returns (y_new, error_vector, k_last)."""
+    """One Dormand-Prince step; returns (y_new, error_vector, k_last).
+
+    ``f`` is a callable f(t, y), evaluated once per stage, or a
+    :class:`_LinearField`, whose coefficients at the five distinct new stage
+    abscissae (stage 6 and the last stage share t + h) come from one batch.
+    """
+    if isinstance(f, _LinearField):
+        # row s holds A at stage s's abscissa among the five new ones
+        a = f.matrices(t + _C[1:6] * h)[[0, 0, 1, 2, 3, 4, 4]]
+
+        def slope(s, y):
+            return f.apply(a[s], y)
+    else:
+        def slope(s, y):
+            return f(t + _C[s] * h, y)
     k = np.empty((7, y.size))
     k[0] = k1
     for s in range(1, 6):
-        k[s] = f(t + _C[s] * h, y + h * (_A[s, :s] @ k[:s]))
+        k[s] = slope(s, y + h * (_A[s, :s] @ k[:s]))
     y_new = y + h * (_B5[:6] @ k[:6])
-    k[6] = f(t + h, y_new)
+    k[6] = slope(6, y_new)
     err = h * (_E @ k)
     return y_new, err, k[6]
 
 
-def _error_norm(err, y0, y1, cfg):
+def _error_norm(err, y0, y1, cfg, lanes):
+    """RMS of the scaled error; with several lanes, the largest lane RMS."""
     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    if lanes == 1:
+        return float(np.sqrt(np.mean((err / scale) ** 2)))
+    r = (err / scale).reshape(lanes, -1)
+    return float(np.sqrt(np.max(np.add.reduce(r * r, axis=1)) / r.shape[1]))
 
 
-def _initial_step(f, y0, f0, t_end, cfg):
+def _initial_step(f, y0, f0, t_end, cfg, lanes):
+    """Hairer's starting step, taken per lane; the smallest lane step wins."""
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t_end)
+
+    def rms(x):
+        return np.sqrt(np.mean((x / scale).reshape(lanes, -1) ** 2, axis=1))
+
+    d0 = rms(y0)
+    d1 = rms(f0)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
+    h0 = min(float(np.min(h0)), t_end)
     f1 = f(h0, y0 + h0 * f0)
     if not np.all(np.isfinite(f1)):
         return max(1e-8 * t_end, 1e-12)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end)
+    d = np.maximum(d1, rms(f1 - f0) / h0)
+    h1 = np.where(d <= 1e-15, max(1e-6, h0 * 1e-3),
+                  (0.01 / np.maximum(d, 1e-15)) ** 0.2)
+    return min(100 * h0, float(np.min(h1)), t_end)
 
 
 def _bisect_event(f, t, y, k1, h, event):
@@ -144,13 +210,20 @@ def _bisect_event(f, t, y, k1, h, event):
     return t + hi, y_hi
 
 
-def _integrate(f, y0, t_end, cfg, event=None):
+def _integrate(f, y0, t_end, cfg, event=None, lanes=1, record=True):
     """Adaptive integration of y' = f(t, y) on [0, t_end].
 
     Returns ``(samples, status, t_event)`` where samples is a list of
     (t, y) at accepted steps (including the initial state and, for an event
-    stop, the refined crossing state).  ``status`` is COMPLETED,
-    BOUNDARY_ESCAPE or STEP_LIMIT; the step budget counts attempted steps.
+    stop, the refined crossing state); without ``record`` it holds only the
+    latest accepted state.  ``status`` is COMPLETED, BOUNDARY_ESCAPE or
+    STEP_LIMIT; the step budget counts attempted steps.
+
+    The state may hold ``lanes`` independent systems of equal size side by
+    side (segments of one curve); they share the step, whose error is the
+    worst lane's, so each lane is held to the tolerance on its own.  The
+    step after a rejected one does not grow (Hairer-Norsett-Wanner, Solving
+    ODEs I, II.4).
     """
     y = np.asarray(y0, dtype=float)
     t = 0.0
@@ -160,8 +233,9 @@ def _integrate(f, y0, t_end, cfg, event=None):
     k1 = f(0.0, y)
     if not np.all(np.isfinite(k1)):
         raise IntegrationError("derivative is not finite at the initial state")
-    h = _initial_step(f, y, k1, t_end, cfg)
+    h = _initial_step(f, y, k1, t_end, cfg, lanes)
     err_prev = None
+    rejected = False
     attempts = 0
     while t < t_end:
         if attempts >= cfg.max_steps:
@@ -172,7 +246,7 @@ def _integrate(f, y0, t_end, cfg, event=None):
         attempts += 1
         y_new, err, k_last = _rk_step(f, t, y, h, k1)
         if np.all(np.isfinite(y_new)) and np.all(np.isfinite(err)):
-            err_norm = _error_norm(err, y, y_new, cfg)
+            err_norm = _error_norm(err, y, y_new, cfg, lanes)
         else:
             err_norm = np.inf
         if err_norm > 1.0:
@@ -180,13 +254,17 @@ def _integrate(f, y0, t_end, cfg, event=None):
                 _MIN_FACTOR, _SAFETY * err_norm ** -_PI_ALPHA)
             h *= min(factor, 1.0)
             err_prev = None
+            rejected = True
             continue
         t_new = t + h
         if event is not None and event(y_new) <= 0.0:
             t_cross, y_cross = _bisect_event(f, t, y, k1, h, event)
             samples.append((t_cross, y_cross))
             return samples, BOUNDARY_ESCAPE, t_cross
-        samples.append((t_new, y_new.copy()))
+        if record:
+            samples.append((t_new, y_new.copy()))
+        else:
+            samples[-1] = (t_new, y_new)
         if err_norm == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -194,6 +272,9 @@ def _integrate(f, y0, t_end, cfg, event=None):
             if err_prev is not None:
                 factor *= err_prev ** _PI_BETA
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        if rejected:
+            factor = min(factor, 1.0)
+            rejected = False
         h *= factor
         err_prev = max(err_norm, 1e-4)
         t, y, k1 = t_new, y_new, k_last
@@ -347,11 +428,11 @@ class CoordinateLine:
         object.__setattr__(self, "_c0", c0)
         object.__setattr__(self, "_vel", vel)
 
-    def point(self, s: float) -> np.ndarray:
-        return self._c0 + s * self._vel
+    def point(self, s) -> np.ndarray:
+        return self._c0 + np.multiply.outer(s, self._vel)
 
-    def velocity(self, s: float) -> np.ndarray:
-        return self._vel
+    def velocity(self, s) -> np.ndarray:
+        return self._vel + np.zeros(np.shape(s) + (3,))
 
     def reversed(self) -> "CoordinateLine":
         return CoordinateLine(ChartPoint.from_coords(self.point(1.0)),
@@ -373,28 +454,38 @@ class StraightSegment:
         object.__setattr__(self, "_c0", c0)
         object.__setattr__(self, "_delta", delta)
 
-    def point(self, s: float) -> np.ndarray:
-        return self._c0 + s * self._delta
+    def point(self, s) -> np.ndarray:
+        return self._c0 + np.multiply.outer(s, self._delta)
 
-    def velocity(self, s: float) -> np.ndarray:
-        return self._delta
+    def velocity(self, s) -> np.ndarray:
+        return self._delta + np.zeros(np.shape(s) + (3,))
 
     def reversed(self) -> "StraightSegment":
         return StraightSegment(self.end, self.start)
 
 
+def _stacked(fn: Callable[[float], np.ndarray], s) -> np.ndarray:
+    """``fn`` at a parameter or at each entry of a parameter array, stacked."""
+    rows = [np.asarray(fn(x), dtype=float) for x in np.ravel(s)]
+    return np.array(rows).reshape(np.shape(s) + (3,))
+
+
 @dataclass(frozen=True)
 class ParametricSegment:
-    """Curve segment s in [0, 1] with an exact tangent supplied alongside."""
+    """Curve segment s in [0, 1] with an exact tangent supplied alongside.
+
+    ``path`` and ``tangent`` take one parameter; ``point`` and ``velocity``
+    also take an array of parameters and call them once per entry.
+    """
 
     path: Callable[[float], ChartPoint]
     tangent: Callable[[float], np.ndarray]
 
-    def point(self, s: float) -> np.ndarray:
-        return self.path(s).coords
+    def point(self, s) -> np.ndarray:
+        return _stacked(lambda x: self.path(x).coords, s)
 
-    def velocity(self, s: float) -> np.ndarray:
-        return np.asarray(self.tangent(s), dtype=float)
+    def velocity(self, s) -> np.ndarray:
+        return _stacked(self.tangent, s)
 
     def reversed(self) -> "ParametricSegment":
         return ParametricSegment(lambda s: self.path(1.0 - s),
@@ -419,10 +510,9 @@ class CurveSpec:
             if gap > 1e-12:
                 raise CurveError(f"consecutive segments differ by {gap} at the joint")
         for seg in segments:
-            for s in np.linspace(0.0, 1.0, 17):
-                if seg.point(s)[2] <= Z_FLOOR:
-                    raise ChartDomainError(
-                        f"curve reaches z={seg.point(s)[2]} at or below the floor")
+            z = np.min(seg.point(_SCAN)[:, 2])
+            if z <= Z_FLOOR:
+                raise ChartDomainError(f"curve reaches z={z} at or below the floor")
         object.__setattr__(self, "segments", segments)
 
     @classmethod
@@ -459,42 +549,47 @@ def coordinate_rectangle(p: ChartPoint, i: int, j: int, eps: float) -> CurveSpec
 # Parallel transport
 # ---------------------------------------------------------------------------
 
-def _transport_rhs(m: MetricField, seg: Segment, width: int):
-    def rhs(s, w):
-        c = seg.point(s)
-        if c[2] <= 0.0:
-            return np.full(w.size, np.nan)
-        gamma = _christoffel(m, c)
-        a = -np.einsum("kij,i->kj", gamma, seg.velocity(s))
-        return (a @ w.reshape(3, width)).ravel()
+def _check_floor(m: MetricField, curve: CurveSpec, cfg: IntegratorConfig) -> None:
+    if m.dim != 3:
+        raise ValueError("curve transport requires a 3D metric")
+    for seg in curve.segments:
+        z = np.min(seg.point(_SCAN)[:, 2])
+        if z <= cfg.z_floor:
+            raise ChartDomainError(
+                f"curve reaches z={z} at or below the floor {cfg.z_floor}")
 
-    return rhs
+
+def _transport_lanes(m: MetricField, segments, w0: np.ndarray,
+                     cfg: IntegratorConfig, record: bool):
+    """Transport the (3, width) block w0 along each segment, as lanes of one run.
+
+    Returns the accepted (s, (lanes, 3, width) state) samples; without
+    ``record`` only the final one.
+    """
+    width = w0.shape[1]
+    field = _LinearField(m, segments, width)
+    y0 = np.tile(w0.ravel(), len(segments))
+    samples, status, _ = _integrate(field, y0, 1.0, cfg, lanes=len(segments),
+                                    record=record)
+    if status != COMPLETED:
+        raise IntegrationError(f"transport ran out of steps ({status})")
+    return [(s, y.reshape(len(segments), 3, width)) for s, y in samples]
 
 
 def _transport_segments(m: MetricField, curve: CurveSpec, w0: np.ndarray,
                         cfg: IntegratorConfig, record: bool):
-    """Transport the columns of w0 along the curve; optionally keep samples."""
-    if m.dim != 3:
-        raise ValueError("curve transport requires a 3D metric")
-    for seg in curve.segments:
-        for s in np.linspace(0.0, 1.0, 17):
-            if seg.point(s)[2] <= cfg.z_floor:
-                raise ChartDomainError(
-                    f"curve reaches z={seg.point(s)[2]} at or below the floor "
-                    f"{cfg.z_floor}")
-    width = 1 if w0.ndim == 1 else w0.shape[1]
-    w = w0.reshape(3, width)
+    """Carry the columns of w0 along the curve segment by segment.
+
+    Returns the end value and, with ``record``, the accepted-step history.
+    """
+    _check_floor(m, curve, cfg)
+    w = w0.reshape(3, -1)
     trace = []
     for idx, seg in enumerate(curve.segments):
-        rhs = _transport_rhs(m, seg, width)
-        samples, status, _ = _integrate(rhs, w.ravel(), 1.0, cfg)
-        if status != COMPLETED:
-            raise IntegrationError(
-                f"transport ran out of steps on segment {idx} ({status})")
+        samples = _transport_lanes(m, [seg], w, cfg, record)
         if record:
-            for s, y in samples:
-                trace.append((idx + s, seg.point(s), y.reshape(3, width).copy()))
-        w = samples[-1][1].reshape(3, width)
+            trace += [(idx + s, seg.point(s), y[0]) for s, y in samples]
+        w = samples[-1][1][0]
     return w.reshape(w0.shape), trace
 
 
@@ -510,11 +605,16 @@ def transport_matrix(m: MetricField, curve: CurveSpec,
                      cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Matrix P whose columns are the transports of the coordinate frame.
 
-    P is a g-isometry between the endpoint tangent spaces:
+    Every segment is transported from the identity as one lane of a single
+    integration, and P is the product of the segment matrices, last segment
+    leftmost.  P is a g-isometry between the endpoint tangent spaces:
     ``P.T g(end) P = g(start)`` up to integration tolerance.
     """
-    p_end, _ = _transport_segments(m, curve, np.eye(3), cfg, record=False)
-    return p_end
+    _check_floor(m, curve, cfg)
+    p = np.eye(3)
+    for p_seg in _transport_lanes(m, curve.segments, np.eye(3), cfg, False)[-1][1]:
+        p = p_seg @ p
+    return p
 
 
 def transport_frame_trace(m: MetricField, curve: CurveSpec,

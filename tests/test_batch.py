@@ -84,6 +84,43 @@ class TestBatchMatchesSinglePoints:
                 for x in c] == list(batch)
 
 
+def skewed_metric(eps=0.01):
+    """The warped model plus a constant xt-yt term, so g is not diagonal."""
+    base = hc.warped_metric()
+
+    def components(c):
+        g = base.components(c)
+        g[..., 0, 1] = g[..., 1, 0] = eps
+        return g
+
+    return hc.MetricField(components, base.exact_partials, label="skewed warped")
+
+
+class TestNonDiagonalBatches:
+    """Off-diagonal cofactor terms: every built-in model metric is diagonal."""
+
+    @pytest.mark.parametrize("n", (1, 2, CHUNK + 1))
+    @pytest.mark.parametrize("kind", ["general", "spd"])
+    def test_inverse(self, kind, n):
+        g = np.random.default_rng(n).normal(size=(n, 3, 3))
+        if kind == "spd":
+            g = g @ g.swapaxes(-1, -2) + 0.1 * np.eye(3)
+        batch = tc._inv_small(g)
+        for i in range(n):
+            assert np.array_equal(tc._inv_small(g[i]), batch[i])
+        assert np.max(np.abs(batch @ g - np.eye(3))) < 1e-8
+
+    @pytest.mark.parametrize("n", (1, 2, CHUNK + 1))
+    def test_christoffel(self, n):
+        m = skewed_metric()
+        c = sample_coords(n)
+        batch = tc._christoffel(m, c)
+        for i in range(n):
+            assert np.array_equal(hc.christoffel_at(m, c[i]).gamma, batch[i])
+        # the xt-yt term couples d_z g_yy into the xt row
+        assert np.max(np.abs(batch[:, 0])) > 0.0
+
+
 def test_checklist_residuals_are_single_point_maxima(cat):
     """A run at CHUNK + 1 samples reproduces the folds of single-point calls."""
     cfg = hc.ChecklistConfig(samples=CHUNK + 1, seed=5)

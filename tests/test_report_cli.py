@@ -1,6 +1,7 @@
 """Report model, serialization, checklist orchestration and CLI exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -182,7 +183,11 @@ class TestCli:
         capsys.readouterr()
 
     def test_module_entry_point(self):
+        # the child imports holocheck from the same place these tests do
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hc.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "holocheck", "--samples", "20"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert "12/12 checks passed" in proc.stdout

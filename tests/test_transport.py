@@ -13,9 +13,36 @@ import pytest
 
 import holocheck as hc
 from holocheck import ChartDomainError, ChartPoint, CurveSpec, TangentVector
+from holocheck import transport
 from holocheck.tensor_core import _metric
 
 LAM = (3.0 + math.sqrt(5.0)) / 2.0
+TIGHT = hc.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls made to ``transport.<name>``; returns a one-item list."""
+    calls = [0]
+    original = getattr(transport, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transport, name, counted)
+    return calls
+
+
+def acceptance_style_curves(count, seed):
+    """Polylines of 2-3 segments drawn as the acceptance suite draws them."""
+    rng = np.random.default_rng(seed)
+    curves = []
+    for _ in range(count):
+        n = rng.integers(2, 4)
+        curves.append(CurveSpec.from_points([
+            ChartPoint(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.5, 5.0))
+            for _ in range(n + 1)]))
+    return curves
 
 
 class TestIntegratorConfig:
@@ -92,6 +119,16 @@ class TestGeodesics:
         with pytest.raises(ValueError):
             hc.integrate_geodesic(model, p0, TangentVector(p0, [0, 0, 0]), 1.0, cfg)
 
+    def test_no_step_growth_after_rejection(self, model, cfg, monkeypatch):
+        # Stage points below the floor reject steps; regrowing 10x right after
+        # each rejection used to cost 337 Christoffel evaluations here.
+        calls = count_calls(monkeypatch, "_christoffel")
+        p0 = ChartPoint(0, 0, 1)
+        traj = hc.integrate_geodesic(model, p0, TangentVector(p0, [0, 0, -1]), 2.0, cfg)
+        assert traj.termination.escaped
+        assert abs(traj.termination.t_escape - (1.0 - cfg.z_floor)) < 2e-9
+        assert calls[0] <= 270
+
     def test_two_dimensional_geodesic(self, cfg):
         m2 = hc.MetricField(lambda c: np.diag([c[1] ** 4, 1.0]), dim=2)
         ts, xs, vs, term = hc.integrate_geodesic_coords(m2, [0.0, 1.0], [0.0, -1.0],
@@ -157,6 +194,80 @@ class TestCurveSpec:
         np.testing.assert_allclose(hc.transport_matrix(model, para, cfg),
                                    hc.transport_matrix(model, straight, cfg),
                                    atol=1e-10)
+
+
+class TestCurvedSegment:
+    def test_circle_holonomy_is_enclosed_curvature(self, model, cfg):
+        # Counterclockwise circle of coordinate radius r around (yt, z) = (0, 1):
+        # K = -2/z^2 and dA = z^2 dyt dz, so the enclosed curvature is -2 pi r^2.
+        r = 0.3
+
+        def path(s):
+            th = 2.0 * math.pi * s
+            return ChartPoint(0.5, r * math.cos(th), 1.0 + r * math.sin(th))
+
+        def tangent(s):
+            th = 2.0 * math.pi * s
+            return 2.0 * math.pi * r * np.array([0.0, -math.sin(th), math.cos(th)])
+
+        curve = CurveSpec([hc.ParametricSegment(path, tangent)])
+        p = hc.transport_matrix(model, curve, cfg)
+        d = np.diag([1.0, curve.start.z ** 2, 1.0])  # orthonormal frame at the start
+        q = d @ p @ np.linalg.inv(d)
+        angle = -2.0 * math.pi * r * r
+        rotation = np.array([[math.cos(angle), -math.sin(angle)],
+                             [math.sin(angle), math.cos(angle)]])
+        assert np.max(np.abs(q[1:, 1:] - rotation)) < 1e-8
+        assert np.max(np.abs(q[:, 0] - [1.0, 0.0, 0.0])) < 1e-8
+        assert np.max(np.abs(q[0, 1:])) < 1e-8
+
+
+class TestLanes:
+    """transport_matrix runs all segments of a curve as lanes of one integration."""
+
+    def test_matches_segment_by_segment_frames(self, model):
+        for curve in acceptance_style_curves(10, seed=7):
+            lanes = hc.transport_matrix(model, curve, TIGHT)
+            serial = hc.transport_frame_trace(model, curve, TIGHT)[-1][2]
+            assert np.max(np.abs(lanes - serial)) <= 1e-9 * np.max(np.abs(serial))
+
+    def test_unequal_segment_costs(self, model):
+        # The third acceptance curve: its middle segment needs about a tenth
+        # of the steps of the others, yet rides along with them.
+        curve = acceptance_style_curves(3, seed=0)[2]
+        trace = hc.transport_frame_trace(model, curve, TIGHT)
+        steps = np.bincount([int(t) for t, _, _ in trace if t % 1.0 != 0.0])
+        assert max(steps) > 8 * min(steps)
+        p = hc.transport_matrix(model, curve, TIGHT)
+        g0 = _metric(model, curve.start.coords)
+        g1 = _metric(model, curve.end.coords)
+        assert np.max(np.abs(p.T @ g1 @ p - g0)) < 1e-7
+
+    def test_error_norm_is_worst_lane(self):
+        cfg = hc.IntegratorConfig(abs_tol=1.0)
+        y = np.zeros(6)  # error scale exactly 1
+        err = np.array([3.0, 4.0, 0.0, 0.0, 1.0, 1.0])
+        assert transport._error_norm(err, y, y, cfg, 3) == pytest.approx(math.sqrt(12.5))
+        assert transport._error_norm(err, y, y, cfg, 1) == pytest.approx(math.sqrt(4.5))
+
+    def test_initial_step_is_smallest_lane_step(self, cfg):
+        y0 = np.ones(2)
+
+        def start(rates):
+            r = rates.repeat(2)  # y' = r y, lane by lane
+            return transport._initial_step(lambda t, y: r * y, np.tile(y0, len(rates)),
+                                           r, 1.0, cfg, len(rates))
+
+        slow, fast = start(np.array([-1.0])), start(np.array([-40.0]))
+        assert fast < 0.5 * slow
+        assert start(np.array([-1.0, -40.0])) == pytest.approx(fast, rel=1e-12)
+
+    def test_one_christoffel_batch_per_step(self, model, monkeypatch):
+        christoffel = count_calls(monkeypatch, "_christoffel")
+        steps = count_calls(monkeypatch, "_rk_step")
+        hc.transport_matrix(model, acceptance_style_curves(1, seed=7)[0], TIGHT)
+        assert steps[0] > 0
+        assert christoffel[0] <= steps[0] + 2  # two for the initial-step probe
 
 
 class TestParallelTransport:
