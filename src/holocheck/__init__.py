@@ -11,8 +11,6 @@ connection of any global metric.
 from .tensor_core import (
     ChartDomainError,
     ChartPoint,
-    ChristoffelAtPoint,
-    CurvatureAtPoint,
     DegeneratePlaneError,
     MetricError,
     MetricField,
@@ -33,17 +31,14 @@ from .transport import (
     BOUNDARY_ESCAPE,
     COMPLETED,
     STEP_LIMIT,
-    CoordinateLine,
     CurveError,
     CurveSpec,
     IntegrationError,
     IntegratorConfig,
-    ParametricSegment,
     StraightSegment,
     Termination,
     Trajectory,
     TrajectorySample,
-    completeness_probe,
     coordinate_rectangle,
     curvature_via_loop,
     geodesic_energy_drift,
@@ -74,7 +69,6 @@ from .quotient import (
     validate_toral_matrix,
 )
 from .foliation import (
-    CheckItem,
     FoliationReport,
     LeafModel,
     gaussian_curvature,
@@ -83,7 +77,6 @@ from .foliation import (
     induced_line_metric,
     leaf_first_check,
     leaf_second_check,
-    line_leaf,
     product_split_check,
 )
 from .report import CheckResult, VerificationReport, emit_report

@@ -74,10 +74,12 @@ class ChecklistConfig:
     def __post_init__(self):
         if self.samples <= 0:
             raise ConfigError("samples must be positive")
-        if self.tol_abs <= 0 or self.tol_rel <= 0:
-            raise ConfigError("tolerances must be positive")
-        if self.t_max <= 0:
-            raise ConfigError("t_max must be positive")
+        if not (0 < self.tol_abs < math.inf and 0 < self.tol_rel < math.inf):
+            raise ConfigError("tolerances must be positive and finite")
+        if not 0 < self.t_max < math.inf:
+            raise ConfigError("t_max must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         try:
             IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
         except ValueError as exc:
@@ -309,17 +311,17 @@ def _check_conformal(ctx: _Context) -> CheckResult:
 
 def _check_line_leaf(ctx: _Context) -> CheckResult:
     report = leaf_first_check(ctx.metric, t_max=1e3, cfg=ctx.cfg)
-    return _composite("C10", [(i.name, i.residual, i.tolerance) for i in report.items])
+    return _composite("C10", report.items)
 
 
 def _check_halfplane_leaf(ctx: _Context) -> CheckResult:
     report = leaf_second_check(ctx.metric, ctx.points[:, 2], cfg=ctx.cfg)
-    return _composite("C11", [(i.name, i.residual, i.tolerance) for i in report.items])
+    return _composite("C11", report.items)
 
 
 def _check_product_split(ctx: _Context) -> CheckResult:
     report = product_split_check(ctx.metric, ctx.points, seed=ctx.config.seed)
-    return _composite("C12", [(i.name, i.residual, i.tolerance) for i in report.items])
+    return _composite("C12", report.items)
 
 
 _CHECKS = [

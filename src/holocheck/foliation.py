@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .report import Part, passes
 from .tensor_core import (
     ChartPoint,
     MetricField,
@@ -48,33 +49,15 @@ HALFPLANE_LEAF = "halfplane_leaf"
 
 
 @dataclass(frozen=True)
-class CheckItem:
-    """One named residual with its tolerance and verdict."""
-
-    name: str
-    residual: float
-    tolerance: float
-    passed: bool
-    detail: str = ""
-
-
-def check_item(name: str, residual: float, tolerance: float,
-               detail: str = "") -> CheckItem:
-    residual = float(residual)
-    passed = bool(np.isfinite(residual) and residual <= tolerance)
-    return CheckItem(name, residual, float(tolerance), passed, detail)
-
-
-@dataclass(frozen=True)
 class FoliationReport:
-    """Bundle of check items for one leaf or splitting property."""
+    """Bundle of check parts for one leaf or splitting property."""
 
     kind: str
-    items: Tuple[CheckItem, ...]
+    items: Tuple[Part, ...]
 
     @property
     def passed(self) -> bool:
-        return all(item.passed for item in self.items)
+        return all(passes(item.residual, item.tolerance) for item in self.items)
 
 
 @dataclass(frozen=True)
@@ -121,10 +104,6 @@ def induced_halfplane_metric(m: MetricField) -> MetricField:
                        label=f"half-plane leaf of ({m.label})", dim=2)
 
 
-def line_leaf(m: MetricField) -> LeafModel:
-    return LeafModel(LINE_LEAF, induced_line_metric(m))
-
-
 def halfplane_leaf(m: MetricField) -> LeafModel:
     return LeafModel(HALFPLANE_LEAF, induced_halfplane_metric(m))
 
@@ -150,11 +129,11 @@ def leaf_first_check(m: MetricField, t_max: float = 1e3,
     Completeness is numerical evidence only: a geodesic integrated to
     ``t_max`` without escape, not a proof for all time.
     """
-    leaf = line_leaf(m)
+    line = induced_line_metric(m)
     samples = np.linspace(-8.0, 8.0, 9)
-    g_ref = _metric(leaf.induced_metric, samples[:1])
-    const_res = max(float(np.max(np.abs(_metric(leaf.induced_metric, np.array([x]))
-                                        - g_ref))) for x in samples)
+    g_ref = _metric(line, samples[:1])
+    const_res = max(float(np.max(np.abs(_metric(line, np.array([x])) - g_ref)))
+                    for x in samples)
     p0 = ChartPoint(0.0, 0.0, 1.0)
     traj = integrate_geodesic(m, p0, TangentVector(p0, [1.0, 0.0, 0.0]), t_max, cfg)
     horizon_res = 0.0 if traj.termination.completed else np.inf
@@ -164,11 +143,10 @@ def leaf_first_check(m: MetricField, t_max: float = 1e3,
     w = parallel_transport(m, curve, TangentVector(p0, [1.0, 0.0, 0.0]), cfg)
     fix_res = float(np.max(np.abs(w.comp - np.array([1.0, 0.0, 0.0]))))
     return FoliationReport(LINE_LEAF, (
-        check_item("induced_metric_constant", const_res, 1e-12),
-        check_item("long_horizon_geodesic_completes", horizon_res, 0.0,
-                   detail=f"t_max={t_max:g}, evidence only"),
-        check_item("geodesic_stays_in_leaf", drift_res, 1e-7),
-        check_item("transport_fixes_leaf_tangent", fix_res, 1e-8),
+        Part("induced_metric_constant", const_res, 1e-12),
+        Part("long_horizon_geodesic_completes", horizon_res, 0.0),
+        Part("geodesic_stays_in_leaf", drift_res, 1e-7),
+        Part("transport_fixes_leaf_tangent", fix_res, 1e-8),
     ))
 
 
@@ -190,8 +168,8 @@ def leaf_second_check(m: MetricField, z_samples: Sequence[float],
     else:
         escape_res = np.inf
     return FoliationReport(HALFPLANE_LEAF, (
-        check_item("gaussian_curvature_times_z2_is_minus_2", curv_res, 1e-6),
-        check_item("downward_geodesic_escapes_at_t1", escape_res, 1e-6),
+        Part("gaussian_curvature_times_z2_is_minus_2", curv_res, 1e-6),
+        Part("downward_geodesic_escapes_at_t1", escape_res, 1e-6),
     ))
 
 
@@ -234,9 +212,9 @@ def product_split_check(m: MetricField, points,
         k = sectional_curvature(g, riemann, e1, v_all[sl])
         mixed_plane_res = max(mixed_plane_res, float(np.max(np.abs(k))))
     return FoliationReport("product_split", (
-        check_item("metric_block_diagonal", block_res, 1e-12),
-        check_item("line_block_constant", const_res, 1e-12),
-        check_item("blocks_depend_only_on_z", zdep_res, 1e-12),
-        check_item("mixed_christoffel_vanish", mixed_gamma_res, 1e-10),
-        check_item("planes_containing_line_flat", mixed_plane_res, 1e-8),
+        Part("metric_block_diagonal", block_res, 1e-12),
+        Part("line_block_constant", const_res, 1e-12),
+        Part("blocks_depend_only_on_z", zdep_res, 1e-12),
+        Part("mixed_christoffel_vanish", mixed_gamma_res, 1e-10),
+        Part("planes_containing_line_flat", mixed_plane_res, 1e-8),
     ))

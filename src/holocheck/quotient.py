@@ -90,10 +90,10 @@ def validate_toral_matrix(entries) -> ToralMatrix:
         raise ToralMatrixError(f"expected a 2x2 matrix, got shape {arr.shape}")
     ints = []
     for v in arr.ravel():
-        iv = int(round(float(v)))
-        if abs(float(v) - iv) > 0:
+        x = float(v)
+        if not (math.isfinite(x) and x == round(x)):
             raise ToralMatrixError(f"matrix entries must be integers, got {v}")
-        ints.append(iv)
+        ints.append(int(x))
     return ToralMatrix(*ints)
 
 
@@ -114,11 +114,6 @@ class EigenBasis:
     v2: np.ndarray
     eigen_to_torus: np.ndarray
     torus_to_eigen: np.ndarray
-
-    @property
-    def frame_change(self) -> np.ndarray:
-        """Torus-to-eigenbasis coordinate conversion matrix."""
-        return self.torus_to_eigen
 
 
 def eigen_basis(a: ToralMatrix) -> EigenBasis:

@@ -5,19 +5,31 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 SCHEMA_VERSION = 1
+
+
+def passes(residual: float, tolerance: float) -> bool:
+    """The one pass rule: the residual is finite and at most the tolerance."""
+    return math.isfinite(residual) and residual <= tolerance
+
+
+class Part(NamedTuple):
+    """One named residual of a composite check, with its tolerance."""
+
+    name: str
+    residual: float
+    tolerance: float
 
 
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one checklist entry.
 
-    ``status`` is derived from the residual: "pass" exactly when the
-    residual is finite and at most the tolerance.  Composite checks report
-    a dimensionless worst ratio against tolerance 1.0 and list the raw
-    parts in ``note``.
+    ``status`` is derived from the residual by :func:`passes`.  Composite
+    checks report a dimensionless worst ratio against tolerance 1.0 and
+    list the raw parts in ``note``.
     """
 
     id: str
@@ -29,8 +41,7 @@ class CheckResult:
     note: str = ""
 
     def __post_init__(self):
-        expected = "pass" if (math.isfinite(self.residual)
-                              and self.residual <= self.tolerance) else "fail"
+        expected = "pass" if passes(self.residual, self.tolerance) else "fail"
         if self.status != expected:
             raise ValueError(f"check {self.id}: status {self.status!r} contradicts "
                              f"residual {self.residual} vs tolerance {self.tolerance}")
@@ -43,7 +54,7 @@ class CheckResult:
 def check_result(id: str, description: str, claim: str, residual: float,
                  tolerance: float, note: str = "") -> CheckResult:
     residual = float(residual)
-    status = "pass" if (math.isfinite(residual) and residual <= tolerance) else "fail"
+    status = "pass" if passes(residual, tolerance) else "fail"
     return CheckResult(id=id, description=description, claim=claim, status=status,
                        residual=residual, tolerance=float(tolerance), note=note)
 

@@ -36,8 +36,9 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-# Operations reject points whose fiber coordinate is at or below this floor;
-# the curvature of the model metric blows up as z -> 0.
+# The chart floor, the one for every caller: points, curve endpoints and
+# geodesic starts must lie above it, and a geodesic that reaches it escapes
+# the chart.  The curvature of the model metric blows up as z -> 0.
 Z_FLOOR = 1e-6
 
 # Default central-difference step is FD_STEP_SCALE * max(1, |z|).

@@ -1,4 +1,4 @@
-"""Geodesic integration and parallel transport along piecewise-smooth curves.
+"""Geodesic integration and parallel transport along chart polylines.
 
 The workhorse is an embedded Dormand-Prince 5(4) pair with PI step-size
 control; the step after a rejected one does not grow.  Geodesics solve
@@ -21,7 +21,7 @@ never differenced from sampled positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,9 +43,6 @@ STEP_LIMIT = "step_limit"
 # Bisection window for the escape parameter.
 EVENT_T_TOL = 1e-9
 
-# Parameters at which a curve segment is checked against the chart floor.
-_SCAN = np.linspace(0.0, 1.0, 17)
-
 
 class CurveError(ValueError):
     """A curve description is inconsistent (gaps, too few segments, ...)."""
@@ -62,12 +59,13 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 1_000_000
-    z_floor: float = 1e-6
 
     def __post_init__(self):
+        if not (np.isfinite(self.rel_tol) and np.isfinite(self.abs_tol)):
+            raise ValueError("integrator tolerances must be finite")
         if self.rel_tol < 1e-14:
             raise ValueError("rel_tol below 1e-14 is not resolvable in double precision")
-        if self.abs_tol <= 0 or self.z_floor <= 0 or self.max_steps <= 0:
+        if self.abs_tol <= 0 or self.max_steps <= 0:
             raise ValueError("integrator settings must be positive")
 
 
@@ -108,7 +106,8 @@ class _LinearField:
     segment is one lane; the state is the lanes' (3, width) blocks, flat.
     """
 
-    def __init__(self, m: MetricField, segments: Sequence["Segment"], width: int):
+    def __init__(self, m: MetricField, segments: Sequence["StraightSegment"],
+                 width: int):
         self.m = m
         self.segments = tuple(segments)
         self.width = width
@@ -349,10 +348,10 @@ def integrate_geodesic_coords(m: MetricField, x0: Sequence[float],
     if not np.any(v0):
         raise ValueError("initial velocity is zero")
     fi = fiber_index(m)
-    if fi is not None and x0[fi] <= cfg.z_floor:
+    if fi is not None and x0[fi] <= Z_FLOOR:
         raise ChartDomainError(
-            f"initial point has fiber coordinate {x0[fi]} <= floor {cfg.z_floor}")
-    event = (lambda y: y[fi] - cfg.z_floor) if fi is not None else None
+            f"initial point has fiber coordinate {x0[fi]} <= floor {Z_FLOOR}")
+    event = (lambda y: y[fi] - Z_FLOOR) if fi is not None else None
     samples, status, t_event = _integrate(
         _geodesic_rhs(m, fi), np.concatenate([x0, v0]), float(t_max), cfg, event)
     ts = np.array([t for t, _ in samples])
@@ -366,8 +365,8 @@ def integrate_geodesic(m: MetricField, p0: ChartPoint, v0: TangentVector,
     """Geodesic of ``m`` from p0 with initial velocity v0, up to ``t_max``.
 
     The trajectory terminates early with BOUNDARY_ESCAPE when the fiber
-    coordinate reaches ``cfg.z_floor`` (escape parameter refined by
-    bisection), or with STEP_LIMIT when the step budget runs out; a step
+    coordinate reaches the chart floor ``Z_FLOOR`` (escape parameter refined
+    by bisection), or with STEP_LIMIT when the step budget runs out; a step
     limit is reported, never silently truncated.
     """
     if m.dim != 3:
@@ -392,52 +391,9 @@ def geodesic_energy_drift(m: MetricField, traj: Trajectory) -> float:
     return float(np.max(np.abs(np.array(energies) - e0)) / abs(e0))
 
 
-def completeness_probe(m: MetricField, seeds, t_max: float,
-                       cfg: IntegratorConfig = DEFAULT_CONFIG):
-    """Run a batch of geodesic seeds; returns [(seed, Termination), ...].
-
-    A boundary escape among the results certifies geodesic incompleteness
-    of the chart metric; seeds are processed in input order.
-    """
-    results = []
-    for seed in seeds:
-        p0, v0 = seed
-        traj = integrate_geodesic(m, p0, v0, t_max, cfg)
-        results.append((seed, traj.termination))
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Curves
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CoordinateLine:
-    """Run of signed ``length`` along one coordinate axis from ``start``."""
-
-    start: ChartPoint
-    axis: int
-    length: float
-
-    def __post_init__(self):
-        vel = np.zeros(3)
-        vel[self.axis] = self.length
-        vel.setflags(write=False)
-        c0 = self.start.coords
-        c0.setflags(write=False)
-        object.__setattr__(self, "_c0", c0)
-        object.__setattr__(self, "_vel", vel)
-
-    def point(self, s) -> np.ndarray:
-        return self._c0 + np.multiply.outer(s, self._vel)
-
-    def velocity(self, s) -> np.ndarray:
-        return self._vel + np.zeros(np.shape(s) + (3,))
-
-    def reversed(self) -> "CoordinateLine":
-        return CoordinateLine(ChartPoint.from_coords(self.point(1.0)),
-                              self.axis, -self.length)
-
 
 @dataclass(frozen=True)
 class StraightSegment:
@@ -464,44 +420,13 @@ class StraightSegment:
         return StraightSegment(self.end, self.start)
 
 
-def _stacked(fn: Callable[[float], np.ndarray], s) -> np.ndarray:
-    """``fn`` at a parameter or at each entry of a parameter array, stacked."""
-    rows = [np.asarray(fn(x), dtype=float) for x in np.ravel(s)]
-    return np.array(rows).reshape(np.shape(s) + (3,))
-
-
-@dataclass(frozen=True)
-class ParametricSegment:
-    """Curve segment s in [0, 1] with an exact tangent supplied alongside.
-
-    ``path`` and ``tangent`` take one parameter; ``point`` and ``velocity``
-    also take an array of parameters and call them once per entry.
-    """
-
-    path: Callable[[float], ChartPoint]
-    tangent: Callable[[float], np.ndarray]
-
-    def point(self, s) -> np.ndarray:
-        return _stacked(lambda x: self.path(x).coords, s)
-
-    def velocity(self, s) -> np.ndarray:
-        return _stacked(self.tangent, s)
-
-    def reversed(self) -> "ParametricSegment":
-        return ParametricSegment(lambda s: self.path(1.0 - s),
-                                 lambda s: -np.asarray(self.tangent(1.0 - s), float))
-
-
-Segment = Union[CoordinateLine, StraightSegment, ParametricSegment]
-
-
 @dataclass(frozen=True)
 class CurveSpec:
-    """Piecewise-smooth chart curve: consecutive segments share endpoints."""
+    """Chart polyline: consecutive straight segments share endpoints."""
 
-    segments: Tuple[Segment, ...]
+    segments: Tuple[StraightSegment, ...]
 
-    def __init__(self, segments: Sequence[Segment]):
+    def __init__(self, segments: Sequence[StraightSegment]):
         segments = tuple(segments)
         if not segments:
             raise CurveError("curve needs at least one segment")
@@ -509,10 +434,11 @@ class CurveSpec:
             gap = np.max(np.abs(a.point(1.0) - b.point(0.0)))
             if gap > 1e-12:
                 raise CurveError(f"consecutive segments differ by {gap} at the joint")
-        for seg in segments:
-            z = np.min(seg.point(_SCAN)[:, 2])
-            if z <= Z_FLOOR:
-                raise ChartDomainError(f"curve reaches z={z} at or below the floor")
+        # z is affine along a straight segment, so its endpoints bound it
+        z = min(min(seg.start.z, seg.end.z) for seg in segments)
+        if z <= Z_FLOOR:
+            raise ChartDomainError(
+                f"curve reaches z={z} at or below the floor {Z_FLOOR}")
         object.__setattr__(self, "segments", segments)
 
     @classmethod
@@ -549,14 +475,9 @@ def coordinate_rectangle(p: ChartPoint, i: int, j: int, eps: float) -> CurveSpec
 # Parallel transport
 # ---------------------------------------------------------------------------
 
-def _check_floor(m: MetricField, curve: CurveSpec, cfg: IntegratorConfig) -> None:
+def _check_3d(m: MetricField) -> None:
     if m.dim != 3:
         raise ValueError("curve transport requires a 3D metric")
-    for seg in curve.segments:
-        z = np.min(seg.point(_SCAN)[:, 2])
-        if z <= cfg.z_floor:
-            raise ChartDomainError(
-                f"curve reaches z={z} at or below the floor {cfg.z_floor}")
 
 
 def _transport_lanes(m: MetricField, segments, w0: np.ndarray,
@@ -582,7 +503,7 @@ def _transport_segments(m: MetricField, curve: CurveSpec, w0: np.ndarray,
 
     Returns the end value and, with ``record``, the accepted-step history.
     """
-    _check_floor(m, curve, cfg)
+    _check_3d(m)
     w = w0.reshape(3, -1)
     trace = []
     for idx, seg in enumerate(curve.segments):
@@ -610,7 +531,7 @@ def transport_matrix(m: MetricField, curve: CurveSpec,
     leftmost.  P is a g-isometry between the endpoint tangent spaces:
     ``P.T g(end) P = g(start)`` up to integration tolerance.
     """
-    _check_floor(m, curve, cfg)
+    _check_3d(m)
     p = np.eye(3)
     for p_seg in _transport_lanes(m, curve.segments, np.eye(3), cfg, False)[-1][1]:
         p = p_seg @ p

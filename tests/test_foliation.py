@@ -16,10 +16,9 @@ def points100():
 
 class TestLineLeaf:
     def test_induced_metric_is_constant_one(self, model):
-        leaf = hc.line_leaf(model)
+        line = hc.induced_line_metric(model)
         for x in (-10.0, 0.0, 3.7):
-            np.testing.assert_allclose(leaf.induced_metric.components(np.array([x])),
-                                       [[1.0]], atol=0)
+            np.testing.assert_allclose(line.components(np.array([x])), [[1.0]], atol=0)
 
     def test_report_passes(self, model, cfg):
         report = hc.leaf_first_check(model, t_max=1e3, cfg=cfg)

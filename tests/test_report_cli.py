@@ -1,6 +1,7 @@
 """Report model, serialization, checklist orchestration and CLI exit codes."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,8 +10,9 @@ import sys
 import pytest
 
 import holocheck as hc
+from holocheck.checklist import _composite
 from holocheck.cli import main
-from holocheck.report import check_result
+from holocheck.report import Part, check_result, passes
 
 QUICK = dict(samples=60)
 
@@ -36,6 +38,22 @@ class TestCheckResult:
         c = check_result("X", "d", "c", 0.0, 1.0)
         with pytest.raises(ValueError):
             hc.VerificationReport(config_echo={}, checks=(c, c))
+
+
+@pytest.mark.parametrize("residual,tolerance,verdict", [
+    (float("nan"), 1e-8, False),
+    (float("inf"), 1e-8, False),
+    (1e-8, 1e-8, True),
+    (math.nextafter(1e-8, 1.0), 1e-8, False),
+    (0.0, 0.0, True),
+    (1e-300, 0.0, False),
+], ids=["nan", "inf", "equal", "just_above", "zero_zero", "tiny_over_zero"])
+def test_one_pass_rule(residual, tolerance, verdict):
+    # check results, foliation reports and composite checks all decide by passes()
+    assert passes(residual, tolerance) is verdict
+    assert (check_result("X", "d", "c", residual, tolerance).status == "pass") is verdict
+    assert hc.FoliationReport("k", (Part("p", residual, tolerance),)).passed is verdict
+    assert _composite("C3", [Part("p", residual, tolerance)]).passed is verdict
 
 
 class TestEmitReport:
@@ -117,6 +135,12 @@ class TestRunChecklist:
             hc.ChecklistConfig(tol_abs=-1.0)
         with pytest.raises(hc.ConfigError):
             hc.ChecklistConfig(rel_tol=1e-16)
+        nan, inf = float("nan"), float("inf")
+        for bad in (dict(t_max=nan), dict(t_max=inf), dict(tol_abs=nan),
+                    dict(tol_rel=nan), dict(tol_abs=inf), dict(seed=-1),
+                    dict(rel_tol=nan), dict(abs_tol=nan)):
+            with pytest.raises(hc.ConfigError):
+                hc.ChecklistConfig(**bad)
 
 
 class TestTraces:
@@ -167,6 +191,13 @@ class TestCli:
     def test_bad_samples_exit_two(self, capsys):
         assert main(["--samples", "0"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("args", [["--t-max", "nan"], ["--t-max", "inf"],
+                                      ["--tol-abs", "nan"], ["--tol-rel", "nan"],
+                                      ["--seed", "-1"]])
+    def test_bad_config_exit_two(self, capsys, args):
+        assert main(args) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_mutated_exponent_exit_one(self, capsys):
         assert main(["--samples", "40", "--metric-exponent", "3"]) == 1
