@@ -5,6 +5,17 @@ Single-quantity checks report the raw residual; composite checks report
 the worst residual/tolerance ratio against 1.0 and list the raw parts in
 the note.  A module error inside a check becomes a failed check with
 diagnostic text, never a crash of the run.
+
+The sampled checks (C2, C3, C4, C9, C11, C12) share one sweep over the
+sample points, chunk by chunk: the points are validated and g, its exact
+partials, g^-1, the Christoffel symbols and the curvature are built once
+per chunk, and each check folds its residual maxima over them.  A fault
+in one fold fails only that check; a fault in the shared geometry fails
+every check that reads it.  Two parts keep their own derivatives on
+purpose: C3's numeric path takes central differences at h = 1e-5, because
+it checks the exact partials, and C11 takes the half-plane leaf's
+curvature from the induced 2-D metric at the sweep's heights, because it
+is the independent cross-check of C4's ambient Riemann tensor.
 """
 
 from __future__ import annotations
@@ -16,14 +27,23 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .foliation import leaf_first_check, leaf_second_check, product_split_check
+from .foliation import (
+    _fold_leaf_curvature,
+    _fold_product_split,
+    _halfplane_report,
+    _product_split_report,
+    _split_planes,
+    induced_halfplane_metric,
+    leaf_first_check,
+)
 from .quotient import (
     LoopClass,
     ToralMatrixError,
+    _deck_defect,
+    deck_differential,
     eigen_basis,
     holonomy_element,
     holonomy_of_loop,
-    pullback_metric_residual,
     quotient_conformal_metric,
     validate_toral_matrix,
 )
@@ -31,10 +51,13 @@ from .report import CheckResult, VerificationReport, check_result
 from .tensor_core import (
     ChartPoint,
     TangentVector,
-    _conformal_deviation,
-    _covariant_metric_derivative,
-    _curvature,
+    _conformal_fit,
+    _Geometry,
+    _levi_civita,
+    _Maxima,
     _metric,
+    _nabla,
+    _partials,
     chunks,
     sectional_curvature,
     warped_metric,
@@ -140,8 +163,10 @@ class _Context:
         self.config = config
         self.matrix = matrix
         self.frame = eigen_basis(matrix)
+        self.df = deck_differential(matrix, self.frame)
         self.metric = warped_metric(config.metric_exponent)
         self.gprime = quotient_conformal_metric(self.metric)
+        self.leaf = induced_halfplane_metric(self.metric)
         self.cfg = IntegratorConfig(rel_tol=config.rel_tol, abs_tol=config.abs_tol)
         rng = np.random.default_rng(config.seed)
         n = config.samples
@@ -157,7 +182,9 @@ class _Context:
                                 rng.uniform(0.5, 5.0)) for _ in range(3)]
             self.curves.append(CurveSpec.from_points(nodes))
         self.mixed_planes = rng.uniform(0.0, 2.0 * np.pi, n)
+        self.split_planes = _split_planes(n, config.seed)
         self._holonomies = None
+        self._swept = None
 
     def holonomies(self):
         """Generator-loop and contractible-loop holonomy elements at (0,0,1)."""
@@ -173,6 +200,35 @@ class _Context:
                 _metric(self.metric, base.coords))
             self._holonomies = elems
         return self._holonomies
+
+    def swept(self, check_id: str) -> _Maxima:
+        """The maxima a sampled check folded over the sweep; re-raises its fault."""
+        if self._swept is None:
+            self._swept = self._sweep()
+        result = self._swept[check_id]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def _sweep(self) -> dict:
+        """Walk the samples once, in chunks; every sampled check folds each one.
+
+        A check whose fold raises stops folding and keeps the exception, so
+        only that check fails.  The shared geometry raises in every fold
+        that reads it (see :class:`tensor_core._Geometry`).
+        """
+        results = {check_id: _Maxima() for check_id, _ in _SWEEP}
+        for sl in chunks(len(self.points)):
+            geo = _Geometry(self.metric, self.points[sl], "exact")
+            for check_id, fold in _SWEEP:
+                out = results[check_id]
+                if isinstance(out, Exception):
+                    continue
+                try:
+                    fold(self, geo, sl, out)
+                except Exception as exc:
+                    results[check_id] = exc
+        return results
 
 
 def _composite(check_id: str, parts) -> CheckResult:
@@ -192,59 +248,85 @@ def _composite(check_id: str, parts) -> CheckResult:
                         worst, 1.0, "; ".join(details))
 
 
-def _check_homothety(ctx: _Context) -> CheckResult:
+_E1, _E2, _E3 = np.eye(3)
+
+
+def _fold_homothety(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
     # The residual is roundoff on entries of size lambda^2 z^4, so each
     # point's residual is measured against its largest entry of lambda^2 g.
     lam2 = ctx.frame.lam ** 2
-    relative = 0.0
-    absolute = 0.0
-    for sl in chunks(len(ctx.points)):
-        c = ctx.points[sl]
-        residual = pullback_metric_residual(ctx.matrix, ctx.metric, c)
-        scale = lam2 * np.max(np.abs(_metric(ctx.metric, c)), axis=(-2, -1))
-        relative = max(relative, float(np.max(residual / scale)))
-        absolute = max(absolute, float(np.max(residual)))
-    return check_result("C2", _DESCRIPTIONS["C2"], _CLAIMS["C2"], relative, 1e-10,
+    residual = _deck_defect(ctx.df, lam2, ctx.metric, geo.c, geo.g)
+    out.fold("relative", residual / (lam2 * np.max(np.abs(geo.g), axis=(-2, -1))))
+    out.fold("absolute", residual)
+
+
+def _fold_compatibility(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
+    out.fold("exact", np.abs(_nabla(geo.gamma, geo.g, geo.dg)))
+    # The cross-check of the exact path: its own central-difference partials.
+    d = _partials(ctx.metric, geo.c, "numeric", 1e-5)
+    out.fold("numeric", np.abs(_nabla(_levi_civita(geo.ginv, d), geo.g, d)))
+
+
+def _fold_nonflat(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
+    riemann, _, scalar = geo.curvature
+    z2 = geo.c[:, 2] ** 2
+    out.fold("scalar", np.abs(scalar * z2 / -4.0 - 1.0))
+    k23 = sectional_curvature(geo.g, riemann, _E2, _E3)
+    out.fold("halfplane", np.abs(k23 * z2 / -2.0 - 1.0))
+    theta = ctx.mixed_planes[sl]
+    v = np.stack([np.full_like(theta, 0.3), np.cos(theta), np.sin(theta)], axis=-1)
+    out.fold("flat_planes", np.abs(sectional_curvature(geo.g, riemann, _E1, v)))
+
+
+def _fold_conformal(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
+    c, d = geo.c, ctx.directions[sl]
+    gp = _metric(ctx.gprime, c)
+    mu, res = _conformal_fit(_nabla(geo.gamma, gp, _partials(ctx.gprime, c)), gp, d)
+    out.fold("residual", res)
+    out.fold("mu_err", np.abs(mu - (-2.0 * d[:, 2] / c[:, 2])))
+    out.fold("invariance", _deck_defect(ctx.df, 1.0, ctx.gprime, c, gp))
+
+
+def _fold_halfplane_leaf(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
+    # The leaf's own induced metric at the sweep's heights, not the ambient
+    # Riemann tensor: C11 stays an independent cross-check of C4.
+    _fold_leaf_curvature(ctx.leaf, geo.c[:, 2], out)
+
+
+def _fold_split(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
+    _fold_product_split(geo, ctx.split_planes[sl], out)
+
+
+# The sampled checks, in the order they fold each chunk of the one sweep.
+_SWEEP = (
+    ("C2", _fold_homothety),
+    ("C3", _fold_compatibility),
+    ("C4", _fold_nonflat),
+    ("C9", _fold_conformal),
+    ("C11", _fold_halfplane_leaf),
+    ("C12", _fold_split),
+)
+
+
+def _check_homothety(ctx: _Context) -> CheckResult:
+    out = ctx.swept("C2")
+    return check_result("C2", _DESCRIPTIONS["C2"], _CLAIMS["C2"], out["relative"], 1e-10,
                         f"max over {len(ctx.points)} points of |f*g - lambda^2 g| / "
-                        f"max|lambda^2 g|; absolute max {absolute:.3e}")
+                        f"max|lambda^2 g|; absolute max {out['absolute']:.3e}")
 
 
 def _check_compatibility(ctx: _Context) -> CheckResult:
-    m = ctx.metric
-    exact = 0.0
-    numeric = 0.0
-    for sl in chunks(len(ctx.points)):
-        c = ctx.points[sl]
-        exact = max(exact, float(np.max(np.abs(
-            _covariant_metric_derivative(m, m, c, method="exact")))))
-        numeric = max(numeric, float(np.max(np.abs(
-            _covariant_metric_derivative(m, m, c, method="numeric", h=1e-5)))))
-    return _composite("C3", [("exact_partials_path", exact, ctx.config.tol_abs),
-                             ("numeric_partials_path_h=1e-5", numeric, 1e-5)])
+    out = ctx.swept("C3")
+    return _composite("C3", [("exact_partials_path", out["exact"], ctx.config.tol_abs),
+                             ("numeric_partials_path_h=1e-5", out["numeric"], 1e-5)])
 
 
 def _check_nonflat(ctx: _Context) -> CheckResult:
-    scalar_rel = 0.0
-    halfplane_rel = 0.0
-    flat_planes = 0.0
-    e1 = np.array([1.0, 0.0, 0.0])
-    for sl in chunks(len(ctx.points)):
-        c = ctx.points[sl]
-        z2 = c[:, 2] ** 2
-        riemann, _, scalar = _curvature(ctx.metric, c)
-        g = _metric(ctx.metric, c)
-        scalar_rel = max(scalar_rel, float(np.max(np.abs(scalar * z2 / -4.0 - 1.0))))
-        k23 = sectional_curvature(g, riemann,
-                                  np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
-        halfplane_rel = max(halfplane_rel, float(np.max(np.abs(k23 * z2 / -2.0 - 1.0))))
-        theta = ctx.mixed_planes[sl]
-        v = np.stack([np.full_like(theta, 0.3), np.cos(theta), np.sin(theta)], axis=-1)
-        flat_planes = max(flat_planes,
-                          float(np.max(np.abs(sectional_curvature(g, riemann, e1, v)))))
+    out = ctx.swept("C4")
     return _composite("C4", [
-        ("scalar_times_z2_is_minus_4", scalar_rel, ctx.config.tol_rel),
-        ("halfplane_sectional_times_z2_is_minus_2", halfplane_rel, ctx.config.tol_rel),
-        ("planes_containing_v1_flat", flat_planes, ctx.config.tol_abs),
+        ("scalar_times_z2_is_minus_4", out["scalar"], ctx.config.tol_rel),
+        ("halfplane_sectional_times_z2_is_minus_2", out["halfplane"], ctx.config.tol_rel),
+        ("planes_containing_v1_flat", out["flat_planes"], ctx.config.tol_abs),
     ])
 
 
@@ -291,21 +373,11 @@ def _check_incompleteness(ctx: _Context) -> CheckResult:
 
 
 def _check_conformal(ctx: _Context) -> CheckResult:
-    residual = 0.0
-    mu_err = 0.0
-    invariance = 0.0
-    for sl in chunks(len(ctx.points)):
-        c = ctx.points[sl]
-        d = ctx.directions[sl]
-        mu, res = _conformal_deviation(ctx.metric, ctx.gprime, c, d)
-        residual = max(residual, float(np.max(res)))
-        mu_err = max(mu_err, float(np.max(np.abs(mu - (-2.0 * d[:, 2] / c[:, 2])))))
-        invariance = max(invariance, float(np.max(pullback_metric_residual(
-            ctx.matrix, ctx.gprime, c, expected_factor=1.0))))
+    out = ctx.swept("C9")
     return _composite("C9", [
-        ("conformal_residual", residual, ctx.config.tol_abs),
-        ("mu_matches_-2Vz_over_z", mu_err, 1e-8),
-        ("deck_invariance_of_gprime", invariance, 1e-10),
+        ("conformal_residual", out["residual"], ctx.config.tol_abs),
+        ("mu_matches_-2Vz_over_z", out["mu_err"], 1e-8),
+        ("deck_invariance_of_gprime", out["invariance"], 1e-10),
     ])
 
 
@@ -315,13 +387,12 @@ def _check_line_leaf(ctx: _Context) -> CheckResult:
 
 
 def _check_halfplane_leaf(ctx: _Context) -> CheckResult:
-    report = leaf_second_check(ctx.metric, ctx.points[:, 2], cfg=ctx.cfg)
+    report = _halfplane_report(ctx.leaf, ctx.swept("C11"), ctx.cfg)
     return _composite("C11", report.items)
 
 
 def _check_product_split(ctx: _Context) -> CheckResult:
-    report = product_split_check(ctx.metric, ctx.points, seed=ctx.config.seed)
-    return _composite("C12", report.items)
+    return _composite("C12", _product_split_report(ctx.swept("C12")).items)
 
 
 _CHECKS = [

@@ -26,7 +26,8 @@ from .tensor_core import (
     ChartPoint,
     MetricField,
     TangentVector,
-    _christoffel,
+    _Geometry,
+    _Maxima,
     _coords,
     _curvature,
     _metric,
@@ -150,27 +151,77 @@ def leaf_first_check(m: MetricField, t_max: float = 1e3,
     ))
 
 
-def leaf_second_check(m: MetricField, z_samples: Sequence[float],
-                      cfg: IntegratorConfig = DEFAULT_CONFIG) -> FoliationReport:
-    """Half-plane leaf: Gaussian curvature -2/z^2 and finite-time escape."""
-    leaf = halfplane_leaf(m)
-    z_all = np.asarray(z_samples, dtype=float)
-    curv_res = 0.0
-    for sl in chunks(len(z_all)):
-        z = z_all[sl]
-        k = gaussian_curvature(leaf.induced_metric,
-                               np.stack([np.zeros_like(z), z], axis=-1))
-        curv_res = max(curv_res, float(np.max(np.abs(k * z * z / -2.0 - 1.0))))
+_LEAF_CURVATURE = "gaussian_curvature_times_z2_is_minus_2"
+
+
+def _fold_leaf_curvature(leaf: MetricField, z: np.ndarray, out: _Maxima) -> None:
+    """Fold |K z^2 / -2 - 1| of the half-plane leaf at heights ``z`` into ``out``."""
+    k = gaussian_curvature(leaf, np.stack([np.zeros_like(z), z], axis=-1))
+    out.fold(_LEAF_CURVATURE, np.abs(k * z * z / -2.0 - 1.0))
+
+
+def _halfplane_report(leaf: MetricField, curvature: _Maxima,
+                      cfg: IntegratorConfig) -> FoliationReport:
+    """The folded leaf curvature plus the finite-time escape of a geodesic."""
     ts, _, _, term = integrate_geodesic_coords(
-        leaf.induced_metric, np.array([0.0, 1.0]), np.array([0.0, -1.0]), 2.0, cfg)
+        leaf, np.array([0.0, 1.0]), np.array([0.0, -1.0]), 2.0, cfg)
     if term.status == BOUNDARY_ESCAPE:
         escape_res = abs(term.t_escape - 1.0)
     else:
         escape_res = np.inf
     return FoliationReport(HALFPLANE_LEAF, (
-        Part("gaussian_curvature_times_z2_is_minus_2", curv_res, 1e-6),
+        Part(_LEAF_CURVATURE, curvature[_LEAF_CURVATURE], 1e-6),
         Part("downward_geodesic_escapes_at_t1", escape_res, 1e-6),
     ))
+
+
+def leaf_second_check(m: MetricField, z_samples: Sequence[float],
+                      cfg: IntegratorConfig = DEFAULT_CONFIG) -> FoliationReport:
+    """Half-plane leaf: Gaussian curvature -2/z^2 and finite-time escape."""
+    leaf = halfplane_leaf(m).induced_metric
+    z_all = np.asarray(z_samples, dtype=float)
+    curvature = _Maxima()
+    for sl in chunks(len(z_all)):
+        _fold_leaf_curvature(leaf, z_all[sl], curvature)
+    return _halfplane_report(leaf, curvature, cfg)
+
+
+# Christoffel symbols with an index along the line direction e1.
+_MIXED = np.zeros((3, 3, 3), dtype=bool)
+_MIXED[0, :, :] = _MIXED[:, 0, :] = _MIXED[:, :, 0] = True
+_E1 = np.array([1.0, 0.0, 0.0])
+_SHIFT = np.array([1.3, -0.7, 0.0])
+
+
+def _split_planes(n: int, seed: int) -> np.ndarray:
+    """The (n, 3) mixed plane directions of :func:`product_split_check`."""
+    draws = np.random.default_rng(seed).uniform([0.0, -1.0], [2 * np.pi, 1.0], (n, 2))
+    return np.stack([draws[:, 1], np.cos(draws[:, 0]), np.sin(draws[:, 0])], axis=-1)
+
+
+def _fold_product_split(geo: _Geometry, v: np.ndarray, out: _Maxima) -> None:
+    """Fold the splitting residuals of one chunk; ``v`` are its mixed planes."""
+    g = geo.g
+    out.fold("metric_block_diagonal", np.abs(g[:, 0, 1:]))
+    out.fold("line_block_constant", np.abs(g[:, 0, 0] - 1.0))
+    out.fold("blocks_depend_only_on_z", np.abs(_metric(geo.m, geo.c + _SHIFT) - g))
+    out.fold("mixed_christoffel_vanish", np.abs(geo.gamma[:, _MIXED]))
+    out.fold("planes_containing_line_flat",
+             np.abs(sectional_curvature(g, geo.curvature[0], _E1, v)))
+
+
+_SPLIT_TOLERANCES = (
+    ("metric_block_diagonal", 1e-12),
+    ("line_block_constant", 1e-12),
+    ("blocks_depend_only_on_z", 1e-12),
+    ("mixed_christoffel_vanish", 1e-10),
+    ("planes_containing_line_flat", 1e-8),
+)
+
+
+def _product_split_report(out: _Maxima) -> FoliationReport:
+    return FoliationReport("product_split", tuple(
+        Part(name, out[name], tol) for name, tol in _SPLIT_TOLERANCES))
 
 
 def product_split_check(m: MetricField, points,
@@ -188,33 +239,8 @@ def product_split_check(m: MetricField, points,
     if not isinstance(points, np.ndarray):
         points = np.array([p.coords for p in points]).reshape(-1, 3)
     c_all = _coords(m, points, batch=True)
-    draws = np.random.default_rng(seed).uniform([0.0, -1.0], [2 * np.pi, 1.0],
-                                                (len(c_all), 2))
-    v_all = np.stack([draws[:, 1], np.cos(draws[:, 0]), np.sin(draws[:, 0])], axis=-1)
-    mask = np.zeros((3, 3, 3), dtype=bool)
-    mask[0, :, :] = mask[:, 0, :] = mask[:, :, 0] = True
-    e1 = np.array([1.0, 0.0, 0.0])
-    block_res = 0.0
-    const_res = 0.0
-    zdep_res = 0.0
-    mixed_gamma_res = 0.0
-    mixed_plane_res = 0.0
+    planes = _split_planes(len(c_all), seed)
+    out = _Maxima()
     for sl in chunks(len(c_all)):
-        c = c_all[sl]
-        g = _metric(m, c)
-        block_res = max(block_res, float(np.max(np.abs(g[:, 0, 1:]))))
-        const_res = max(const_res, float(np.max(np.abs(g[:, 0, 0] - 1.0))))
-        shifted = c + np.array([1.3, -0.7, 0.0])
-        zdep_res = max(zdep_res, float(np.max(np.abs(_metric(m, shifted) - g))))
-        gamma = _christoffel(m, c)
-        mixed_gamma_res = max(mixed_gamma_res, float(np.max(np.abs(gamma[:, mask]))))
-        riemann, _, _ = _curvature(m, c)
-        k = sectional_curvature(g, riemann, e1, v_all[sl])
-        mixed_plane_res = max(mixed_plane_res, float(np.max(np.abs(k))))
-    return FoliationReport("product_split", (
-        Part("metric_block_diagonal", block_res, 1e-12),
-        Part("line_block_constant", const_res, 1e-12),
-        Part("blocks_depend_only_on_z", zdep_res, 1e-12),
-        Part("mixed_christoffel_vanish", mixed_gamma_res, 1e-10),
-        Part("planes_containing_line_flat", mixed_plane_res, 1e-8),
-    ))
+        _fold_product_split(_Geometry(m, c_all[sl]), planes[sl], out)
+    return _product_split_report(out)

@@ -19,6 +19,7 @@ taken right to left.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -85,15 +86,19 @@ class ToralMatrix:
 
 def validate_toral_matrix(entries) -> ToralMatrix:
     """Parse a 2x2 array-like into a validated :class:`ToralMatrix`."""
-    arr = np.asarray(entries)
+    # dtype=object keeps each entry's own type, so integers are taken as they
+    # are: a float would round entries above 2^53.
+    arr = np.asarray(entries, dtype=object)
     if arr.shape != (2, 2):
         raise ToralMatrixError(f"expected a 2x2 matrix, got shape {arr.shape}")
     ints = []
     for v in arr.ravel():
-        x = float(v)
-        if not (math.isfinite(x) and x == round(x)):
-            raise ToralMatrixError(f"matrix entries must be integers, got {v}")
-        ints.append(int(x))
+        if not isinstance(v, numbers.Integral):
+            x = float(v)
+            if not (math.isfinite(x) and x == round(x)):
+                raise ToralMatrixError(f"matrix entries must be integers, got {v}")
+            v = x
+        ints.append(int(v))
     return ToralMatrix(*ints)
 
 
@@ -191,11 +196,15 @@ def pullback_metric_residual(a: ToralMatrix, m: MetricField, p,
     if expected_factor is None:
         expected_factor = frame.lam ** 2
     c = p.coords if isinstance(p, ChartPoint) else _coords(m, p, batch=True)
-    g_here = _metric(m, c)
-    g_image = _metric(m, c @ df.T)
-    residual = np.max(np.abs(df.T @ g_image @ df - expected_factor * g_here),
-                      axis=(-2, -1))
+    residual = _deck_defect(df, expected_factor, m, c, _metric(m, c))
     return float(residual) if residual.ndim == 0 else residual
+
+
+def _deck_defect(df: np.ndarray, factor: float, m: MetricField, c: np.ndarray,
+                 g_here: np.ndarray) -> np.ndarray:
+    """Max-abs entry of df^T g(f c) df - factor * g_here, one per point of ``c``."""
+    g_image = _metric(m, c @ df.T)
+    return np.max(np.abs(df.T @ g_image @ df - factor * g_here), axis=(-2, -1))
 
 
 def reduce_to_fundamental_domain(a: ToralMatrix, p: Sequence[float]):

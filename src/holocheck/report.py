@@ -83,12 +83,23 @@ def _json_float(x: float):
     return x if math.isfinite(x) else repr(x)
 
 
+def _json_echo(value):
+    """The config echo with every float, however deeply nested, made JSON-safe."""
+    if isinstance(value, float):
+        return _json_float(value)
+    if isinstance(value, dict):
+        return {k: _json_echo(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_echo(v) for v in value]
+    return value
+
+
 def emit_report(report: VerificationReport, format: str = "text") -> bytes:
     """Serialize a report; JSON output has stable key order byte for byte."""
     if format == "json":
         doc = {
             "schema_version": report.schema_version,
-            "config": report.config_echo,
+            "config": _json_echo(report.config_echo),
             "checks": [
                 {
                     "id": c.id,

@@ -11,7 +11,10 @@ arrays with the same leading shape, so one call evaluates a whole batch of
 points; a single point is the empty leading shape.  The public ``*_at``
 functions are single-point calls on that core.  Sampled checks walk their
 point arrays in slices of :data:`CHUNK` points (:func:`chunks`), which keeps
-the rank-4 curvature arrays small.
+the rank-4 curvature arrays small.  The checklist walks them once: a
+:class:`_Geometry` holds one chunk's g, partials, inverse, Christoffel
+symbols and curvature, each built at most once, and every sampled check
+folds its running maxima (:class:`_Maxima`) over those arrays.
 
 Index conventions, fixed here and used everywhere (leading batch axes are
 left out):
@@ -32,6 +35,7 @@ every plane containing dx is flat.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -338,21 +342,31 @@ def _partials(m: MetricField, c: np.ndarray, method: str = "auto",
     return out
 
 
-def _christoffel(m: MetricField, c: np.ndarray, method: str = "auto",
-                 h: Optional[float] = None) -> np.ndarray:
-    g = _metric(m, c)
-    ginv = _inv_small(g)
-    d = _partials(m, c, method, h)
+def _levi_civita(ginv: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Christoffel symbols from g^-1 and the partials ``d[..., k] = d_k g``."""
     # s[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     dt = d.swapaxes(-1, -3)
     s = dt.swapaxes(-1, -2) + dt - d
     return 0.5 * np.einsum("...kl,...lij->...kij", ginv, s)
 
 
+def _christoffel(m: MetricField, c: np.ndarray, method: str = "auto",
+                 h: Optional[float] = None) -> np.ndarray:
+    return _levi_civita(_inv_small(_metric(m, c)), _partials(m, c, method, h))
+
+
 def _curvature(m: MetricField, c: np.ndarray, method: str = "auto",
-               h: Optional[float] = None):
-    """``(riemann, ricci, scalar)`` at ``c``; see :func:`riemann_at`."""
-    gamma = _christoffel(m, c, method, h)
+               h: Optional[float] = None, gamma: Optional[np.ndarray] = None,
+               ginv: Optional[np.ndarray] = None):
+    """``(riemann, ricci, scalar)`` at ``c``; see :func:`riemann_at`.
+
+    ``gamma`` and ``ginv``, the Christoffel symbols and inverse metric at
+    ``c``, are computed here unless the caller already holds them.
+    """
+    if gamma is None:
+        gamma = _christoffel(m, c, method, h)
+    if ginv is None:
+        ginv = _inv_small(_metric(m, c))
     step = _fd_step(m, c, h)
     _check_stencil(m, c, step)
     den = 2.0 * np.asarray(step)[..., None, None, None]
@@ -360,39 +374,99 @@ def _curvature(m: MetricField, c: np.ndarray, method: str = "auto",
     for k, e in enumerate(_stencil_shifts(c, step)):
         dgamma[..., k, :, :, :] = (_christoffel(m, c + e, method, h)
                                    - _christoffel(m, c - e, method, h)) / den
+    # gg[i, k, l, j] = G^i_kp G^p_lj, one (dim^2, dim) x (dim, dim^2) product
+    n, lead = m.dim, gamma.shape[:-3]
+    gg = (gamma.reshape(lead + (n * n, n))
+          @ gamma.reshape(lead + (n, n * n))).reshape(lead + (n,) * 4)
     # R^i_jkl = d_k G^i_lj - d_l G^i_kj + G^i_kp G^p_lj - G^i_lp G^p_kj
     riemann = (np.einsum("...kilj->...ijkl", dgamma)
                - np.einsum("...likj->...ijkl", dgamma)
-               + np.einsum("...ikp,...plj->...ijkl", gamma, gamma)
-               - np.einsum("...ilp,...pkj->...ijkl", gamma, gamma))
+               + np.einsum("...iklj->...ijkl", gg)
+               - np.einsum("...ilkj->...ijkl", gg))
     ricci = np.einsum("...ijil->...jl", riemann)
-    ginv = _inv_small(_metric(m, c))
     scalar = np.einsum("...jl,...jl->...", ginv, ricci)
     return riemann, ricci, scalar
 
 
-def _covariant_metric_derivative(m_conn: MetricField, m_target: MetricField,
-                                 c: np.ndarray, method: str = "auto",
-                                 h: Optional[float] = None) -> np.ndarray:
-    gamma = _christoffel(m_conn, c, method, h)
-    g = _metric(m_target, c)
-    d = _partials(m_target, c, method, h)
+def _nabla(gamma: np.ndarray, g: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``nabla[k, i, j] = d_k g_ij - G^l_ki g_lj - G^l_kj g_il`` from arrays."""
     correction = (np.einsum("...lki,...lj->...kij", gamma, g)
                   + np.einsum("...lkj,...il->...kij", gamma, g))
     return d - correction
 
 
-def _conformal_deviation(m_conn: MetricField, m_target: MetricField,
-                         c: np.ndarray, v: np.ndarray):
-    """``(mu, residual)`` per point; see :func:`conformal_deviation_at`."""
+def _covariant_metric_derivative(m_conn: MetricField, m_target: MetricField,
+                                 c: np.ndarray, method: str = "auto",
+                                 h: Optional[float] = None) -> np.ndarray:
+    return _nabla(_christoffel(m_conn, c, method, h), _metric(m_target, c),
+                  _partials(m_target, c, method, h))
+
+
+def _conformal_fit(nabla: np.ndarray, g: np.ndarray, v: np.ndarray):
+    """``(mu, |nabla_v g - mu g|_F)`` per point, mu the least-squares factor."""
     if np.any(np.all(v == 0.0, axis=-1)):
         raise ValueError("direction vector is zero")
-    nabla = _covariant_metric_derivative(m_conn, m_target, c)
     t = np.einsum("...k,...kij->...ij", v, nabla)
-    g = _metric(m_target, c)
     mu = np.sum(t * g, axis=(-2, -1)) / np.sum(g * g, axis=(-2, -1))
     r = t - mu[..., None, None] * g
     return mu, np.sqrt(np.sum(r * r, axis=(-2, -1)))
+
+
+def _conformal_deviation(m_conn: MetricField, m_target: MetricField,
+                         c: np.ndarray, v: np.ndarray):
+    """``(mu, residual)`` per point; see :func:`conformal_deviation_at`."""
+    return _conformal_fit(_covariant_metric_derivative(m_conn, m_target, c),
+                          _metric(m_target, c), v)
+
+
+class _Maxima(dict):
+    """Running maxima of named residuals, folded in one chunk at a time."""
+
+    def __missing__(self, name):
+        return 0.0
+
+    def fold(self, name: str, values) -> None:
+        self[name] = max(self[name], float(np.max(values)))
+
+
+class _Geometry:
+    """The geometry of ``m`` at one chunk of points, each array built once.
+
+    The points are validated on first use; g, its partials (``method``),
+    g^-1, the Christoffel symbols and ``(riemann, ricci, scalar)`` are each
+    computed at most once, however many checks read them.  An array whose
+    construction raises is not cached, so it raises again for every reader:
+    a fault in the shared geometry fails each check that uses it.
+    """
+
+    def __init__(self, m: MetricField, points: np.ndarray, method: str = "auto"):
+        self.m = m
+        self.points = points
+        self.method = method
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return _coords(self.m, self.points, batch=True)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return _metric(self.m, self.c)
+
+    @cached_property
+    def dg(self) -> np.ndarray:
+        return _partials(self.m, self.c, self.method)
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return _inv_small(self.g)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return _levi_civita(self.ginv, self.dg)
+
+    @cached_property
+    def curvature(self):
+        return _curvature(self.m, self.c, self.method, gamma=self.gamma, ginv=self.ginv)
 
 
 def metric_at(m: MetricField, p: PointLike) -> np.ndarray:

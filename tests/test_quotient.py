@@ -55,6 +55,19 @@ class TestValidateToralMatrix:
             with pytest.raises(ToralMatrixError, match="integer"):
                 hc.validate_toral_matrix([[bad, 1], [1, 1]])
 
+    def test_integers_above_two_to_the_53(self):
+        # 2^53 + 1 is not a float; det = (2^53 + 1) - 2^53 = 1
+        big = 2 ** 53
+        a = hc.validate_toral_matrix([[big + 1, big], [1, 1]])
+        assert (a.a11, a.a12) == (big + 1, big)
+        assert a.trace == big + 2
+        assert hc.validate_toral_matrix(np.array([[big + 1, big], [1, 1]])) == a
+        for bad in ([[1.5, 1], [1, 1]], [[float("nan"), 1], [1, 1]],
+                    [[float("inf"), 1], [1, 1]], [[-float("inf"), 1], [1, 1]],
+                    [big + 1, big, 1, 1], [[big + 1, big, 1], [1, 1, 1]]):
+            with pytest.raises(ToralMatrixError):
+                hc.validate_toral_matrix(bad)
+
     def test_inverse_is_valid_and_inverts(self, cat):
         inv = cat.inverse()
         assert inv.trace == cat.trace

@@ -120,6 +120,25 @@ class TestRunChecklist:
         assert c2.status == "fail"
         assert c2.residual > 0.1
 
+    def test_matrix_above_two_to_the_53_passes_c1(self):
+        big = 2 ** 53
+        rep = hc.run_checklist(hc.ChecklistConfig(matrix=((big + 1, big), (1, 1)),
+                                                  samples=10))
+        c1 = rep.checks[0]
+        assert c1.id == "C1" and c1.status == "pass"
+        assert f"trace={big + 2}" in c1.note
+
+    def test_nonfinite_config_echo_is_strict_json(self):
+        rep = hc.run_checklist(hc.ChecklistConfig(matrix=((math.nan, 1), (1, 1)),
+                                                  samples=10))
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        doc = json.loads(hc.emit_report(rep, "json"), parse_constant=reject)
+        assert doc["config"]["matrix"] == [["nan", 1], [1, 1]]
+        assert doc["checks"][0]["status"] == "fail"
+
     @pytest.mark.parametrize("matrix", [((5, 4), (1, 1)), ((1000, 999), (1, 1))])
     def test_large_trace_matrices_pass(self, matrix):
         # C2 measures roundoff relative to lambda^2 g, so it holds at any trace
