@@ -65,9 +65,9 @@ from .tensor_core import (
 from .transport import (
     CurveSpec,
     IntegratorConfig,
+    _transport_curves,
     coordinate_rectangle,
     integrate_geodesic,
-    parallel_transport,
     trajectory_to_csv,
     transport_frame_trace,
     transport_matrix,
@@ -232,8 +232,12 @@ class _Context:
 
 
 def _composite(check_id: str, parts) -> CheckResult:
-    """Fold named (residual, tolerance) parts into one normalized check."""
-    worst = 0.0
+    """Fold named (residual, tolerance) parts into one normalized check.
+
+    The check's residual is the largest residual/tolerance ratio; the first
+    part with that ratio is named as the worst part.
+    """
+    worst, worst_part = -math.inf, ""
     details = []
     for name, residual, tolerance in parts:
         if not math.isfinite(residual):
@@ -242,10 +246,11 @@ def _composite(check_id: str, parts) -> CheckResult:
             ratio = residual / tolerance
         else:
             ratio = 0.0 if residual <= 0.0 else math.inf
-        worst = max(worst, ratio)
+        if ratio > worst:
+            worst, worst_part = ratio, name
         details.append(f"{name}: residual={residual:.3e} tol={tolerance:.1e}")
     return check_result(check_id, _DESCRIPTIONS[check_id], _CLAIMS[check_id],
-                        worst, 1.0, "; ".join(details))
+                        max(0.0, worst), 1.0, "; ".join(details), worst_part)
 
 
 _E1, _E2, _E3 = np.eye(3)
@@ -331,12 +336,10 @@ def _check_nonflat(ctx: _Context) -> CheckResult:
 
 
 def _check_parallel_field(ctx: _Context) -> CheckResult:
-    e1 = np.array([1.0, 0.0, 0.0])
-    residual = 0.0
-    for curve in ctx.curves:
-        w = parallel_transport(ctx.metric, curve,
-                               TangentVector(curve.start, e1), ctx.cfg)
-        residual = max(residual, float(np.max(np.abs(w.comp - e1))))
+    # one run per segment index: the curves' k-th segments are its lanes
+    w0 = np.broadcast_to(_E1[:, None], (len(ctx.curves), 3, 1))
+    w, _ = _transport_curves(ctx.metric, ctx.curves, w0, ctx.cfg)
+    residual = float(np.max(np.abs(w[..., 0] - _E1)))
     return check_result("C5", _DESCRIPTIONS["C5"], _CLAIMS["C5"], residual, 1e-8,
                         f"max over {len(ctx.curves)} random polylines")
 

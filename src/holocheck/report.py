@@ -28,8 +28,9 @@ class CheckResult:
     """Outcome of one checklist entry.
 
     ``status`` is derived from the residual by :func:`passes`.  Composite
-    checks report a dimensionless worst ratio against tolerance 1.0 and
-    list the raw parts in ``note``.
+    checks report a dimensionless worst ratio against tolerance 1.0, list
+    the raw parts in ``note`` and name the part with that ratio in
+    ``worst_part``; the text report shows it, the JSON report does not.
     """
 
     id: str
@@ -39,6 +40,7 @@ class CheckResult:
     residual: float
     tolerance: float
     note: str = ""
+    worst_part: str = ""
 
     def __post_init__(self):
         expected = "pass" if passes(self.residual, self.tolerance) else "fail"
@@ -52,11 +54,12 @@ class CheckResult:
 
 
 def check_result(id: str, description: str, claim: str, residual: float,
-                 tolerance: float, note: str = "") -> CheckResult:
+                 tolerance: float, note: str = "", worst_part: str = "") -> CheckResult:
     residual = float(residual)
     status = "pass" if passes(residual, tolerance) else "fail"
     return CheckResult(id=id, description=description, claim=claim, status=status,
-                       residual=residual, tolerance=float(tolerance), note=note)
+                       residual=residual, tolerance=float(tolerance), note=note,
+                       worst_part=worst_part)
 
 
 @dataclass(frozen=True)
@@ -122,9 +125,12 @@ def emit_report(report: VerificationReport, format: str = "text") -> bytes:
         if cfg:
             lines.append("config: " + ", ".join(f"{k}={v}" for k, v in cfg.items()))
         for c in report.checks:
-            lines.append(f"{c.id:<4} {'PASS' if c.passed else 'FAIL'}  "
-                         f"residual={c.residual:.3e}  tol={c.tolerance:.3e}  "
-                         f"{c.description}")
+            line = (f"{c.id:<4} {'PASS' if c.passed else 'FAIL'}  "
+                    f"residual={c.residual:.3e}  tol={c.tolerance:.3e}  {c.description}")
+            if c.worst_part:
+                # a composite's residual is its worst part's residual / tolerance
+                line += f"  worst={c.worst_part} ({c.residual:.4g} of tol)"
+            lines.append(line)
         npass = sum(c.passed for c in report.checks)
         lines.append(f"{npass}/{len(report.checks)} checks passed")
         if report.traces_emitted:

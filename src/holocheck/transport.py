@@ -9,13 +9,17 @@ accepted step endpoints and refined by bisection in the affine parameter.
 Transport solves the linear equation w' = A(s) w with
 A(s) = -Gamma(c(s))[c'(s), .], which does not depend on w, so each
 attempted step asks for A at its five distinct stage abscissae in one
-batched Christoffel evaluation.  Segments of a curve can run as lanes of
-one integration: they share the step, and the error norm is the worst
-lane's, so every segment is held to the tolerance on its own.  A transport
-matrix integrates each segment from the identity as a lane and composes
-the segment matrices; vectors and recorded frame traces are carried
-segment by segment.  Curve tangents come exactly from the curve model,
-never differenced from sampled positions.
+batched Christoffel evaluation.  Segments run as lanes of one
+integration, held as (lanes, 3) start and delta arrays, so the stage
+points of every lane are one broadcast: they share the step, and the error
+norm is the worst lane's, so every segment is held to the tolerance on its
+own.  A transport matrix integrates each segment of its curve from the
+identity as a lane and composes the segment matrices.  Vectors and
+recorded frame traces are carried with lanes across curves: round k
+integrates segment k of every curve that has one, each lane starting from
+its own curve's block, so many curves cost one run per segment index.
+Curve tangents come exactly from the curve model, never differenced from
+sampled positions.
 """
 
 from __future__ import annotations
@@ -103,13 +107,15 @@ class _LinearField:
 
     A(s) = -Gamma(c(s))[c'(s), .] does not depend on w, so its values at
     several abscissae come from one batched Christoffel evaluation.  Each
-    segment is one lane; the state is the lanes' (3, width) blocks, flat.
+    segment is one lane, held as a row of the (lanes, 3) start and delta
+    arrays; the state is the lanes' (3, width) blocks, flat.
     """
 
     def __init__(self, m: MetricField, segments: Sequence["StraightSegment"],
                  width: int):
         self.m = m
-        self.segments = tuple(segments)
+        self.c0 = np.array([seg._c0 for seg in segments])
+        self.delta = np.array([seg._delta for seg in segments])
         self.width = width
 
     def matrices(self, s: np.ndarray) -> np.ndarray:
@@ -118,15 +124,14 @@ class _LinearField:
         A point at or below z = 0 gives NaN coefficients, so the step that
         asked for it is rejected.
         """
-        c = np.array([seg.point(s) for seg in self.segments])
+        c = self.c0 + s[:, None, None] * self.delta
         if np.any(c[..., 2] <= 0.0):
-            return np.full((len(s), len(self.segments), 3, 3), np.nan)
-        v = np.array([seg.velocity(s) for seg in self.segments])
-        a = -np.einsum("...kij,...i->...kj", _christoffel(self.m, c), v)
-        return a.swapaxes(0, 1)
+            return np.full(c.shape + (3,), np.nan)
+        # a straight segment's velocity is its constant delta
+        return -np.einsum("...kij,...i->...kj", _christoffel(self.m, c), self.delta)
 
     def apply(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return (a @ w.reshape(len(self.segments), 3, self.width)).ravel()
+        return (a @ w.reshape(len(self.c0), 3, self.width)).ravel()
 
     def __call__(self, s: float, w: np.ndarray) -> np.ndarray:
         return self.apply(self.matrices(np.array([s]))[0], w)
@@ -413,9 +418,6 @@ class StraightSegment:
     def point(self, s) -> np.ndarray:
         return self._c0 + np.multiply.outer(s, self._delta)
 
-    def velocity(self, s) -> np.ndarray:
-        return self._delta + np.zeros(np.shape(s) + (3,))
-
     def reversed(self) -> "StraightSegment":
         return StraightSegment(self.end, self.start)
 
@@ -482,44 +484,50 @@ def _check_3d(m: MetricField) -> None:
 
 def _transport_lanes(m: MetricField, segments, w0: np.ndarray,
                      cfg: IntegratorConfig, record: bool):
-    """Transport the (3, width) block w0 along each segment, as lanes of one run.
+    """Transport the block w0[j] (3, width) along segments[j], as lanes of one run.
 
     Returns the accepted (s, (lanes, 3, width) state) samples; without
     ``record`` only the final one.
     """
-    width = w0.shape[1]
+    lanes, _, width = w0.shape
     field = _LinearField(m, segments, width)
-    y0 = np.tile(w0.ravel(), len(segments))
-    samples, status, _ = _integrate(field, y0, 1.0, cfg, lanes=len(segments),
+    samples, status, _ = _integrate(field, w0.ravel(), 1.0, cfg, lanes=lanes,
                                     record=record)
     if status != COMPLETED:
         raise IntegrationError(f"transport ran out of steps ({status})")
-    return [(s, y.reshape(len(segments), 3, width)) for s, y in samples]
+    return [(s, y.reshape(lanes, 3, width)) for s, y in samples]
 
 
-def _transport_segments(m: MetricField, curve: CurveSpec, w0: np.ndarray,
-                        cfg: IntegratorConfig, record: bool):
-    """Carry the columns of w0 along the curve segment by segment.
+def _transport_curves(m: MetricField, curves: Sequence[CurveSpec],
+                      w0: np.ndarray, cfg: IntegratorConfig, record: bool = False):
+    """Carry the block w0[i] (3, width) along curves[i], for all curves at once.
 
-    Returns the end value and, with ``record``, the accepted-step history.
+    Round k integrates segment k of every curve that has one, as the lanes
+    of one run, from where round k - 1 left that curve's block.  Returns the
+    end blocks (curves, 3, width) and, with ``record``, each curve's
+    accepted-step history [(t, coords, block), ...] with t the global curve
+    parameter (segment index plus the in-segment parameter).
     """
     _check_3d(m)
-    w = w0.reshape(3, -1)
-    trace = []
-    for idx, seg in enumerate(curve.segments):
-        samples = _transport_lanes(m, [seg], w, cfg, record)
+    w = np.array(w0, dtype=float)
+    traces = [[] for _ in curves]
+    for k in range(max(len(curve.segments) for curve in curves)):
+        active = [i for i, curve in enumerate(curves) if len(curve.segments) > k]
+        segments = [curves[i].segments[k] for i in active]
+        samples = _transport_lanes(m, segments, w[active], cfg, record)
         if record:
-            trace += [(idx + s, seg.point(s), y[0]) for s, y in samples]
-        w = samples[-1][1][0]
-    return w.reshape(w0.shape), trace
+            for lane, (i, seg) in enumerate(zip(active, segments)):
+                traces[i] += [(k + s, seg.point(s), y[lane]) for s, y in samples]
+        w[active] = samples[-1][1]
+    return w, traces
 
 
 def parallel_transport(m: MetricField, curve: CurveSpec, w0: TangentVector,
                        cfg: IntegratorConfig = DEFAULT_CONFIG) -> TangentVector:
     """Parallel transport of w0 along the curve; returns the endpoint vector."""
     w = _vector(w0, 3, base=curve.start.coords)
-    w_end, _ = _transport_segments(m, curve, w, cfg, record=False)
-    return TangentVector(curve.end, w_end)
+    w_end, _ = _transport_curves(m, [curve], w[None, :, None], cfg)
+    return TangentVector(curve.end, w_end[0, :, 0])
 
 
 def transport_matrix(m: MetricField, curve: CurveSpec,
@@ -532,8 +540,9 @@ def transport_matrix(m: MetricField, curve: CurveSpec,
     ``P.T g(end) P = g(start)`` up to integration tolerance.
     """
     _check_3d(m)
+    identities = np.broadcast_to(np.eye(3), (len(curve.segments), 3, 3))
     p = np.eye(3)
-    for p_seg in _transport_lanes(m, curve.segments, np.eye(3), cfg, False)[-1][1]:
+    for p_seg in _transport_lanes(m, curve.segments, identities, cfg, False)[-1][1]:
         p = p_seg @ p
     return p
 
@@ -545,8 +554,8 @@ def transport_frame_trace(m: MetricField, curve: CurveSpec,
     Returns [(t, coords, P), ...] with t the global curve parameter
     (segment index plus the in-segment parameter).
     """
-    _, trace = _transport_segments(m, curve, np.eye(3), cfg, record=True)
-    return trace
+    _, traces = _transport_curves(m, [curve], np.eye(3)[None], cfg, record=True)
+    return traces[0]
 
 
 def curvature_via_loop(m: MetricField, p: ChartPoint, i: int, j: int,

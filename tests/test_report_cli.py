@@ -73,6 +73,19 @@ class TestEmitReport:
         lines = [ln for ln in text.splitlines() if re.match(r"^C\d+\s", ln)]
         assert len(lines) == 12
 
+    def test_composite_lines_name_their_worst_part(self, default_report):
+        lines = hc.emit_report(default_report, "text").decode().splitlines()
+        by_id = {ln.split()[0]: ln for ln in lines if re.match(r"^C\d+\s", ln)}
+        assert by_id["C8"].endswith("worst=downward_escape_at_t=1 (0.9994 of tol)")
+        assert "worst=" not in by_id["C5"]  # a single-quantity check
+        assert b"worst" not in hc.emit_report(default_report, "json")
+
+    def test_worst_part_is_first_with_largest_ratio(self):
+        check = _composite("C6", [Part("a", 0.0, 1.0), Part("b", 2e-7, 1e-6),
+                                  Part("c", 0.2, 1.0)])
+        assert check.worst_part == "b" and check.residual == pytest.approx(0.2)
+        assert _composite("C6", [Part("a", 0.0, 1.0), Part("b", 0.0, 0.0)]).worst_part == "a"
+
     def test_unknown_format(self, default_report):
         with pytest.raises(ValueError):
             hc.emit_report(default_report, "yaml")

@@ -13,7 +13,7 @@ import pytest
 
 import holocheck as hc
 from holocheck import ChartDomainError, ChartPoint, CurveSpec, TangentVector
-from holocheck import transport
+from holocheck import checklist, tensor_core, transport
 from holocheck.tensor_core import _metric
 
 LAM = (3.0 + math.sqrt(5.0)) / 2.0
@@ -208,6 +208,76 @@ class TestLanes:
         hc.transport_matrix(model, acceptance_style_curves(1, seed=7)[0], TIGHT)
         assert steps[0] > 0
         assert christoffel[0] <= steps[0] + 2  # two for the initial-step probe
+
+
+def sheared_metric(exponent=4.0, eps=0.01):
+    """The model metric plus a z-dependent xt-yt term g_xy = eps z.
+
+    Positive definite for z > eps.  It couples v1 to v2, so v1 is no longer
+    parallel, and C5 has a vector that actually moves.
+    """
+    base = tensor_core.warped_metric(exponent)
+
+    def components(c):
+        g = base.components(c)
+        g[..., 0, 1] = g[..., 1, 0] = eps * c[..., 2]
+        return g
+
+    def partials(c):
+        d = base.exact_partials(c)
+        d[..., 2, 0, 1] = d[..., 2, 1, 0] = eps
+        return d
+
+    return hc.MetricField(components, partials, label=f"sheared eps={eps:g}", dim=3)
+
+
+class TestManyCurves:
+    """Round k carries segment k of every curve as the lanes of one run."""
+
+    def test_matches_one_curve_at_a_time(self, model):
+        # 1-, 2- and 3-segment curves, so lanes drop out between rounds
+        rng = np.random.default_rng(5)
+        curves = [CurveSpec.from_points([
+            ChartPoint(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.5, 5.0))
+            for _ in range(n + 1)]) for n in (1, 3, 2, 1, 3, 2, 2, 1)]
+        for v in (*np.eye(3), np.array([0.3, -1.2, 0.8])):
+            w0 = np.broadcast_to(v[:, None], (len(curves), 3, 1))
+            many, _ = transport._transport_curves(model, curves, w0, TIGHT)
+            for curve, w in zip(curves, many[..., 0]):
+                one = hc.parallel_transport(model, curve,
+                                            TangentVector(curve.start, v), TIGHT).comp
+                assert np.max(np.abs(w - one)) <= 1e-9 * np.max(np.abs(one))
+                g0 = _metric(model, curve.start.coords)
+                g1 = _metric(model, curve.end.coords)
+                assert abs(w @ g1 @ w - v @ g0 @ v) <= 1e-7 * (v @ g0 @ v)
+
+    def test_per_curve_start_blocks(self, model):
+        curves = acceptance_style_curves(3, seed=2)
+        w0 = np.random.default_rng(9).normal(size=(3, 3, 2))
+        many, _ = transport._transport_curves(model, curves, w0, TIGHT)
+        for curve, block, end in zip(curves, w0, many):
+            p = hc.transport_matrix(model, curve, TIGHT)
+            assert np.max(np.abs(end - p @ block)) <= 1e-9 * np.max(np.abs(p @ block))
+
+
+class TestParallelField:
+    """C5 carries e1 along its 20 polylines as lanes across curves."""
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_two_integrations(self, cat, monkeypatch, seed):
+        ctx = checklist._Context(hc.ChecklistConfig(samples=10, seed=seed), cat)
+        runs = count_calls(monkeypatch, "_integrate")
+        steps = count_calls(monkeypatch, "_rk_step")
+        assert checklist._check_parallel_field(ctx).passed
+        assert runs[0] == 2  # one per segment index; 40 curve by curve
+        assert steps[0] <= 20
+
+    def test_sheared_metric_fails(self, cat, monkeypatch):
+        monkeypatch.setattr(checklist, "warped_metric", sheared_metric)
+        ctx = checklist._Context(hc.ChecklistConfig(samples=10), cat)
+        check = checklist._check_parallel_field(ctx)
+        assert not check.passed
+        assert check.residual == pytest.approx(0.0207445690, rel=1e-6)
 
 
 class TestParallelTransport:
