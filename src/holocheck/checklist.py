@@ -9,13 +9,16 @@ diagnostic text, never a crash of the run.
 The sampled checks (C2, C3, C4, C9, C11, C12) share one sweep over the
 sample points, chunk by chunk: the points are validated and g, its exact
 partials, g^-1, the Christoffel symbols and the curvature are built once
-per chunk, and each check folds its residual maxima over them.  A fault
-in one fold fails only that check; a fault in the shared geometry fails
-every check that reads it.  Two parts keep their own derivatives on
-purpose: C3's numeric path takes central differences at h = 1e-5, because
-it checks the exact partials, and C11 takes the half-plane leaf's
-curvature from the induced 2-D metric at the sweep's heights, because it
-is the independent cross-check of C4's ambient Riemann tensor.
+per chunk, and each check folds its residual maxima over them.  The
+Christoffel symbols are the model's closed form, so C3's exact part
+compares that connection with g's exact partials.  A fault in one fold
+fails only that check; a fault in the shared geometry fails every check
+that reads it.  Two parts keep their own derivatives on purpose: C3's
+numeric path takes central differences at h = 1e-5 and builds their
+Levi-Civita connection, because it checks the exact partials, and C11
+takes the half-plane leaf's curvature from the induced 2-D metric at the
+sweep's heights, because it is the independent cross-check of C4's
+ambient Riemann tensor.
 """
 
 from __future__ import annotations

@@ -6,6 +6,14 @@ placed last.  A metric is a small callable model (:class:`MetricField`);
 every operation below is a pure function of immutable inputs, so values
 are safe to evaluate from many threads at once.
 
+The connection is read from the model when it ships its Christoffel
+symbols in closed form (``MetricField.christoffel``; the model metric does,
+for every exponent); otherwise it is built as the Levi-Civita connection of
+g from g^-1 and the partials.  The "numeric" method always builds it, from
+central-difference partials, so it stays the independent path.  Geodesics,
+transport, curvature and the sampled checks all read Gamma through
+:func:`_christoffel` or :class:`_Geometry` and need no code of their own.
+
 The core functions take coordinates of shape ``(..., dim)`` and return
 arrays with the same leading shape, so one call evaluates a whole batch of
 points; a single point is the empty leading shape.  The public ``*_at``
@@ -130,6 +138,16 @@ class MetricField:
     ``fiber_axis`` names the boundary coordinate guarded by the z > 0 domain
     (-1 means the last coordinate, None means the metric has no chart
     boundary).
+
+    ``christoffel``, when present, returns the connection's symbols in
+    closed form, shape ``(..., dim, dim, dim)`` with ``[..., k, i, j] =
+    Gamma^k_ij``; the "auto" and "exact" methods read it instead of building
+    the Levi-Civita connection of g, while "numeric" always builds that
+    connection from finite-difference partials, the independent path.  A
+    derived model (a rescaling, a leaf, a mutant) must not inherit the
+    symbols of its base: ``dataclasses.replace`` on ``components`` or
+    ``exact_partials`` must also set ``christoffel=None`` unless the new
+    symbols are given.
     """
 
     components: Callable[[np.ndarray], np.ndarray]
@@ -137,6 +155,7 @@ class MetricField:
     label: str = ""
     dim: int = 3
     fiber_axis: Optional[int] = -1
+    christoffel: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 PointLike = Union[ChartPoint, np.ndarray, Sequence[float]]
@@ -176,7 +195,18 @@ def warped_metric(exponent: float = 4.0) -> MetricField:
         d[..., 2, 1, 1] = e * c[..., 2] ** (e - 1.0)
         return d
 
-    return MetricField(components, partials, label=f"warped z^{e:g}", dim=3)
+    def christoffel(c):
+        # Gamma^yt_{yt z} = e/(2z) and Gamma^z_{yt yt} = -(e/2) z^(e-1), written
+        # as the Levi-Civita path computes them, 1/2 (g^yy d_z g_yy) and
+        # 1/2 (-d_z g_yy), so the two give the same bits.
+        dz = e * c[..., 2] ** (e - 1.0)
+        out = np.zeros(c.shape[:-1] + (3, 3, 3))
+        out[..., 1, 1, 2] = out[..., 1, 2, 1] = 0.5 * ((1.0 / c[..., 2] ** e) * dz)
+        out[..., 2, 1, 1] = 0.5 * -dz
+        return out
+
+    return MetricField(components, partials, label=f"warped z^{e:g}", dim=3,
+                       christoffel=christoffel)
 
 
 def euclidean_metric(dim: int = 3) -> MetricField:
@@ -352,6 +382,9 @@ def _levi_civita(ginv: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def _christoffel(m: MetricField, c: np.ndarray, method: str = "auto",
                  h: Optional[float] = None) -> np.ndarray:
+    """Gamma at ``c``: the model's closed form unless ``method`` is "numeric"."""
+    if method in ("auto", "exact") and m.christoffel is not None:
+        return np.asarray(m.christoffel(c), dtype=float)
     return _levi_civita(_inv_small(_metric(m, c)), _partials(m, c, method, h))
 
 
@@ -433,8 +466,9 @@ class _Geometry:
     """The geometry of ``m`` at one chunk of points, each array built once.
 
     The points are validated on first use; g, its partials (``method``),
-    g^-1, the Christoffel symbols and ``(riemann, ricci, scalar)`` are each
-    computed at most once, however many checks read them.  An array whose
+    g^-1, the Christoffel symbols (the model's closed form unless ``method``
+    is "numeric") and ``(riemann, ricci, scalar)`` are each computed at most
+    once, however many checks read them.  An array whose
     construction raises is not cached, so it raises again for every reader:
     a fault in the shared geometry fails each check that uses it.
     """
@@ -462,6 +496,8 @@ class _Geometry:
 
     @cached_property
     def gamma(self) -> np.ndarray:
+        if self.method != "numeric" and self.m.christoffel is not None:
+            return _christoffel(self.m, self.c, self.method)
         return _levi_civita(self.ginv, self.dg)
 
     @cached_property
@@ -501,7 +537,12 @@ def metric_partials_at(m: MetricField, p: PointLike, h: Optional[float] = None,
 
 def christoffel_at(m: MetricField, p: PointLike, method: str = "auto",
                    h: Optional[float] = None) -> ChristoffelAtPoint:
-    """Christoffel symbols of the Levi-Civita connection of ``m`` at ``p``."""
+    """Christoffel symbols of the connection of ``m`` at ``p``.
+
+    "auto" and "exact" read the model's closed-form symbols when it ships
+    them; otherwise, and always for "numeric", they are those of the
+    Levi-Civita connection of ``m``.
+    """
     c = _coords(m, p)
     return ChristoffelAtPoint(gamma=_christoffel(m, c, method, h))
 
@@ -511,7 +552,8 @@ def riemann_at(m: MetricField, p: PointLike, method: str = "auto",
     """Riemann, Ricci and scalar curvature of ``m`` at ``p``.
 
     Derivatives of the Christoffel symbols are taken by central differences
-    (the symbols themselves are exact when the model ships exact partials).
+    (the symbols themselves are exact when the model ships them in closed
+    form or ships exact partials).
     """
     riemann, ricci, scalar = _curvature(m, _coords(m, p), method, h)
     return CurvatureAtPoint(riemann=riemann, ricci=ricci, scalar=float(scalar))
@@ -550,11 +592,13 @@ def sectional_curvature_at(m: MetricField, p: PointLike, u: VectorLike,
 def covariant_metric_derivative_at(m_conn: MetricField, m_target: MetricField,
                                    p: PointLike, method: str = "auto",
                                    h: Optional[float] = None) -> np.ndarray:
-    """(grad g_target) under the Levi-Civita connection of ``m_conn``.
+    """(grad g_target) under the connection of ``m_conn``.
 
     Returns ``nabla[k, i, j] = d_k g_ij - G^l_ki g_lj - G^l_kj g_il``; the
-    result vanishes identically when the two metrics coincide (metric
-    compatibility).  ``method`` applies to both the connection and the
+    result vanishes when the connection is the Levi-Civita connection of
+    the target (metric compatibility).  With closed-form symbols this is a
+    comparison of two independent objects; without them it is an identity
+    up to roundoff.  ``method`` applies to both the connection and the
     target partials.
     """
     return _covariant_metric_derivative(m_conn, m_target, _coords(m_conn, p),

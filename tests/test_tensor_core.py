@@ -5,7 +5,15 @@ For the model metric dx^2 + z^4 dy^2 + dz^2 the Koszul formula gives, in
 -2 z^3 as the only nonzero symbols; from those the scalar curvature is
 -4/z^2 and the (e1, e2) plane has sectional curvature -2/z^2.  The
 numeric-partials path is the independent oracle for the exact one.
+
+The model ships those symbols in closed form; they are the Levi-Civita
+connection of g bit for bit, and a sympy derivation pins them.
 """
+
+import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +26,10 @@ from holocheck import (
     MetricError,
     MetricField,
     TangentVector,
+    checklist,
+    tensor_core,
 )
+from holocheck.tensor_core import CHUNK, Z_FLOOR
 
 
 def gamma_closed_form(z):
@@ -252,3 +263,161 @@ class TestConformalDeviation:
         p = ChartPoint(0, 0, 1)
         with pytest.raises(ValueError):
             hc.conformal_deviation_at(model, model, p, TangentVector(p, [0, 0, 0]))
+
+
+def levi_civita(m, c):
+    """Gamma built the generic way: the Levi-Civita connection of g."""
+    return tensor_core._levi_civita(tensor_core._inv_small(tensor_core._metric(m, c)),
+                                    tensor_core._partials(m, c, "exact"))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def perturbed_connection(exponent=4.0):
+    """The model metric with Gamma^yt_{yt z} and Gamma^yt_{z yt} off by 1e-6."""
+    base = hc.warped_metric(exponent)
+
+    def christoffel(c):
+        out = base.christoffel(c)
+        out[..., 1, 1, 2] *= 1.0 + 1e-6
+        out[..., 1, 2, 1] *= 1.0 + 1e-6
+        return out
+
+    return dataclasses.replace(base, christoffel=christoffel)
+
+
+def boom(c):
+    raise RuntimeError("closed form read")
+
+
+class TestClosedFormConnection:
+    # heights from just above the chart floor to 1e6; beyond that z^e
+    # under- or overflows and both paths give non-finite symbols
+    Z = np.geomspace(1.01 * Z_FLOOR, 1e6, 2000)
+
+    @pytest.mark.parametrize("exponent", (4.0, 3.0))
+    def test_same_bits_as_levi_civita(self, exponent):
+        m = hc.warped_metric(exponent)
+        rng = np.random.default_rng(4)
+        c = np.stack([rng.uniform(-5, 5, self.Z.size), rng.uniform(-5, 5, self.Z.size),
+                      self.Z], axis=-1)
+        for batch in (c, c[:1], c[-1:], c[:CHUNK + 1], c[-CHUNK - 1:]):
+            assert same_bits(m.christoffel(batch), levi_civita(m, batch))
+        for point in c[::20]:
+            assert same_bits(m.christoffel(point), levi_civita(m, point))
+
+    def test_auto_and_exact_read_it_numeric_does_not(self, model):
+        unread = dataclasses.replace(model, christoffel=boom)
+        p = ChartPoint(0.4, -1.0, 2.0)
+        for method in ("auto", "exact"):
+            with pytest.raises(RuntimeError):
+                hc.christoffel_at(unread, p, method=method)
+        numeric = hc.christoffel_at(unread, p, method="numeric").gamma
+        np.testing.assert_allclose(numeric, gamma_closed_form(2.0), rtol=1e-9, atol=1e-9)
+
+    def test_unknown_method_still_rejected(self, model):
+        with pytest.raises(ValueError):
+            hc.christoffel_at(model, ChartPoint(0, 0, 1), method="closed")
+
+    @pytest.mark.parametrize("exponent", (4.0, 3.0))
+    def test_sympy_oracle(self, exponent):
+        sp = pytest.importorskip("sympy")
+        x, y, z, e = sp.symbols("x y z e", positive=True)
+        coords = (x, y, z)
+        g = sp.diag(1, z ** e, 1)
+        ginv = g.inv()
+        gamma = [[[sp.simplify(sum(ginv[k, l] * (sp.diff(g[j, l], coords[i])
+                                                 + sp.diff(g[i, l], coords[j])
+                                                 - sp.diff(g[i, j], coords[l]))
+                                   for l in range(3)) / 2)
+                   for j in range(3)] for i in range(3)] for k in range(3)]
+        expected = {(1, 1, 2): e / (2 * z), (1, 2, 1): e / (2 * z),
+                    (2, 1, 1): -e / 2 * z ** (e - 1)}
+        for k in range(3):
+            for i in range(3):
+                for j in range(3):
+                    assert sp.simplify(gamma[k][i][j] - expected.get((k, i, j), 0)) == 0
+        m = hc.warped_metric(exponent)
+        zs = np.geomspace(1.01 * Z_FLOOR, 1e6, 101)
+        closed = m.christoffel(np.stack([np.zeros_like(zs), np.zeros_like(zs), zs], -1))
+        for zv, got in zip(zs, closed):
+            for k in range(3):
+                for i in range(3):
+                    for j in range(3):
+                        exact = gamma[k][i][j].subs({e: sp.Integer(int(exponent)),
+                                                     z: sp.Float(zv, 30)})
+                        want = float(sp.N(exact, 30))
+                        if want == 0.0:
+                            assert got[k, i, j] == 0.0
+                        else:
+                            assert abs(got[k, i, j] - want) <= 4 * np.spacing(abs(want))
+
+    def test_import_leaves_sympy_out(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hc.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, holocheck; sys.exit('sympy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_derived_models_use_levi_civita(self, model):
+        assert model.christoffel is not None
+        assert hc.quotient_conformal_metric(model).christoffel is None
+        assert hc.induced_halfplane_metric(model).christoffel is None
+        assert hc.induced_line_metric(model).christoffel is None
+        assert hc.euclidean_metric().christoffel is None
+
+    def test_perturbed_symbols_fail_c3(self, cat, monkeypatch):
+        # C3 compares the closed form with g's exact partials, so a Gamma
+        # mutant reaches it; the numeric part rebuilds Levi-Civita from its
+        # own differences and stays blind to it.
+        monkeypatch.setattr(checklist, "warped_metric", perturbed_connection)
+        report = hc.run_checklist(hc.ChecklistConfig(samples=10, seed=0))
+        assert [c.id for c in report.checks if not c.passed] == ["C3", "C4", "C9"]
+        ctx = checklist._Context(hc.ChecklistConfig(samples=10, seed=0), cat)
+        out = ctx.swept("C3")
+        assert out["exact"] == pytest.approx(3.967e-3, rel=1e-3)
+        assert out["numeric"] < 1e-14
+
+
+class TestLeviCivitaWork:
+    """The model's geodesics and transport never build Levi-Civita."""
+
+    @staticmethod
+    def count(monkeypatch, module):
+        calls = [0]
+        original = module._levi_civita
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, "_levi_civita", counted)
+        return calls
+
+    def test_downward_geodesic(self, model, cfg, monkeypatch):
+        calls = self.count(monkeypatch, tensor_core)
+        p0 = ChartPoint(0.0, 0.0, 1.0)
+        traj = hc.integrate_geodesic(model, p0, TangentVector(p0, [0.0, 0.0, -1.0]),
+                                     2.0, cfg)
+        assert traj.termination.escaped
+        assert calls[0] == 0  # 268 when Gamma was rebuilt at every stage
+
+    def test_two_segment_transport_matrix(self, model, cfg, monkeypatch):
+        calls = self.count(monkeypatch, tensor_core)
+        curve = hc.CurveSpec.from_points(
+            [ChartPoint(0, 0, 1), ChartPoint(0.5, 0.3, 2), ChartPoint(1, 0, 1.5)])
+        hc.transport_matrix(model, curve, cfg)
+        assert calls[0] == 0  # 56 when Gamma was rebuilt at every stage
+
+    def test_sweep(self, cat, monkeypatch):
+        inner = self.count(monkeypatch, tensor_core)
+        numeric = self.count(monkeypatch, checklist)
+        checklist._Context(hc.ChecklistConfig(samples=CHUNK + 1), cat)._sweep()
+        # per chunk: the 2-D leaf's Gamma and its four stencil points (C11's
+        # cross-check), and C3's numeric part; the 3-D Gamma and its six
+        # stencil points read the closed form (24 inner calls without it)
+        assert inner[0] == 10
+        assert numeric[0] == 2
