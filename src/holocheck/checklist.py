@@ -10,15 +10,14 @@ The sampled checks (C2, C3, C4, C9, C11, C12) share one sweep over the
 sample points, chunk by chunk: the points are validated and g, its exact
 partials, g^-1, the Christoffel symbols and the curvature are built once
 per chunk, and each check folds its residual maxima over them.  The
-Christoffel symbols are the model's closed form, so C3's exact part
-compares that connection with g's exact partials.  A fault in one fold
-fails only that check; a fault in the shared geometry fails every check
-that reads it.  Two parts keep their own derivatives on purpose: C3's
-numeric path takes central differences at h = 1e-5 and builds their
-Levi-Civita connection, because it checks the exact partials, and C11
-takes the half-plane leaf's curvature from the induced 2-D metric at the
-sweep's heights, because it is the independent cross-check of C4's
-ambient Riemann tensor.
+Christoffel symbols are the model's closed form, so both parts of C3
+compare that connection with a derivative of g: the exact part with g's
+exact partials, the numeric part with central differences at h = 1e-5,
+which checks the exact partials as well.  A fault in one fold fails only
+that check; a fault in the shared geometry fails every check that reads
+it.  C11 keeps its own derivatives on purpose: it takes the half-plane
+leaf's curvature from the induced 2-D metric at the sweep's heights,
+because it is the independent cross-check of C4's ambient Riemann tensor.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from .tensor_core import (
     TangentVector,
     _conformal_fit,
     _Geometry,
-    _levi_civita,
     _Maxima,
     _metric,
     _nabla,
@@ -270,9 +268,10 @@ def _fold_homothety(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
 
 def _fold_compatibility(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
     out.fold("exact", np.abs(_nabla(geo.gamma, geo.g, geo.dg)))
-    # The cross-check of the exact path: its own central-difference partials.
+    # The same connection against g's central differences, which also
+    # cross-check the exact partials.
     d = _partials(ctx.metric, geo.c, "numeric", 1e-5)
-    out.fold("numeric", np.abs(_nabla(_levi_civita(geo.ginv, d), geo.g, d)))
+    out.fold("numeric", np.abs(_nabla(geo.gamma, geo.g, d)))
 
 
 def _fold_nonflat(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):

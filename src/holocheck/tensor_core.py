@@ -199,9 +199,10 @@ def warped_metric(exponent: float = 4.0) -> MetricField:
         # Gamma^yt_{yt z} = e/(2z) and Gamma^z_{yt yt} = -(e/2) z^(e-1), written
         # as the Levi-Civita path computes them, 1/2 (g^yy d_z g_yy) and
         # 1/2 (-d_z g_yy), so the two give the same bits.
-        dz = e * c[..., 2] ** (e - 1.0)
+        z = c[..., 2]
+        dz = e * z ** (e - 1.0)
         out = np.zeros(c.shape[:-1] + (3, 3, 3))
-        out[..., 1, 1, 2] = out[..., 1, 2, 1] = 0.5 * ((1.0 / c[..., 2] ** e) * dz)
+        out[..., 1, 1, 2] = out[..., 1, 2, 1] = 0.5 * ((1.0 / z ** e) * dz)
         out[..., 2, 1, 1] = 0.5 * -dz
         return out
 

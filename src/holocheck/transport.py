@@ -1,29 +1,36 @@
 """Geodesic integration and parallel transport along chart polylines.
 
 The workhorse is an embedded Dormand-Prince 5(4) pair with PI step-size
-control; the step after a rejected one does not grow.  Geodesics solve
-x'' + Gamma(x)[x', x'] = 0, one right-hand-side call per stage; escape
-through the chart floor is an event on the fiber coordinate, detected at
-accepted step endpoints and refined by bisection in the affine parameter.
+control; the step after a rejected one does not grow.  A step writes the
+slope of each stage into its row of one (7, size) buffer, and the error
+norm reuses |y| of the last accepted state.  Geodesics solve
+x'' + Gamma(x)[x', x'] = 0, one right-hand-side call per stage, which
+fills one preallocated state-sized array; escape through the chart floor
+is an event on the fiber coordinate, detected at accepted step endpoints
+and refined by bisection in the affine parameter, where each accepted
+bisection step's last stage is the slope at the new left end (first same
+as last).
 
 Transport solves the linear equation w' = A(s) w with
 A(s) = -Gamma(c(s))[c'(s), .], which does not depend on w, so each
 attempted step asks for A at its five distinct stage abscissae in one
-batched Christoffel evaluation.  Segments run as lanes of one
-integration, held as (lanes, 3) start and delta arrays, so the stage
-points of every lane are one broadcast: they share the step, and the error
-norm is the worst lane's, so every segment is held to the tolerance on its
-own.  A transport matrix integrates each segment of its curve from the
-identity as a lane and composes the segment matrices.  Vectors and
-recorded frame traces are carried with lanes across curves: round k
-integrates segment k of every curve that has one, each lane starting from
-its own curve's block, so many curves cost one run per segment index.
-Curve tangents come exactly from the curve model, never differenced from
-sampled positions.
+batched Christoffel evaluation, and each stage is one matmul into the
+slope buffer.  Segments run as lanes of one integration, held as
+(lanes, 3) start and delta arrays, so the stage points of every lane are
+one broadcast: they share the step, and the error norm is the worst
+lane's, so every segment is held to the tolerance on its own.  A
+transport matrix integrates each segment of its curve from the identity
+as a lane and composes the segment matrices.  Vectors and recorded frame
+traces are carried with lanes across curves: round k integrates segment k
+of every curve that has one, each lane starting from its own curve's
+block, so many curves cost one run per segment index.  Curve tangents
+come exactly from the curve model, never differenced from sampled
+positions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -93,6 +100,12 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
 _E = _B5 - _B4
+# Stage s (1 to 6) evaluates the slope at y + h * (_STAGE[s] @ k[:s]); the
+# last row is _B5's, so stage 6's point is the step's new state (FSAL).
+_STAGE = (None, *(_A[s, :s] for s in range(1, 6)), _B5[:6])
+# For a linear field, the index of stage s's abscissa among the five new
+# ones: stage 6 shares t + h with stage 5.
+_ROW = (None, 0, 1, 2, 3, 4, 4)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -116,7 +129,9 @@ class _LinearField:
         self.m = m
         self.c0 = np.array([seg._c0 for seg in segments])
         self.delta = np.array([seg._delta for seg in segments])
-        self.width = width
+        # a straight segment's velocity is its constant delta; A holds -delta
+        self.minus_delta = -self.delta
+        self.shape = (len(segments), 3, width)
 
     def matrices(self, s: np.ndarray) -> np.ndarray:
         """A at the abscissae ``s`` (shape (n,)) for every lane: (n, lanes, 3, 3).
@@ -125,16 +140,12 @@ class _LinearField:
         asked for it is rejected.
         """
         c = self.c0 + s[:, None, None] * self.delta
-        if np.any(c[..., 2] <= 0.0):
+        if c[..., 2].min() <= 0.0:
             return np.full(c.shape + (3,), np.nan)
-        # a straight segment's velocity is its constant delta
-        return -np.einsum("...kij,...i->...kj", _christoffel(self.m, c), self.delta)
-
-    def apply(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return (a @ w.reshape(len(self.c0), 3, self.width)).ravel()
+        return np.einsum("...kij,...i->...kj", _christoffel(self.m, c), self.minus_delta)
 
     def __call__(self, s: float, w: np.ndarray) -> np.ndarray:
-        return self.apply(self.matrices(np.array([s]))[0], w)
+        return (self.matrices(np.array([s]))[0] @ w.reshape(self.shape)).ravel()
 
 
 def _rk_step(f, t, y, h, k1):
@@ -142,34 +153,30 @@ def _rk_step(f, t, y, h, k1):
 
     ``f`` is a callable f(t, y), evaluated once per stage, or a
     :class:`_LinearField`, whose coefficients at the five distinct new stage
-    abscissae (stage 6 and the last stage share t + h) come from one batch.
+    abscissae come from one batch; each of its stages is then one matmul
+    written into that stage's row of the (7, size) slope buffer.
     """
-    if isinstance(f, _LinearField):
-        # row s holds A at stage s's abscissa among the five new ones
-        a = f.matrices(t + _C[1:6] * h)[[0, 0, 1, 2, 3, 4, 4]]
-
-        def slope(s, y):
-            return f.apply(a[s], y)
-    else:
-        def slope(s, y):
-            return f(t + _C[s] * h, y)
     k = np.empty((7, y.size))
     k[0] = k1
-    for s in range(1, 6):
-        k[s] = slope(s, y + h * (_A[s, :s] @ k[:s]))
-    y_new = y + h * (_B5[:6] @ k[:6])
-    k[6] = slope(6, y_new)
-    err = h * (_E @ k)
-    return y_new, err, k[6]
+    linear = isinstance(f, _LinearField)
+    if linear:
+        a = f.matrices(t + _C[1:6] * h)
+        rows = k.reshape((7,) + f.shape)
+    for s in range(1, 7):
+        y_s = y + h * (_STAGE[s] @ k[:s])
+        if linear:
+            np.matmul(a[_ROW[s]], y_s.reshape(f.shape), out=rows[s])
+        else:
+            k[s] = f(t + _C[s] * h, y_s)
+    return y_s, h * (_E @ k), k[6]
 
 
-def _error_norm(err, y0, y1, cfg, lanes):
-    """RMS of the scaled error; with several lanes, the largest lane RMS."""
-    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    if lanes == 1:
-        return float(np.sqrt(np.mean((err / scale) ** 2)))
-    r = (err / scale).reshape(lanes, -1)
-    return float(np.sqrt(np.max(np.add.reduce(r * r, axis=1)) / r.shape[1]))
+def _error_norm(err, abs_y0, abs_y1, cfg, lanes):
+    """RMS of the error scaled by |y| at both step ends; with lanes, the worst lane's."""
+    r = err / (cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y0, abs_y1))
+    r *= r
+    worst = r.sum() if lanes == 1 else r.reshape(lanes, -1).sum(axis=1).max()
+    return math.sqrt(worst / (r.size // lanes))
 
 
 def _initial_step(f, y0, f0, t_end, cfg, lanes):
@@ -184,7 +191,7 @@ def _initial_step(f, y0, f0, t_end, cfg, lanes):
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
     h0 = min(float(np.min(h0)), t_end)
     f1 = f(h0, y0 + h0 * f0)
-    if not np.all(np.isfinite(f1)):
+    if not np.isfinite(f1).all():
         return max(1e-8 * t_end, 1e-12)
     d = np.maximum(d1, rms(f1 - f0) / h0)
     h1 = np.where(d <= 1e-15, max(1e-6, h0 * 1e-3),
@@ -192,36 +199,57 @@ def _initial_step(f, y0, f0, t_end, cfg, lanes):
     return min(100 * h0, float(np.min(h1)), t_end)
 
 
-def _bisect_event(f, t, y, k1, h, event):
+@dataclass
+class _IntegrationStats:
+    """The work of one integration, counted in Dormand-Prince steps.
+
+    ``attempted`` counts the main loop's steps, which the error test either
+    accepted or rejected; ``bisection`` counts the steps that refined an
+    event crossing.
+    """
+
+    attempted: int = 0
+    accepted: int = 0
+    rejected: int = 0
+    bisection: int = 0
+
+
+def _bisect_event(f, t, y, k1, h, event, stats):
     """Refine the first event crossing inside the step [t, t+h].
 
     The event value is positive at offset 0 and non-positive at offset h;
     single embedded steps from the last known-good state evaluate the state
-    inside the interval.  Returns (t_cross, y_cross) at the right end of the
-    final bracket, so the crossing parameter is never underestimated.
+    inside the interval.  When the good end moves, the step's last stage is
+    the slope there (first same as last), so no extra right-hand side is
+    evaluated; for the geodesic equation, whose right-hand side ignores t,
+    it is the very slope a fresh call would give.  Returns
+    (t_cross, y_cross) at the right end of the final bracket, so the crossing
+    parameter is never underestimated.
     """
     lo, hi = 0.0, h
     y_lo, k_lo = y, k1
     while hi - lo > EVENT_T_TOL:
         mid = 0.5 * (lo + hi)
-        y_mid, _, _ = _rk_step(f, t + lo, y_lo, mid - lo, k_lo)
-        if not np.all(np.isfinite(y_mid)) or event(y_mid) <= 0.0:
+        y_mid, _, k_mid = _rk_step(f, t + lo, y_lo, mid - lo, k_lo)
+        stats.bisection += 1
+        if not np.isfinite(y_mid).all() or event(y_mid) <= 0.0:
             hi = mid
         else:
-            lo, y_lo = mid, y_mid
-            k_lo = f(t + lo, y_lo)
+            lo, y_lo, k_lo = mid, y_mid, k_mid
     y_hi, _, _ = _rk_step(f, t + lo, y_lo, hi - lo, k_lo)
+    stats.bisection += 1
     return t + hi, y_hi
 
 
 def _integrate(f, y0, t_end, cfg, event=None, lanes=1, record=True):
     """Adaptive integration of y' = f(t, y) on [0, t_end].
 
-    Returns ``(samples, status, t_event)`` where samples is a list of
+    Returns ``(samples, status, t_event, stats)`` where samples is a list of
     (t, y) at accepted steps (including the initial state and, for an event
     stop, the refined crossing state); without ``record`` it holds only the
     latest accepted state.  ``status`` is COMPLETED, BOUNDARY_ESCAPE or
-    STEP_LIMIT; the step budget counts attempted steps.
+    STEP_LIMIT; the step budget counts attempted steps.  ``stats`` is the
+    run's :class:`_IntegrationStats`.
 
     The state may hold ``lanes`` independent systems of equal size side by
     side (segments of one curve); they share the step, whose error is the
@@ -232,41 +260,45 @@ def _integrate(f, y0, t_end, cfg, event=None, lanes=1, record=True):
     y = np.asarray(y0, dtype=float)
     t = 0.0
     samples = [(0.0, y.copy())]
+    stats = _IntegrationStats()
     if t_end <= 0.0:
-        return samples, COMPLETED, None
+        return samples, COMPLETED, None, stats
     k1 = f(0.0, y)
-    if not np.all(np.isfinite(k1)):
+    if not np.isfinite(k1).all():
         raise IntegrationError("derivative is not finite at the initial state")
     h = _initial_step(f, y, k1, t_end, cfg, lanes)
+    abs_y = np.abs(y)
     err_prev = None
     rejected = False
-    attempts = 0
     while t < t_end:
-        if attempts >= cfg.max_steps:
-            return samples, STEP_LIMIT, None
+        if stats.attempted >= cfg.max_steps:
+            return samples, STEP_LIMIT, None, stats
         h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t}")
-        attempts += 1
+        stats.attempted += 1
         y_new, err, k_last = _rk_step(f, t, y, h, k1)
-        if np.all(np.isfinite(y_new)) and np.all(np.isfinite(err)):
-            err_norm = _error_norm(err, y, y_new, cfg, lanes)
+        if np.isfinite(y_new).all():
+            abs_new = np.abs(y_new)
+            err_norm = _error_norm(err, abs_y, abs_new, cfg, lanes)
         else:
-            err_norm = np.inf
-        if err_norm > 1.0:
-            factor = _MIN_FACTOR if not np.isfinite(err_norm) else max(
+            err_norm = math.inf
+        if not err_norm <= 1.0:  # NaN from a non-finite error rejects too
+            factor = _MIN_FACTOR if not math.isfinite(err_norm) else max(
                 _MIN_FACTOR, _SAFETY * err_norm ** -_PI_ALPHA)
             h *= min(factor, 1.0)
             err_prev = None
             rejected = True
+            stats.rejected += 1
             continue
+        stats.accepted += 1
         t_new = t + h
         if event is not None and event(y_new) <= 0.0:
-            t_cross, y_cross = _bisect_event(f, t, y, k1, h, event)
+            t_cross, y_cross = _bisect_event(f, t, y, k1, h, event, stats)
             samples.append((t_cross, y_cross))
-            return samples, BOUNDARY_ESCAPE, t_cross
+            return samples, BOUNDARY_ESCAPE, t_cross, stats
         if record:
-            samples.append((t_new, y_new.copy()))
+            samples.append((t_new, y_new))
         else:
             samples[-1] = (t_new, y_new)
         if err_norm == 0.0:
@@ -281,8 +313,8 @@ def _integrate(f, y0, t_end, cfg, event=None, lanes=1, record=True):
             rejected = False
         h *= factor
         err_prev = max(err_norm, 1e-4)
-        t, y, k1 = t_new, y_new, k_last
-    return samples, COMPLETED, None
+        t, y, k1, abs_y = t_new, y_new, k_last, abs_new
+    return samples, COMPLETED, None, stats
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +360,14 @@ def _geodesic_rhs(m: MetricField, fi: Optional[int]):
     dim = m.dim
 
     def rhs(t, y):
-        x = y[:dim]
-        v = y[dim:]
-        if fi is not None and x[fi] <= 0.0:
+        if fi is not None and y[fi] <= 0.0:
             return np.full(2 * dim, np.nan)
-        gamma = _christoffel(m, x)
-        acc = -np.einsum("kij,i,j->k", gamma, v, v)
-        return np.concatenate([v, acc])
+        v = y[dim:]
+        out = np.empty(2 * dim)
+        out[:dim] = v
+        np.negative(np.einsum("kij,i,j->k", _christoffel(m, y[:dim]), v, v),
+                    out=out[dim:])
+        return out
 
     return rhs
 
@@ -345,6 +378,8 @@ def integrate_geodesic_coords(m: MetricField, x0: Sequence[float],
     """Dimension-generic geodesic integration in raw coordinates.
 
     Returns ``(ts, xs, vs, termination)`` with one row per accepted step.
+    ``t_max`` must be finite and non-negative; at 0 only the start is
+    returned.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -352,13 +387,16 @@ def integrate_geodesic_coords(m: MetricField, x0: Sequence[float],
         raise ValueError(f"state must have {m.dim} coordinates")
     if not np.any(v0):
         raise ValueError("initial velocity is zero")
+    t_max = float(t_max)
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise ValueError(f"t_max must be finite and non-negative, got {t_max}")
     fi = fiber_index(m)
     if fi is not None and x0[fi] <= Z_FLOOR:
         raise ChartDomainError(
             f"initial point has fiber coordinate {x0[fi]} <= floor {Z_FLOOR}")
     event = (lambda y: y[fi] - Z_FLOOR) if fi is not None else None
-    samples, status, t_event = _integrate(
-        _geodesic_rhs(m, fi), np.concatenate([x0, v0]), float(t_max), cfg, event)
+    samples, status, t_event, _ = _integrate(
+        _geodesic_rhs(m, fi), np.concatenate([x0, v0]), t_max, cfg, event)
     ts = np.array([t for t, _ in samples])
     ys = np.array([y for _, y in samples])
     return ts, ys[:, :m.dim], ys[:, m.dim:], Termination(status, t_event)
@@ -491,7 +529,7 @@ def _transport_lanes(m: MetricField, segments, w0: np.ndarray,
     """
     lanes, _, width = w0.shape
     field = _LinearField(m, segments, width)
-    samples, status, _ = _integrate(field, w0.ravel(), 1.0, cfg, lanes=lanes,
+    samples, status, _, _ = _integrate(field, w0.ravel(), 1.0, cfg, lanes=lanes,
                                     record=record)
     if status != COMPLETED:
         raise IntegrationError(f"transport ran out of steps ({status})")

@@ -132,6 +132,18 @@ class TestGeodesics:
         assert abs(traj.termination.t_escape - (1.0 - hc.Z_FLOOR)) < 2e-9
         assert calls[0] <= 270
 
+    def test_t_max_must_be_finite_and_non_negative(self, model, cfg):
+        for bad in (float("nan"), -1.0, float("inf")):
+            with pytest.raises(ValueError, match="t_max"):
+                hc.integrate_geodesic_coords(model, [0, 0, 1], [0, 0, -1], bad, cfg)
+        p0 = ChartPoint(0, 0, 1)
+        with pytest.raises(ValueError, match="t_max"):
+            hc.integrate_geodesic(model, p0, TangentVector(p0, [0, 0, -1]), -1.0, cfg)
+        ts, xs, _, term = hc.integrate_geodesic_coords(model, [0, 0, 1], [0, 0, -1],
+                                                       0.0, cfg)
+        assert term.completed
+        assert list(ts) == [0.0] and list(xs[0]) == [0.0, 0.0, 1.0]
+
     def test_two_dimensional_geodesic(self, cfg):
         m2 = hc.MetricField(lambda c: np.diag([c[1] ** 4, 1.0]), dim=2)
         ts, xs, vs, term = hc.integrate_geodesic_coords(m2, [0.0, 1.0], [0.0, -1.0],
@@ -380,3 +392,150 @@ class TestTrajectoryCsv:
         final = [float(x) for x in lines[-1].split(",")]
         assert final[3] < 10 * hc.Z_FLOOR
         assert abs(final[0] - 1.0) <= 1e-6
+
+
+# The textbook step, the reference for the buffered one: one slope call per
+# stage, the linear field's matrices gathered per stage and negated after
+# the contraction, np.concatenate in the geodesic right-hand side, and
+# np.mean / np.max norms.  The step in use must give its bits.
+_C, _A, _B5, _E = transport._C, transport._A, transport._B5, transport._E
+
+
+def textbook_matrices(field, s):
+    c = field.c0 + s[:, None, None] * field.delta
+    if np.any(c[..., 2] <= 0.0):
+        return np.full(c.shape + (3,), np.nan)
+    return -np.einsum("...kij,...i->...kj", tensor_core._christoffel(field.m, c),
+                      field.delta)
+
+
+def textbook_geodesic_rhs(m):
+    dim, fi = m.dim, tensor_core.fiber_index(m)
+
+    def rhs(t, y):
+        x = y[:dim]
+        v = y[dim:]
+        if x[fi] <= 0.0:
+            return np.full(2 * dim, np.nan)
+        acc = -np.einsum("kij,i,j->k", tensor_core._christoffel(m, x), v, v)
+        return np.concatenate([v, acc])
+
+    return rhs
+
+
+def textbook_step(f, t, y, h, k1):
+    if isinstance(f, transport._LinearField):
+        a = textbook_matrices(f, t + _C[1:6] * h)[[0, 0, 1, 2, 3, 4, 4]]
+
+        def slope(s, y):
+            return (a[s] @ y.reshape(f.shape)).ravel()
+    else:
+        def slope(s, y):
+            return f(t + _C[s] * h, y)
+    k = np.empty((7, y.size))
+    k[0] = k1
+    for s in range(1, 6):
+        k[s] = slope(s, y + h * (_A[s, :s] @ k[:s]))
+    y_new = y + h * (_B5[:6] @ k[:6])
+    k[6] = slope(6, y_new)
+    err = h * (_E @ k)
+    return y_new, err, k[6]
+
+
+def textbook_norm(err, y0, y1, cfg, lanes):
+    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y0), np.abs(y1))
+    if lanes == 1:
+        return float(np.sqrt(np.mean((err / scale) ** 2)))
+    r = (err / scale).reshape(lanes, -1)
+    return float(np.sqrt(np.max(np.add.reduce(r * r, axis=1)) / r.shape[1]))
+
+
+class TestStepBits:
+    """The buffered step gives the textbook step's bits, stage for stage."""
+
+    @staticmethod
+    def assert_same_step(f, t, y, h, k1, lanes):
+        got = transport._rk_step(f, t, y, h, k1)
+        want = textbook_step(f, t, y, h, k1)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+        if not (np.isfinite(got[0]).all() and np.isfinite(got[1]).all()):
+            return  # a stage below the floor: the integrator rejects the step
+        for cfg in (hc.IntegratorConfig(), TIGHT):
+            norm = transport._error_norm(got[1], np.abs(y), np.abs(got[0]), cfg, lanes)
+            assert norm == textbook_norm(want[1], y, want[0], cfg, lanes)
+
+    @pytest.mark.parametrize("lanes", (1, 2, 3))
+    @pytest.mark.parametrize("width", (1, 3))
+    def test_linear_field(self, model, lanes, width):
+        rng = np.random.default_rng(10 * lanes + width)
+        for curve in acceptance_style_curves(4, seed=lanes):
+            segments = (curve.segments * 2)[:lanes]
+            field = transport._LinearField(model, segments, width)
+            for _ in range(5):
+                y = rng.normal(size=lanes * 3 * width)
+                t, h = rng.uniform(0.0, 0.9), 10.0 ** rng.uniform(-4.0, -1.0)
+                k1 = field(t, y)
+                assert np.array_equal(
+                    k1, (textbook_matrices(field, np.array([t]))[0]
+                         @ y.reshape(field.shape)).ravel())
+                self.assert_same_step(field, t, y, h, k1, lanes)
+
+    @pytest.mark.parametrize("leaf", (False, True))
+    def test_geodesic_rhs(self, model, leaf):
+        m = hc.induced_halfplane_metric(model) if leaf else model
+        rhs = transport._geodesic_rhs(m, tensor_core.fiber_index(m))
+        textbook = textbook_geodesic_rhs(m)
+        rng = np.random.default_rng(4 + leaf)
+        for _ in range(40):
+            x = rng.uniform(-3.0, 3.0, m.dim)
+            x[-1] = rng.uniform(0.3, 5.0)
+            y = np.concatenate([x, rng.normal(size=m.dim)])
+            k1 = textbook(0.0, y)
+            assert np.array_equal(rhs(0.0, y), k1)
+            self.assert_same_step(rhs, rng.uniform(0.0, 2.0), y,
+                                  10.0 ** rng.uniform(-3.0, -0.5), k1, 1)
+            # the last stage is the slope at the new state, which bisection
+            # reuses in place of a fresh call
+            y_new, _, k_last = transport._rk_step(rhs, 0.0, y, 1e-3, k1)
+            assert np.array_equal(k_last, rhs(1e-3, y_new))
+
+
+class TestIntegrationStats:
+    """Each integration counts its steps; the counts pin the step control."""
+
+    @staticmethod
+    def record(monkeypatch):
+        runs = []
+        original = transport._integrate
+
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            runs.append(out[3])
+            return out
+
+        monkeypatch.setattr(transport, "_integrate", recorded)
+        return runs
+
+    def test_downward_geodesic(self, model, cfg, monkeypatch):
+        # C8's escape: 16 steps rejected at the floor, 11 bisection steps
+        runs = self.record(monkeypatch)
+        p0 = ChartPoint(0.0, 0.0, 1.0)
+        hc.integrate_geodesic(model, p0, TangentVector(p0, [0.0, 0.0, -1.0]), 2.0, cfg)
+        assert runs == [transport._IntegrationStats(attempted=35, accepted=19,
+                                                    rejected=16, bisection=11)]
+
+    def test_three_segment_polyline(self, model, cfg, monkeypatch):
+        runs = self.record(monkeypatch)
+        curve = acceptance_style_curves(3, seed=0)[2]
+        assert len(curve.segments) == 3
+        hc.transport_matrix(model, curve, cfg)
+        assert runs == [transport._IntegrationStats(attempted=370, accepted=365,
+                                                    rejected=5, bisection=0)]
+
+    def test_deck_loop_at_trace_1001(self, model, cfg, monkeypatch):
+        runs = self.record(monkeypatch)
+        a = hc.validate_toral_matrix([[1000, 999], [1, 1]])
+        hc.holonomy_of_loop(a, model, hc.LoopClass(["gz"], ChartPoint(0, 0, 1)), cfg)
+        assert runs == [transport._IntegrationStats(attempted=222, accepted=220,
+                                                    rejected=2, bisection=0)]
