@@ -53,6 +53,7 @@ from .report import CheckResult, VerificationReport, check_result
 from .tensor_core import (
     ChartPoint,
     TangentVector,
+    Z_FLOOR,
     _conformal_fit,
     _Geometry,
     _Maxima,
@@ -366,14 +367,14 @@ def _check_incompleteness(ctx: _Context) -> CheckResult:
     p0 = ChartPoint(0.0, 0.0, 1.0)
     down = integrate_geodesic(ctx.metric, p0, TangentVector(p0, [0.0, 0.0, -1.0]),
                               2.0, ctx.cfg)
-    if down.termination.escaped:
-        escape_res = abs(down.termination.t_escape - 1.0)
-    else:
-        escape_res = math.inf
+    t_escape = down.termination.t_escape if down.termination.escaped else math.inf
     up = integrate_geodesic(ctx.metric, p0, TangentVector(p0, [0.0, 0.0, 1.0]),
                             ctx.config.t_max, ctx.cfg)
     up_res = 0.0 if up.termination.completed else math.inf
-    return _composite("C8", [("downward_escape_at_t=1", escape_res, 1e-6),
+    # the unit-speed vertical line from z = 1 meets the floor at 1 - Z_FLOOR
+    return _composite("C8", [("downward_escape_at_t=1", abs(t_escape - 1.0), 1e-6),
+                             ("downward_escape_at_crossing",
+                              abs(t_escape - (1.0 - Z_FLOOR)), 1e-8),
                              ("upward_completes", up_res, 0.0)])
 
 

@@ -26,6 +26,7 @@ from .tensor_core import (
     ChartPoint,
     MetricField,
     TangentVector,
+    Z_FLOOR,
     _Geometry,
     _Maxima,
     _coords,
@@ -165,13 +166,13 @@ def _halfplane_report(leaf: MetricField, curvature: _Maxima,
     """The folded leaf curvature plus the finite-time escape of a geodesic."""
     ts, _, _, term = integrate_geodesic_coords(
         leaf, np.array([0.0, 1.0]), np.array([0.0, -1.0]), 2.0, cfg)
-    if term.status == BOUNDARY_ESCAPE:
-        escape_res = abs(term.t_escape - 1.0)
-    else:
-        escape_res = np.inf
+    t_escape = term.t_escape if term.status == BOUNDARY_ESCAPE else np.inf
     return FoliationReport(HALFPLANE_LEAF, (
         Part(_LEAF_CURVATURE, curvature[_LEAF_CURVATURE], 1e-6),
-        Part("downward_geodesic_escapes_at_t1", escape_res, 1e-6),
+        Part("downward_geodesic_escapes_at_t1", abs(t_escape - 1.0), 1e-6),
+        # the unit-speed line z = 1 - t meets the floor at 1 - Z_FLOOR
+        Part("downward_geodesic_escapes_at_crossing", abs(t_escape - (1.0 - Z_FLOOR)),
+             1e-8),
     ))
 
 

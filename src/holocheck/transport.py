@@ -1,19 +1,27 @@
 """Geodesic integration and parallel transport along chart polylines.
 
-The workhorse is an embedded Dormand-Prince 5(4) pair with PI step-size
-control; the step after a rejected one does not grow.  A step writes the
-slope of each stage into its row of one (7, size) buffer, and the error
-norm reuses |y| of the last accepted state.  Geodesics solve
-x'' + Gamma(x)[x', x'] = 0, one right-hand-side call per stage, which
-fills one preallocated state-sized array; escape through the chart floor
-is an event on the fiber coordinate, detected at accepted step endpoints
-and refined by bisection in the affine parameter, where each accepted
-bisection step's last stage is the slope at the new left end (first same
-as last).
+The workhorse is the Dormand-Prince 8(5,3) pair as Hairer and Wanner's
+DOP853 code uses it: an explicit Runge-Kutta method of order 8 with 12
+slopes per step, the last of which is the next step's first (first same
+as last).  The step error is Hairer's combined 5th- and 3rd-order
+estimate, and the step factor is err^(-1/8) within [0.2, 10]; the step
+after a rejected one does not grow.  A step writes the slope of each
+stage into its row of one (13, size) buffer, and the error norm reuses |y|
+of the last accepted state.  Geodesics solve x'' + Gamma(x)[x', x'] = 0,
+one right-hand-side call per stage, which fills one preallocated
+state-sized array; a stage point at or below z = 0 ends its step, which
+is rejected and retried no longer than the slope's path to half the floor
+height, so a straight escape reaches the floor in one step.  Escape
+through the chart floor is an event on the fiber coordinate, detected at
+accepted step endpoints and located on the crossing step's cubic Hermite
+interpolant (its end states and slopes, so no extra right-hand side):
+each pass steps from the last state above the floor to the interpolant's
+root, in a bracket whose ends are verified states on either side of the
+floor, so a crossing takes about two refinement steps.
 
 Transport solves the linear equation w' = A(s) w with
 A(s) = -Gamma(c(s))[c'(s), .], which does not depend on w, so each
-attempted step asks for A at its five distinct stage abscissae in one
+attempted step asks for A at its eleven distinct stage abscissae in one
 batched Christoffel evaluation, and each stage is one matmul into the
 slope buffer.  Segments run as lanes of one integration, held as
 (lanes, 3) start and delta arrays, so the stage points of every lane are
@@ -51,7 +59,7 @@ COMPLETED = "completed"
 BOUNDARY_ESCAPE = "boundary_escape"
 STEP_LIMIT = "step_limit"
 
-# Bisection window for the escape parameter.
+# Width of the final bracket around a floor crossing, in the affine parameter.
 EVENT_T_TOL = 1e-9
 
 
@@ -84,35 +92,111 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) core
+# Dormand-Prince 8(5,3) core (DOP853)
 # ---------------------------------------------------------------------------
 
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+# The coefficients of Hairer and Wanner's DOP853 code (Hairer-Norsett-Wanner,
+# Solving ODEs I, II.5 and II.10).  Stage s (1 to 11) takes the slope at
+# t + _C[s] h; _C[12] = 1 is the abscissa of the slope at the new state, the
+# next step's first (first same as last).
+_C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+    1.0,
 ])
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-_E = _B5 - _B4
-# Stage s (1 to 6) evaluates the slope at y + h * (_STAGE[s] @ k[:s]); the
-# last row is _B5's, so stage 6's point is the step's new state (FSAL).
-_STAGE = (None, *(_A[s, :s] for s in range(1, 6)), _B5[:6])
-# For a linear field, the index of stage s's abscissa among the five new
-# ones: stage 6 shares t + h with stage 5.
-_ROW = (None, 0, 1, 2, 3, 4, 4)
+_A = np.zeros((12, 12))
+_A[1, 0] = 5.26001519587677318785587544488e-2
+_A[2, :2] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
+_A[3, [0, 2]] = [2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2]
+_A[4, [0, 2, 3]] = [2.41365134159266685502369798665e-1,
+                    -8.84549479328286085344864962717e-1,
+                    9.24834003261792003115737966543e-1]
+_A[5, [0, 3, 4]] = [3.7037037037037037037037037037e-2,
+                    1.70828608729473871279604482173e-1,
+                    1.25467687566822425016691814123e-1]
+_A[6, [0, 3, 4, 5]] = [3.7109375e-2, 1.70252211019544039314978060272e-1,
+                       6.02165389804559606850219397283e-2, -1.7578125e-2]
+_A[7, [0, 3, 4, 5, 6]] = [3.70920001185047927108779319836e-2,
+                          1.70383925712239993810214054705e-1,
+                          1.07262030446373284651809199168e-1,
+                          -1.53194377486244017527936158236e-2,
+                          8.27378916381402288758473766002e-3]
+_A[8, [0, 3, 4, 5, 6, 7]] = [6.24110958716075717114429577812e-1,
+                             -3.36089262944694129406857109825,
+                             -8.68219346841726006818189891453e-1,
+                             2.75920996994467083049415600797e1,
+                             2.01540675504778934086186788979e1,
+                             -4.34898841810699588477366255144e1]
+_A[9, [0, 3, 4, 5, 6, 7, 8]] = [4.77662536438264365890433908527e-1,
+                                -2.48811461997166764192642586468,
+                                -5.90290826836842996371446475743e-1,
+                                2.12300514481811942347288949897e1,
+                                1.52792336328824235832596922938e1,
+                                -3.32882109689848629194453265587e1,
+                                -2.03312017085086261358222928593e-2]
+_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = [-9.3714243008598732571704021658e-1,
+                                    5.18637242884406370830023853209,
+                                    1.09143734899672957818500254654,
+                                    -8.14978701074692612513997267357,
+                                    -1.85200656599969598641566180701e1,
+                                    2.27394870993505042818970056734e1,
+                                    2.49360555267965238987089396762,
+                                    -3.0467644718982195003823669022]
+_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [2.27331014751653820792359768449,
+                                        -1.05344954667372501984066689879e1,
+                                        -2.00087205822486249909675718444,
+                                        -1.79589318631187989172765950534e1,
+                                        2.79488845294199600508499808837e1,
+                                        -2.85899827713502369474065508674,
+                                        -8.87285693353062954433549289258,
+                                        1.23605671757943030647266201528e1,
+                                        6.43392746015763530355970484046e-1]
+# The 8th-order weights, and the 5th- and 3rd-order error estimates.
+_B = np.zeros(12)
+_B[[0, 5, 6, 7, 8, 9, 10, 11]] = [5.42937341165687622380535766363e-2,
+                                  4.45031289275240888144113950566,
+                                  1.89151789931450038304281599044,
+                                  -5.8012039600105847814672114227,
+                                  3.1116436695781989440891606237e-1,
+                                  -1.52160949662516078556178806805e-1,
+                                  2.01365400804030348374776537501e-1,
+                                  4.47106157277725905176885569043e-2]
+_E5 = np.zeros(12)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [0.1312004499419488073250102996e-1,
+                                   -0.1225156446376204440720569753e+1,
+                                   -0.4957589496572501915214079952,
+                                   0.1664377182454986536961530415e+1,
+                                   -0.3503288487499736816886487290,
+                                   0.3341791187130174790297318841,
+                                   0.8192320648511571246570742613e-1,
+                                   -0.2235530786388629525884427845e-1]
+_E3 = _B.copy()
+_E3[[0, 8, 11]] -= [0.244094488188976377952755905512,
+                    0.733846688281611857341361741547,
+                    0.220588235294117647058823529412e-1]
+_ERR = np.array([_E5, _E3])
+# Stage s (1 to 12) evaluates the slope at y + h * (_STAGE[s] @ k[:s]); the
+# last row is _B's, so stage 12's point is the step's new state.
+_STAGE = (None, *(_A[s, :s] for s in range(1, 12)), _B)
+# For a linear field, the index of stage s's abscissa among the eleven
+# distinct new ones: stage 12 shares t + h with stage 11.
+_ROW = (None, *range(11), 10)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-# Hairer's PI controller for order 5: err^-alpha * err_prev^beta.
-_PI_ALPHA = 0.17
-_PI_BETA = 0.04
+# The step factor is err^(-1/8): the error estimate is of order 7 in h.
+_EXPONENT = 1.0 / 8.0
 
 
 class _LinearField:
@@ -148,35 +232,74 @@ class _LinearField:
         return (self.matrices(np.array([s]))[0] @ w.reshape(self.shape)).ravel()
 
 
-def _rk_step(f, t, y, h, k1):
-    """One Dormand-Prince step; returns (y_new, error_vector, k_last).
+@dataclass
+class _IntegrationStats:
+    """The work of one integration.
 
-    ``f`` is a callable f(t, y), evaluated once per stage, or a
-    :class:`_LinearField`, whose coefficients at the five distinct new stage
-    abscissae come from one batch; each of its stages is then one matmul
-    written into that stage's row of the (7, size) slope buffer.
+    ``attempted`` counts the main loop's steps, which the error test either
+    accepted or rejected; ``refinement`` counts the steps that located a
+    floor crossing.  ``rhs`` counts right-hand-side evaluations: the two of
+    the starting-step choice and every stage evaluated, in rejected and
+    refinement steps too; a linear field's batched call counts one per
+    abscissa and lane.  ``h_min`` and ``h_max`` are the smallest and largest
+    accepted step.
     """
-    k = np.empty((7, y.size))
+
+    attempted: int = 0
+    accepted: int = 0
+    rejected: int = 0
+    refinement: int = 0
+    rhs: int = 0
+    h_min: float = math.inf
+    h_max: float = 0.0
+
+
+def _rk_step(f, t, y, h, k1, stats):
+    """One DOP853 step; returns (y_new, k) with k the (13, size) stage slopes.
+
+    Row 12 of ``k`` is the slope at y_new.  ``f`` is a callable f(t, y),
+    evaluated once per stage, or a :class:`_LinearField`, whose coefficients
+    at the eleven distinct new stage abscissae come from one batch; each of
+    its stages is then one matmul written into that stage's row of ``k``.
+    A callable marks a point off the chart by NaN slopes (the geodesic
+    right-hand side at or below z = 0): the step ends at that stage and
+    returns a NaN state, which the integrator rejects.
+    """
+    k = np.empty((13, y.size))
     k[0] = k1
-    linear = isinstance(f, _LinearField)
-    if linear:
-        a = f.matrices(t + _C[1:6] * h)
-        rows = k.reshape((7,) + f.shape)
-    for s in range(1, 7):
-        y_s = y + h * (_STAGE[s] @ k[:s])
-        if linear:
+    if isinstance(f, _LinearField):
+        a = f.matrices(t + _C[1:12] * h)
+        stats.rhs += 11 * f.shape[0]
+        rows = k.reshape((13,) + f.shape)
+        for s in range(1, 13):
+            y_s = y + h * (_STAGE[s] @ k[:s])
             np.matmul(a[_ROW[s]], y_s.reshape(f.shape), out=rows[s])
-        else:
-            k[s] = f(t + _C[s] * h, y_s)
-    return y_s, h * (_E @ k), k[6]
+        return y_s, k
+    for s in range(1, 13):
+        y_s = y + h * (_STAGE[s] @ k[:s])
+        k[s] = f(t + _C[s] * h, y_s)
+        if math.isnan(k[s, 0]):
+            stats.rhs += s
+            k[s + 1:] = np.nan
+            return np.full(y.size, np.nan), k
+    stats.rhs += 12
+    return y_s, k
 
 
-def _error_norm(err, abs_y0, abs_y1, cfg, lanes):
-    """RMS of the error scaled by |y| at both step ends; with lanes, the worst lane's."""
-    r = err / (cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y0, abs_y1))
-    r *= r
-    worst = r.sum() if lanes == 1 else r.reshape(lanes, -1).sum(axis=1).max()
-    return math.sqrt(worst / (r.size // lanes))
+def _error_norm(k, h, abs_y0, abs_y1, cfg, lanes):
+    """Hairer's DOP853 error norm of a step; with lanes, the worst lane's.
+
+    The 5th- and 3rd-order estimates e5 = _E5 @ k and e3 = _E3 @ k, scaled by
+    |y| at both step ends, combine as h |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2))
+    over the n components of a lane.
+    """
+    e = _ERR @ k[:12]
+    e /= cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y0, abs_y1)
+    e *= e
+    e5, e3 = e.reshape(2, lanes, -1).sum(axis=2)
+    den = e5 + 0.01 * e3
+    den[den <= 0.0] = 1.0  # both estimates are zero
+    return h * float((e5 / np.sqrt(den)).max()) / math.sqrt(e.shape[1] // lanes)
 
 
 def _initial_step(f, y0, f0, t_end, cfg, lanes):
@@ -195,61 +318,84 @@ def _initial_step(f, y0, f0, t_end, cfg, lanes):
         return max(1e-8 * t_end, 1e-12)
     d = np.maximum(d1, rms(f1 - f0) / h0)
     h1 = np.where(d <= 1e-15, max(1e-6, h0 * 1e-3),
-                  (0.01 / np.maximum(d, 1e-15)) ** 0.2)
+                  (0.01 / np.maximum(d, 1e-15)) ** _EXPONENT)
     return min(100 * h0, float(np.min(h1)), t_end)
 
 
-@dataclass
-class _IntegrationStats:
-    """The work of one integration, counted in Dormand-Prince steps.
+def _hermite_root(e0, m0, e1, m1):
+    """A root in [0, 1] of the cubic with values e0 > 0 >= e1 and slopes m0, m1.
 
-    ``attempted`` counts the main loop's steps, which the error test either
-    accepted or rejected; ``bisection`` counts the steps that refined an
-    event crossing.
+    The cubic is the Hermite interpolant on [0, 1]; Newton steps that leave
+    the sign-verified bracket are replaced by its midpoint.  Returns NaN
+    when the end values do not bracket a root (a non-finite state).
     """
-
-    attempted: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    bisection: int = 0
-
-
-def _bisect_event(f, t, y, k1, h, event, stats):
-    """Refine the first event crossing inside the step [t, t+h].
-
-    The event value is positive at offset 0 and non-positive at offset h;
-    single embedded steps from the last known-good state evaluate the state
-    inside the interval.  When the good end moves, the step's last stage is
-    the slope there (first same as last), so no extra right-hand side is
-    evaluated; for the geodesic equation, whose right-hand side ignores t,
-    it is the very slope a fresh call would give.  Returns
-    (t_cross, y_cross) at the right end of the final bracket, so the crossing
-    parameter is never underestimated.
-    """
-    lo, hi = 0.0, h
-    y_lo, k_lo = y, k1
-    while hi - lo > EVENT_T_TOL:
-        mid = 0.5 * (lo + hi)
-        y_mid, _, k_mid = _rk_step(f, t + lo, y_lo, mid - lo, k_lo)
-        stats.bisection += 1
-        if not np.isfinite(y_mid).all() or event(y_mid) <= 0.0:
-            hi = mid
+    if not e0 > 0.0 >= e1:
+        return math.nan
+    b = 3.0 * (e1 - e0) - 2.0 * m0 - m1
+    a = 2.0 * (e0 - e1) + m0 + m1
+    lo, hi = 0.0, 1.0
+    x = e0 / (e0 - e1)
+    for _ in range(60):
+        p = e0 + x * (m0 + x * (b + x * a))
+        if p > 0.0:
+            lo = x
         else:
-            lo, y_lo, k_lo = mid, y_mid, k_mid
-    y_hi, _, _ = _rk_step(f, t + lo, y_lo, hi - lo, k_lo)
-    stats.bisection += 1
+            hi = x
+        dp = m0 + x * (2.0 * b + 3.0 * a * x)
+        x_new = x - p / dp if dp != 0.0 else math.nan
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-15:
+            return x_new
+        x = x_new
+    return x
+
+
+def _refine_escape(f, t, y, k1, h, y_new, k_new, fi, stats):
+    """Locate where y[fi] falls to Z_FLOOR inside the accepted step [t, t+h].
+
+    The bracket [lo, hi] of offsets has y[fi] > Z_FLOOR at lo and
+    y[fi] <= Z_FLOOR at hi, both states computed.  Each pass steps from the
+    lo state to the root of the cubic Hermite interpolant of y[fi] on the
+    bracket, built from the states and slopes at its ends (no extra
+    right-hand side: a step's last stage is the slope at its end).  The aim
+    is shifted by EVENT_T_TOL / 16, first past the root and then towards
+    the end that did not move last, so an accurate root closes the bracket
+    from both sides in two passes.  An aim outside the bracket falls back
+    to its midpoint.  Returns (t_cross, y_cross) at the right end of the final
+    bracket, so the crossing parameter is never underestimated.
+    """
+    lo, y_lo, k_lo = 0.0, y, k1
+    hi, y_hi, k_hi = h, y_new, k_new
+    nudge = EVENT_T_TOL / 16
+    shift = nudge
+    while hi - lo > EVENT_T_TOL:
+        w = hi - lo
+        aim = lo + w * _hermite_root(y_lo[fi] - Z_FLOOR, w * k_lo[fi],
+                                     y_hi[fi] - Z_FLOOR, w * k_hi[fi]) + shift
+        if not lo < aim < hi:
+            aim = 0.5 * (lo + hi)
+        y_aim, k = _rk_step(f, t + lo, y_lo, aim - lo, k_lo, stats)
+        stats.refinement += 1
+        if y_aim[fi] > Z_FLOOR:
+            lo, y_lo, k_lo, shift = aim, y_aim, k[12], nudge
+        else:  # at or below the floor, or off the chart
+            hi, y_hi, k_hi, shift = aim, y_aim, k[12], -nudge
     return t + hi, y_hi
 
 
-def _integrate(f, y0, t_end, cfg, event=None, lanes=1, record=True):
+def _integrate(f, y0, t_end, cfg, floor_index=None, lanes=1, record=True):
     """Adaptive integration of y' = f(t, y) on [0, t_end].
 
     Returns ``(samples, status, t_event, stats)`` where samples is a list of
-    (t, y) at accepted steps (including the initial state and, for an event
-    stop, the refined crossing state); without ``record`` it holds only the
+    (t, y) at accepted steps (including the initial state and, for an escape,
+    the refined crossing state); without ``record`` it holds only the
     latest accepted state.  ``status`` is COMPLETED, BOUNDARY_ESCAPE or
-    STEP_LIMIT; the step budget counts attempted steps.  ``stats`` is the
-    run's :class:`_IntegrationStats`.
+    STEP_LIMIT; the step budget counts attempted steps.  With
+    ``floor_index``, the run ends with BOUNDARY_ESCAPE where y[floor_index]
+    falls to Z_FLOOR, and a step that leaves the chart is retried no longer
+    than the slope's path to Z_FLOOR / 2.  ``stats`` is the run's
+    :class:`_IntegrationStats`.
 
     The state may hold ``lanes`` independent systems of equal size side by
     side (segments of one curve); they share the step, whose error is the
@@ -267,8 +413,8 @@ def _integrate(f, y0, t_end, cfg, event=None, lanes=1, record=True):
     if not np.isfinite(k1).all():
         raise IntegrationError("derivative is not finite at the initial state")
     h = _initial_step(f, y, k1, t_end, cfg, lanes)
+    stats.rhs += 2 * lanes
     abs_y = np.abs(y)
-    err_prev = None
     rejected = False
     while t < t_end:
         if stats.attempted >= cfg.max_steps:
@@ -277,43 +423,46 @@ def _integrate(f, y0, t_end, cfg, event=None, lanes=1, record=True):
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t}")
         stats.attempted += 1
-        y_new, err, k_last = _rk_step(f, t, y, h, k1)
+        y_new, k = _rk_step(f, t, y, h, k1, stats)
         if np.isfinite(y_new).all():
             abs_new = np.abs(y_new)
-            err_norm = _error_norm(err, abs_y, abs_new, cfg, lanes)
+            err_norm = _error_norm(k, h, abs_y, abs_new, cfg, lanes)
         else:
             err_norm = math.inf
+        if not math.isfinite(err_norm):
+            factor = _MIN_FACTOR
+        elif err_norm == 0.0:
+            factor = _MAX_FACTOR
+        else:
+            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -_EXPONENT))
         if not err_norm <= 1.0:  # NaN from a non-finite error rejects too
-            factor = _MIN_FACTOR if not math.isfinite(err_norm) else max(
-                _MIN_FACTOR, _SAFETY * err_norm ** -_PI_ALPHA)
-            h *= min(factor, 1.0)
-            err_prev = None
+            h *= factor
+            if floor_index is not None and err_norm == math.inf and k1[floor_index] < 0.0:
+                # The step left the chart.  Along the slope, y[floor_index]
+                # reaches Z_FLOOR / 2 after (y - Z_FLOOR / 2) / -y', so a
+                # straight path lands between the chart's edge and the floor.
+                h = min(h, float((y[floor_index] - 0.5 * Z_FLOOR) / -k1[floor_index]))
             rejected = True
             stats.rejected += 1
             continue
         stats.accepted += 1
-        t_new = t + h
-        if event is not None and event(y_new) <= 0.0:
-            t_cross, y_cross = _bisect_event(f, t, y, k1, h, event, stats)
+        stats.h_min = min(stats.h_min, h)
+        stats.h_max = max(stats.h_max, h)
+        if floor_index is not None and y_new[floor_index] <= Z_FLOOR:
+            t_cross, y_cross = _refine_escape(f, t, y, k1, h, y_new, k[12],
+                                              floor_index, stats)
             samples.append((t_cross, y_cross))
             return samples, BOUNDARY_ESCAPE, t_cross, stats
+        t_new = t + h
         if record:
             samples.append((t_new, y_new))
         else:
             samples[-1] = (t_new, y_new)
-        if err_norm == 0.0:
-            factor = _MAX_FACTOR
-        else:
-            factor = _SAFETY * err_norm ** -_PI_ALPHA
-            if err_prev is not None:
-                factor *= err_prev ** _PI_BETA
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         if rejected:
             factor = min(factor, 1.0)
             rejected = False
         h *= factor
-        err_prev = max(err_norm, 1e-4)
-        t, y, k1, abs_y = t_new, y_new, k_last, abs_new
+        t, y, k1, abs_y = t_new, y_new, k[12], abs_new
     return samples, COMPLETED, None, stats
 
 
@@ -394,9 +543,8 @@ def integrate_geodesic_coords(m: MetricField, x0: Sequence[float],
     if fi is not None and x0[fi] <= Z_FLOOR:
         raise ChartDomainError(
             f"initial point has fiber coordinate {x0[fi]} <= floor {Z_FLOOR}")
-    event = (lambda y: y[fi] - Z_FLOOR) if fi is not None else None
     samples, status, t_event, _ = _integrate(
-        _geodesic_rhs(m, fi), np.concatenate([x0, v0]), t_max, cfg, event)
+        _geodesic_rhs(m, fi), np.concatenate([x0, v0]), t_max, cfg, fi)
     ts = np.array([t for t, _ in samples])
     ys = np.array([y for _, y in samples])
     return ts, ys[:, :m.dim], ys[:, m.dim:], Termination(status, t_event)
@@ -408,8 +556,8 @@ def integrate_geodesic(m: MetricField, p0: ChartPoint, v0: TangentVector,
     """Geodesic of ``m`` from p0 with initial velocity v0, up to ``t_max``.
 
     The trajectory terminates early with BOUNDARY_ESCAPE when the fiber
-    coordinate reaches the chart floor ``Z_FLOOR`` (escape parameter refined
-    by bisection), or with STEP_LIMIT when the step budget runs out; a step
+    coordinate reaches the chart floor ``Z_FLOOR`` (escape parameter located
+    within EVENT_T_TOL, never before the crossing), or with STEP_LIMIT when the step budget runs out; a step
     limit is reported, never silently truncated.
     """
     if m.dim != 3:

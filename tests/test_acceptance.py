@@ -182,6 +182,7 @@ def test_leaf_structure(model, cfg, sample_points):
 
 def test_transport_engine(model):
     with criterion("transport engine: energy, isometry, loop curvature"):
+        t0 = time.perf_counter()
         cfg = hc.IntegratorConfig()
         p0 = ChartPoint(0, 0, 1)
         traj = hc.integrate_geodesic(model, p0, TangentVector(p0, [0.3, 0.5, -0.2]),
@@ -209,6 +210,7 @@ def test_transport_engine(model):
         d2 = np.max(np.abs(hc.curvature_via_loop(model, probe, 1, 2, 0.01, cfg)
                            - target))
         assert 3.5 <= d1 / d2 <= 4.5
+        assert time.perf_counter() - t0 < 5.0
 
 
 def test_end_to_end(capsys):

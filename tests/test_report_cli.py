@@ -76,7 +76,7 @@ class TestEmitReport:
     def test_composite_lines_name_their_worst_part(self, default_report):
         lines = hc.emit_report(default_report, "text").decode().splitlines()
         by_id = {ln.split()[0]: ln for ln in lines if re.match(r"^C\d+\s", ln)}
-        assert by_id["C8"].endswith("worst=downward_escape_at_t=1 (0.9994 of tol)")
+        assert by_id["C8"].endswith("worst=downward_escape_at_t=1 (0.9999 of tol)")
         assert "worst=" not in by_id["C5"]  # a single-quantity check
         assert b"worst" not in hc.emit_report(default_report, "json")
 

@@ -7,6 +7,7 @@ dy frame vector along a z-line scales it by (z_start / z_end)^2.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,14 +124,24 @@ class TestGeodesics:
             hc.integrate_geodesic(model, p0, TangentVector(p0, [0, 0, 0]), 1.0, cfg)
 
     def test_no_step_growth_after_rejection(self, model, cfg, monkeypatch):
-        # Stage points below the floor reject steps; regrowing 10x right after
-        # each rejection used to cost 337 Christoffel evaluations here.
-        calls = count_calls(monkeypatch, "_christoffel")
+        # A geodesic that turns at z = 0.54 rejects steps on error.  A step
+        # accepted right after a rejection is not followed by a larger one.
+        attempts = []
+        original = transport._rk_step
+
+        def recorded(f, t, y, h, k1, stats):
+            attempts.append((t, h))
+            return original(f, t, y, h, k1, stats)
+
+        monkeypatch.setattr(transport, "_rk_step", recorded)
         p0 = ChartPoint(0, 0, 1)
-        traj = hc.integrate_geodesic(model, p0, TangentVector(p0, [0, 0, -1]), 2.0, cfg)
-        assert traj.termination.escaped
-        assert abs(traj.termination.t_escape - (1.0 - hc.Z_FLOOR)) < 2e-9
-        assert calls[0] <= 270
+        traj = hc.integrate_geodesic(model, p0, TangentVector(p0, [0, 0.3, -1]), 5.0, cfg)
+        assert traj.termination.completed
+        # a retry starts where the rejected step did; an accepted step moves t
+        retried = [i for i in range(len(attempts) - 2) if attempts[i + 1][0] == attempts[i][0]
+                   and attempts[i + 2][0] > attempts[i + 1][0]]
+        assert len(retried) >= 5
+        assert all(attempts[i + 2][1] <= attempts[i + 1][1] for i in retried)
 
     def test_t_max_must_be_finite_and_non_negative(self, model, cfg):
         for bad in (float("nan"), -1.0, float("inf")):
@@ -184,23 +195,33 @@ class TestLanes:
             assert np.max(np.abs(lanes - serial)) <= 1e-9 * np.max(np.abs(serial))
 
     def test_unequal_segment_costs(self, model):
-        # The third acceptance curve: its middle segment needs about a tenth
-        # of the steps of the others, yet rides along with them.
+        # The third acceptance curve: its middle segment needs about an
+        # eighth of the steps of the others, yet rides along with them.
         curve = acceptance_style_curves(3, seed=0)[2]
         trace = hc.transport_frame_trace(model, curve, TIGHT)
         steps = np.bincount([int(t) for t, _, _ in trace if t % 1.0 != 0.0])
-        assert max(steps) > 8 * min(steps)
+        assert max(steps) > 7 * min(steps)
         p = hc.transport_matrix(model, curve, TIGHT)
         g0 = _metric(model, curve.start.coords)
         g1 = _metric(model, curve.end.coords)
         assert np.max(np.abs(p.T @ g1 @ p - g0)) < 1e-7
 
     def test_error_norm_is_worst_lane(self):
+        # Hairer's norm h |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)) at scale 1;
+        # with only a first-stage slope, e5 and e3 are _E5[0] and _E3[0]
+        # times it, so a lane's norm depends on its sum of squared slopes
         cfg = hc.IntegratorConfig(abs_tol=1.0)
-        y = np.zeros(6)  # error scale exactly 1
-        err = np.array([3.0, 4.0, 0.0, 0.0, 1.0, 1.0])
-        assert transport._error_norm(err, y, y, cfg, 3) == pytest.approx(math.sqrt(12.5))
-        assert transport._error_norm(err, y, y, cfg, 1) == pytest.approx(math.sqrt(4.5))
+        k = np.zeros((13, 6))
+        k[0] = [3.0, 4.0, 0.0, 0.0, 1.0, 1.0]
+        y = np.zeros(6)
+
+        def norm(squares, n):
+            n5, n3 = transport._E5[0] ** 2 * squares, transport._E3[0] ** 2 * squares
+            return 0.5 * n5 / math.sqrt(n * (n5 + 0.01 * n3))
+
+        assert transport._error_norm(k, 0.5, y, y, cfg, 3) == pytest.approx(norm(25.0, 2))
+        assert transport._error_norm(k, 0.5, y, y, cfg, 1) == pytest.approx(norm(27.0, 6))
+        assert transport._error_norm(np.zeros((13, 6)), 0.5, y, y, cfg, 3) == 0.0
 
     def test_initial_step_is_smallest_lane_step(self, cfg):
         y0 = np.ones(2)
@@ -397,8 +418,9 @@ class TestTrajectoryCsv:
 # The textbook step, the reference for the buffered one: one slope call per
 # stage, the linear field's matrices gathered per stage and negated after
 # the contraction, np.concatenate in the geodesic right-hand side, and
-# np.mean / np.max norms.  The step in use must give its bits.
-_C, _A, _B5, _E = transport._C, transport._A, transport._B5, transport._E
+# separate E5 and E3 norms.  The step in use must give its bits.
+_C, _A, _B = transport._C, transport._A, transport._B
+_E5, _E3 = transport._E5, transport._E3
 
 
 def textbook_matrices(field, s):
@@ -425,29 +447,33 @@ def textbook_geodesic_rhs(m):
 
 def textbook_step(f, t, y, h, k1):
     if isinstance(f, transport._LinearField):
-        a = textbook_matrices(f, t + _C[1:6] * h)[[0, 0, 1, 2, 3, 4, 4]]
+        a = textbook_matrices(f, t + _C[1:12] * h)[[0, *range(11), 10]]
 
         def slope(s, y):
             return (a[s] @ y.reshape(f.shape)).ravel()
     else:
         def slope(s, y):
             return f(t + _C[s] * h, y)
-    k = np.empty((7, y.size))
+    k = np.empty((13, y.size))
     k[0] = k1
-    for s in range(1, 6):
+    for s in range(1, 12):
         k[s] = slope(s, y + h * (_A[s, :s] @ k[:s]))
-    y_new = y + h * (_B5[:6] @ k[:6])
-    k[6] = slope(6, y_new)
-    err = h * (_E @ k)
-    return y_new, err, k[6]
+    y_new = y + h * (_B @ k[:12])
+    k[12] = slope(12, y_new)
+    return y_new, k
 
 
-def textbook_norm(err, y0, y1, cfg, lanes):
+def textbook_norm(k, h, y0, y1, cfg, lanes):
     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    if lanes == 1:
-        return float(np.sqrt(np.mean((err / scale) ** 2)))
-    r = (err / scale).reshape(lanes, -1)
-    return float(np.sqrt(np.max(np.add.reduce(r * r, axis=1)) / r.shape[1]))
+    # the error estimates cancel to a few digits, so they are formed as the
+    # step forms them; the rest may round differently
+    e5, e3 = np.array([_E5, _E3]) @ k[:12]
+    e5 = (e5 / scale).reshape(lanes, -1)
+    e3 = (e3 / scale).reshape(lanes, -1)
+    n5 = np.sum(e5 ** 2, axis=1)
+    den = n5 + 0.01 * np.sum(e3 ** 2, axis=1)
+    den = np.where(den <= 0.0, 1.0, den)
+    return float(np.max(h * n5 / np.sqrt(den * e5.shape[1])))
 
 
 class TestStepBits:
@@ -455,15 +481,16 @@ class TestStepBits:
 
     @staticmethod
     def assert_same_step(f, t, y, h, k1, lanes):
-        got = transport._rk_step(f, t, y, h, k1)
+        got = transport._rk_step(f, t, y, h, k1, transport._IntegrationStats())
         want = textbook_step(f, t, y, h, k1)
         for a, b in zip(got, want):
             assert np.array_equal(a, b, equal_nan=True)
-        if not (np.isfinite(got[0]).all() and np.isfinite(got[1]).all()):
+        if not np.isfinite(got[0]).all():
             return  # a stage below the floor: the integrator rejects the step
         for cfg in (hc.IntegratorConfig(), TIGHT):
-            norm = transport._error_norm(got[1], np.abs(y), np.abs(got[0]), cfg, lanes)
-            assert norm == textbook_norm(want[1], y, want[0], cfg, lanes)
+            norm = transport._error_norm(got[1], h, np.abs(y), np.abs(got[0]), cfg, lanes)
+            assert norm == pytest.approx(textbook_norm(want[1], h, y, want[0], cfg, lanes),
+                                         rel=1e-13, abs=1e-300)
 
     @pytest.mark.parametrize("lanes", (1, 2, 3))
     @pytest.mark.parametrize("width", (1, 3))
@@ -495,14 +522,158 @@ class TestStepBits:
             assert np.array_equal(rhs(0.0, y), k1)
             self.assert_same_step(rhs, rng.uniform(0.0, 2.0), y,
                                   10.0 ** rng.uniform(-3.0, -0.5), k1, 1)
-            # the last stage is the slope at the new state, which bisection
-            # reuses in place of a fresh call
-            y_new, _, k_last = transport._rk_step(rhs, 0.0, y, 1e-3, k1)
-            assert np.array_equal(k_last, rhs(1e-3, y_new))
+            # the last stage is the slope at the new state, which the next
+            # step and the escape refinement reuse in place of a fresh call
+            y_new, k = transport._rk_step(rhs, 0.0, y, 1e-3, k1,
+                                          transport._IntegrationStats())
+            assert np.array_equal(k[12], rhs(1e-3, y_new))
+
+
+class TestTableau:
+    """The hard-coded DOP853 constants: order conditions and Hairer's table."""
+
+    def test_row_sums_are_the_abscissae(self):
+        np.testing.assert_allclose(_A.sum(axis=1), _C[:12], rtol=0, atol=1e-15)
+        assert _C[12] == 1.0 and _B.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_quadrature_conditions_to_order_8(self):
+        for q in range(1, 9):
+            assert _B @ _C[:12] ** (q - 1) == pytest.approx(1.0 / q, abs=1e-14)
+
+    def test_error_estimates_vanish_on_constants(self):
+        # both embedded solutions integrate y' = 1 exactly: their weights
+        # differ from _B by vectors that sum to zero
+        assert abs(_E5.sum()) < 1e-14 and abs(_E3.sum()) < 1e-14
+
+    def test_matches_hairers_table(self):
+        pytest.importorskip("scipy")
+        from scipy.integrate._ivp import dop853_coefficients as ref
+        assert np.array_equal(_C[:12], ref.C[:12])
+        assert np.array_equal(_A, ref.A[:12, :12])
+        assert np.array_equal(_B, ref.B)
+        assert np.array_equal(_E5, ref.E5[:12]) and not ref.E5[12]
+        assert np.array_equal(_E3, ref.E3[:12]) and not ref.E3[12]
+
+    def test_eighth_order_convergence(self, model):
+        # dy along the z-line from 0.5 to 5 scales by (z0 / z)^2 = 1/100 exactly
+        curve = CurveSpec.from_points([ChartPoint(0, 0, 0.5), ChartPoint(0, 0, 5.0)])
+        field = transport._LinearField(model, curve.segments, 1)
+
+        def fixed_steps(n):
+            y, stats = np.array([0.0, 1.0, 0.0]), transport._IntegrationStats()
+            k1 = field(0.0, y)
+            for i in range(n):
+                y, k = transport._rk_step(field, i / n, y, 1.0 / n, k1, stats)
+                k1 = k[12]
+            return abs(y[1] - (0.5 / 5.0) ** 2)
+
+        errors = [fixed_steps(n) for n in (32, 64, 128)]
+        orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        assert errors[-1] > 1e-16  # still well above roundoff on 0.01
+        assert all(7.5 < q < 8.5 for q in orders), orders
+
+
+def straight_escape(model, z0, vx, vz, cfg=transport.DEFAULT_CONFIG):
+    """Escape of the straight geodesic (vx, 0, vz) from (0, 0, z0), and its exact crossing."""
+    ts, xs, vs, term = hc.integrate_geodesic_coords(model, [0.0, 0.0, z0],
+                                                    [vx, 0.0, vz], 2.0 * z0 / -vz, cfg)
+    return ts, xs, term, (z0 - hc.Z_FLOOR) / -vz
+
+
+class TestEscapeEvents:
+    """Floor crossings are located on the crossing step's Hermite interpolant."""
+
+    HEIGHTS = (0.01, 0.3, 1.0, 3.0, 7.5)
+
+    @pytest.mark.parametrize("z0", HEIGHTS)
+    def test_straight_escapes_at_exact_crossing(self, model, z0):
+        for vx, vz in ((0.0, -1.0), (0.4, -0.6), (-0.3, -1.4)):
+            _, _, term, exact = straight_escape(model, z0, vx, vz)
+            assert term.escaped
+            assert abs(term.t_escape - exact) <= 1e-9
+
+    @pytest.mark.parametrize("z0", HEIGHTS)
+    def test_state_brackets_the_floor(self, model, cfg, z0):
+        ts, xs, term, _ = straight_escape(model, z0, 0.2, -0.8)
+        assert ts[-1] == term.t_escape and xs[-1, 2] <= hc.Z_FLOOR
+        # EVENT_T_TOL earlier the integrator still sees the curve above the floor
+        _, before, _, early = hc.integrate_geodesic_coords(
+            model, [0.0, 0.0, z0], [0.2, 0.0, -0.8], term.t_escape - transport.EVENT_T_TOL,
+            cfg)
+        assert early.completed and before[-1, 2] > hc.Z_FLOOR
+
+    @pytest.mark.parametrize("z0", HEIGHTS)
+    def test_curved_escape(self, z0):
+        # g = dx^2 + (1 + z)^2 dz^2: the downward geodesic speeds up as it
+        # falls, (1 + z)^2 = (1 + z0)^2 - 2 (1 + z0) t, so no step is exact
+        m2 = hc.MetricField(lambda c: np.diag([1.0, (1.0 + c[1]) ** 2]), dim=2)
+        _, xs, _, term = hc.integrate_geodesic_coords(m2, [0.0, z0], [0.3, -1.0], 100.0)
+        exact = ((1.0 + z0) ** 2 - (1.0 + hc.Z_FLOOR) ** 2) / (2.0 * (1.0 + z0))
+        assert term.escaped and xs[-1, 1] <= hc.Z_FLOOR
+        assert 0.0 <= term.t_escape - exact <= 1e-9
+
+    def test_two_refinement_steps(self, model, monkeypatch):
+        runs = TestIntegrationStats.record(monkeypatch)
+        for z0 in self.HEIGHTS:
+            straight_escape(model, z0, 0.0, -1.0)
+        assert [s.refinement for s in runs] == [2] * len(self.HEIGHTS)
+
+    def test_midpoint_fallback(self, model, monkeypatch):
+        # an interpolant whose root always leaves the bracket leaves bisection
+        runs = TestIntegrationStats.record(monkeypatch)
+        monkeypatch.setattr(transport, "_hermite_root", lambda *args: 2.0)
+        for z0 in (0.3, 3.0):
+            _, xs, term, exact = straight_escape(model, z0, 0.0, -1.0)
+            assert 0.0 <= term.t_escape - exact <= transport.EVENT_T_TOL
+            assert xs[-1, 2] <= hc.Z_FLOOR
+        assert all(s.refinement > 2 for s in runs)
+
+    def test_hermite_root(self):
+        # a cubic with known root: p(x) = (x - 0.3)(x + 1)(x + 2), scaled to [0, 1]
+        def p(x):
+            return -(x - 0.3) * (x + 1.0) * (x + 2.0)
+
+        def dp(x):
+            return -((x + 1.0) * (x + 2.0) + (x - 0.3) * (2.0 * x + 3.0))
+
+        assert transport._hermite_root(p(0.0), dp(0.0), p(1.0), dp(1.0)) == \
+            pytest.approx(0.3, abs=1e-15)
+        assert math.isnan(transport._hermite_root(1.0, 0.0, math.nan, 0.0))
+
+    def test_step_off_the_chart_ends_early(self, model):
+        # from z = 1 down at unit speed, a step of 2 leaves the chart at the
+        # first stage past t = 1
+        rhs = transport._geodesic_rhs(model, 2)
+        y = np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0])
+        stats = transport._IntegrationStats()
+        y_new, k = transport._rk_step(rhs, 0.0, y, 2.0, rhs(0.0, y), stats)
+        assert np.isnan(y_new).all() and np.isnan(k[stats.rhs:]).all()
+        assert stats.rhs == int(np.argmax(_C > 0.5)) < 12
+
+    def test_lowered_floor_fails_exact_crossing_parts(self, cat, model, cfg, monkeypatch):
+        # The event fires 1e-7 below the documented floor: the escape is still
+        # within 1e-6 of t = 1, but 1e-7 past the exact crossing.
+        monkeypatch.setattr(transport, "Z_FLOOR", hc.Z_FLOOR - 1e-7)
+        ctx = checklist._Context(hc.ChecklistConfig(samples=10), cat)
+        c8 = checklist._check_incompleteness(ctx)
+        assert not c8.passed and c8.worst_part == "downward_escape_at_crossing"
+        c8_parts = {name: (float(res), float(tol)) for name, res, tol
+                    in re.findall(r"(\S+): residual=(\S+) tol=([^;\s]+)", c8.note)}
+        c11 = hc.leaf_second_check(model, [0.5, 1.0, 2.0], cfg)
+        assert not c11.passed
+        c11_parts = {part.name: (part.residual, part.tolerance) for part in c11.items}
+        for parts, old, new in (
+                (c8_parts, "downward_escape_at_t=1", "downward_escape_at_crossing"),
+                (c11_parts, "downward_geodesic_escapes_at_t1",
+                 "downward_geodesic_escapes_at_crossing")):
+            residual, tolerance = parts[old]
+            assert 0.85e-6 < residual <= tolerance == 1e-6
+            residual, tolerance = parts[new]
+            assert tolerance == 1e-8 and residual == pytest.approx(1e-7, rel=1e-2)
 
 
 class TestIntegrationStats:
-    """Each integration counts its steps; the counts pin the step control."""
+    """Each integration counts its work; the counts pin the step control."""
 
     @staticmethod
     def record(monkeypatch):
@@ -517,25 +688,40 @@ class TestIntegrationStats:
         monkeypatch.setattr(transport, "_integrate", recorded)
         return runs
 
+    @staticmethod
+    def assert_stats(stats, h_min, h_max, **counts):
+        assert {name: getattr(stats, name) for name in counts} == counts
+        assert stats.h_min == pytest.approx(h_min, rel=1e-9)
+        assert stats.h_max == pytest.approx(h_max, rel=1e-9)
+
     def test_downward_geodesic(self, model, cfg, monkeypatch):
-        # C8's escape: 16 steps rejected at the floor, 11 bisection steps
+        # C8's escape (DP5: 35 attempted, 19 accepted, 16 rejected, 11
+        # bisection steps): a step that leaves the chart ends at its first
+        # stage below it, is retried with the slope's path to half the floor
+        # height, and two steps locate the crossing
         runs = self.record(monkeypatch)
         p0 = ChartPoint(0.0, 0.0, 1.0)
         hc.integrate_geodesic(model, p0, TangentVector(p0, [0.0, 0.0, -1.0]), 2.0, cfg)
-        assert runs == [transport._IntegrationStats(attempted=35, accepted=19,
-                                                    rejected=16, bisection=11)]
+        [stats] = runs
+        self.assert_stats(stats, 0.00624191232177869, 0.33541413744059306, attempted=7,
+                          accepted=5, rejected=2, refinement=2, rhs=95)
 
     def test_three_segment_polyline(self, model, cfg, monkeypatch):
         runs = self.record(monkeypatch)
         curve = acceptance_style_curves(3, seed=0)[2]
         assert len(curve.segments) == 3
         hc.transport_matrix(model, curve, cfg)
-        assert runs == [transport._IntegrationStats(attempted=370, accepted=365,
-                                                    rejected=5, bisection=0)]
+        [stats] = runs
+        # DP5 took 370 steps (365 accepted); a linear step is one batch at
+        # 11 abscissae for each of the 3 lanes
+        assert stats.rhs == 3 * (2 + 11 * stats.attempted)
+        self.assert_stats(stats, 1.060826387442199e-04, 0.031920676254837195, attempted=41,
+                          accepted=39, rejected=2, refinement=0, rhs=1359)
 
     def test_deck_loop_at_trace_1001(self, model, cfg, monkeypatch):
         runs = self.record(monkeypatch)
         a = hc.validate_toral_matrix([[1000, 999], [1, 1]])
         hc.holonomy_of_loop(a, model, hc.LoopClass(["gz"], ChartPoint(0, 0, 1)), cfg)
-        assert runs == [transport._IntegrationStats(attempted=222, accepted=220,
-                                                    rejected=2, bisection=0)]
+        [stats] = runs  # DP5: 222 steps, 220 accepted
+        self.assert_stats(stats, 9.985875070520303e-05, 0.1872747693729254, attempted=63,
+                          accepted=61, rejected=2, refinement=0, rhs=695)
