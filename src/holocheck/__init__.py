@@ -24,7 +24,6 @@ from .tensor_core import (
     metric_partials_at,
     riemann_at,
     sectional_curvature,
-    sectional_curvature_at,
     warped_metric,
 )
 from .transport import (

@@ -204,7 +204,9 @@ def _deck_defect(df: np.ndarray, factor: float, m: MetricField, c: np.ndarray,
                  g_here: np.ndarray) -> np.ndarray:
     """Max-abs entry of df^T g(f c) df - factor * g_here, one per point of ``c``."""
     g_image = _metric(m, c @ df.T)
-    return np.max(np.abs(df.T @ g_image @ df - factor * g_here), axis=(-2, -1))
+    # the right factor as one product over the flattened batch
+    pulled = ((df.T @ g_image).reshape(-1, 3) @ df).reshape(g_image.shape)
+    return np.max(np.abs(pulled - factor * g_here), axis=(-2, -1))
 
 
 def reduce_to_fundamental_domain(a: ToralMatrix, p: Sequence[float]):

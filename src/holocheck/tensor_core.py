@@ -24,6 +24,11 @@ the rank-4 curvature arrays small.  The checklist walks them once: a
 symbols and curvature, each built at most once, and every sampled check
 folds its running maxima (:class:`_Maxima`) over those arrays.
 
+The chunk kernels are stacked matmuls (one BLAS gemv over the flattened
+batch for a constant vector) and fancy-index gathers, not generic einsums.
+On the model metrics and the checks' directions they give the einsum forms'
+bits; where they sum several nonzero products the last bit may differ.
+
 Index conventions, fixed here and used everywhere (leading batch axes are
 left out):
 
@@ -43,7 +48,7 @@ every plane containing dx is flat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -65,6 +70,8 @@ CHUNK = 256
 # products of rolled rows: _ROLL[a, b][i, j] = 3 * (i + a) + (j + b), mod 3.
 _ROLL = {(a, b): 3 * ((np.arange(3)[:, None] + a) % 3) + (np.arange(3) + b) % 3
          for a in (1, 2) for b in (1, 2)}
+# Signs of a 2x2 matrix's cofactors, read off its reversed transpose.
+_COF2_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 class ChartDomainError(ValueError):
@@ -338,7 +345,11 @@ def _inv_small(g: np.ndarray) -> np.ndarray:
         terms = g[..., 0, :] * cr[..., 0, :]
         det = terms[..., 0] + terms[..., 1] + terms[..., 2]
         return cr.swapaxes(-1, -2) / det[..., None, None]
-    rows = g.tolist() if g.ndim == 2 else np.moveaxis(g, (-2, -1), (0, 1))
+    if g.ndim > 2:
+        # [[e, -b], [-d, a]] / det as the reversed matrix over a signed det
+        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+        return g[..., ::-1, ::-1].swapaxes(-1, -2) / (det[..., None, None] * _COF2_SIGN)
+    rows = g.tolist()
     if n == 3:
         (a, b, c), (d, e, f), (p, q, r) = rows
         det = a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
@@ -349,10 +360,7 @@ def _inv_small(g: np.ndarray) -> np.ndarray:
         ]) / det
     (a, b), (d, e) = rows
     det = a * e - b * d
-    cof = np.array([[e, -b], [-d, a]])
-    if g.ndim == 2:
-        return cof / det
-    return np.moveaxis(cof, (0, 1), (-2, -1)) / det[..., None, None]
+    return np.array([[e, -b], [-d, a]]) / det
 
 
 def _partials(m: MetricField, c: np.ndarray, method: str = "auto",
@@ -373,12 +381,25 @@ def _partials(m: MetricField, c: np.ndarray, method: str = "auto",
     return out
 
 
+@cache
+def _gather(subscripts: str, n: int) -> np.ndarray:
+    """Flat indices that read ``np.einsum(subscripts, t)`` off ``t`` flattened:
+    a gather permutes a batch about twice as fast as arithmetic on views."""
+    rank = subscripts.index("-")
+    index = np.einsum(subscripts, np.arange(n ** rank).reshape((n,) * rank)).ravel()
+    index.setflags(write=False)  # one shared copy per (subscripts, n)
+    return index
+
+
 def _levi_civita(ginv: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Christoffel symbols from g^-1 and the partials ``d[..., k] = d_k g``."""
-    # s[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    dt = d.swapaxes(-1, -3)
-    s = dt.swapaxes(-1, -2) + dt - d
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, s)
+    n = d.shape[-1]
+    f = d.reshape(d.shape[:-3] + (n ** 3,))
+    # s[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, summed in place
+    s = f[..., _gather("ijl->lij", n)]
+    s += f[..., _gather("jil->lij", n)]
+    s -= f
+    return 0.5 * (ginv @ s.reshape(d.shape[:-2] + (n * n,))).reshape(d.shape)
 
 
 def _christoffel(m: MetricField, c: np.ndarray, method: str = "auto",
@@ -410,13 +431,15 @@ def _curvature(m: MetricField, c: np.ndarray, method: str = "auto",
                                    - _christoffel(m, c - e, method, h)) / den
     # gg[i, k, l, j] = G^i_kp G^p_lj, one (dim^2, dim) x (dim, dim^2) product
     n, lead = m.dim, gamma.shape[:-3]
-    gg = (gamma.reshape(lead + (n * n, n))
-          @ gamma.reshape(lead + (n, n * n))).reshape(lead + (n,) * 4)
-    # R^i_jkl = d_k G^i_lj - d_l G^i_kj + G^i_kp G^p_lj - G^i_lp G^p_kj
-    riemann = (np.einsum("...kilj->...ijkl", dgamma)
-               - np.einsum("...likj->...ijkl", dgamma)
-               + np.einsum("...iklj->...ijkl", gg)
-               - np.einsum("...ilkj->...ijkl", gg))
+    gg = gamma.reshape(lead + (n * n, n)) @ gamma.reshape(lead + (n, n * n))
+    d, gg = dgamma.reshape(lead + (n ** 4,)), gg.reshape(lead + (n ** 4,))
+    # R^i_jkl = d_k G^i_lj - d_l G^i_kj + G^i_kp G^p_lj - G^i_lp G^p_kj, in
+    # place, so no more rank-4 arrays are alive than the einsum sum held
+    riemann = d[..., _gather("kilj->ijkl", n)]
+    riemann -= d[..., _gather("likj->ijkl", n)]
+    riemann += gg[..., _gather("iklj->ijkl", n)]
+    riemann -= gg[..., _gather("ilkj->ijkl", n)]
+    riemann = riemann.reshape(lead + (n,) * 4)
     ricci = np.einsum("...ijil->...jl", riemann)
     scalar = np.einsum("...jl,...jl->...", ginv, ricci)
     return riemann, ricci, scalar
@@ -424,9 +447,11 @@ def _curvature(m: MetricField, c: np.ndarray, method: str = "auto",
 
 def _nabla(gamma: np.ndarray, g: np.ndarray, d: np.ndarray) -> np.ndarray:
     """``nabla[k, i, j] = d_k g_ij - G^l_ki g_lj - G^l_kj g_il`` from arrays."""
-    correction = (np.einsum("...lki,...lj->...kij", gamma, g)
-                  + np.einsum("...lkj,...il->...kij", gamma, g))
-    return d - correction
+    # p[k, i, j] = G^l_ki g_lj, one (dim^2, dim) x (dim, dim) product; g is
+    # symmetric, so G^l_kj g_il is p[k, j, i]
+    n = g.shape[-1]
+    p = (gamma.reshape(gamma.shape[:-3] + (n, n * n)).swapaxes(-1, -2) @ g).reshape(d.shape)
+    return d - (p + p.swapaxes(-1, -2))
 
 
 def _covariant_metric_derivative(m_conn: MetricField, m_target: MetricField,
@@ -560,34 +585,33 @@ def riemann_at(m: MetricField, p: PointLike, method: str = "auto",
     return CurvatureAtPoint(riemann=riemann, ricci=ricci, scalar=float(scalar))
 
 
+def _contract(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of ``t`` against one vector ``w`` (a gemv over
+    the flattened batch) or one per point of ``t`` (a stacked matmul)."""
+    n = t.shape[-1]
+    if w.ndim == 1:
+        return (t.reshape(-1, n) @ w).reshape(t.shape[:-1])
+    return (t.reshape(w.shape[:-1] + (-1, n)) @ w[..., None]).reshape(t.shape[:-1])
+
+
 def sectional_curvature(g: np.ndarray, riemann: np.ndarray,
                         u: np.ndarray, v: np.ndarray):
     """Sectional curvature of span(u, v) from precomputed g and R^i_jkl.
 
-    ``g`` and ``riemann`` may carry leading batch axes, and ``u``, ``v``
-    broadcast against them; a single point gives a float, a batch an array.
+    ``g`` and ``riemann`` may carry leading batch axes; ``u`` and ``v`` are
+    each one vector for every point or one per point, with that leading
+    shape.  A single point gives a float, a batch an array.
     Raises :class:`DegeneratePlaneError` if the plane degenerates at any point.
     """
-    ruvv = np.einsum("...ijkl,...j,...k,...l->...i", riemann, v, u, v)
-    inner = np.einsum("...i,...ij,...j->...", u, g, ruvv)
-    uu = np.einsum("...i,...ij,...j->...", u, g, u)
-    vv = np.einsum("...i,...ij,...j->...", v, g, v)
-    uv = np.einsum("...i,...ij,...j->...", u, g, v)
+    ruvv = _contract(_contract(_contract(riemann, v), u), v)
+    gu, gv = _contract(g, u), _contract(g, v)
+    inner = _contract(ruvv, gu)
+    uu, vv, uv = _contract(gu, u), _contract(gv, v), _contract(gu, v)
     gram = uu * vv - uv * uv
     if np.any(gram <= 1e-12 * uu * vv):
         raise DegeneratePlaneError("directions are linearly dependent")
     k = inner / gram
     return float(k) if k.ndim == 0 else k
-
-
-def sectional_curvature_at(m: MetricField, p: PointLike, u: VectorLike,
-                           v: VectorLike) -> float:
-    """Sectional curvature of the plane spanned by u, v at ``p``."""
-    c = _coords(m, p)
-    uc = _vector(u, m.dim, base=c)
-    vc = _vector(v, m.dim, base=c)
-    riemann, _, _ = _curvature(m, c)
-    return sectional_curvature(_metric(m, c), riemann, uc, vc)
 
 
 def covariant_metric_derivative_at(m_conn: MetricField, m_target: MetricField,

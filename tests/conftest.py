@@ -14,6 +14,19 @@ def euclid():
 
 
 @pytest.fixture(scope="session")
+def skewed():
+    """The warped model plus a constant xt-yt term, so g is not diagonal."""
+    base = hc.warped_metric()
+
+    def components(c):
+        g = base.components(c)
+        g[..., 0, 1] = g[..., 1, 0] = 0.01
+        return g
+
+    return hc.MetricField(components, base.exact_partials, label="skewed warped")
+
+
+@pytest.fixture(scope="session")
 def cat():
     return hc.validate_toral_matrix([[2, 1], [1, 1]])
 

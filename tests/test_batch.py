@@ -59,7 +59,8 @@ class TestBatchMatchesSinglePoints:
             assert np.array_equal(curv.riemann, riemann[i])
             assert np.array_equal(curv.ricci, ricci[i])
             assert curv.scalar == scalar[i]
-            assert hc.sectional_curvature_at(m, c[i], u, v[i]) == sectional[i]
+            assert hc.sectional_curvature(hc.metric_at(m, c[i]), curv.riemann,
+                                          u, v[i]) == sectional[i]
             assert np.array_equal(
                 hc.covariant_metric_derivative_at(m, target, c[i]), nabla[i])
 
@@ -84,35 +85,25 @@ class TestBatchMatchesSinglePoints:
                 for x in c] == list(batch)
 
 
-def skewed_metric(eps=0.01):
-    """The warped model plus a constant xt-yt term, so g is not diagonal."""
-    base = hc.warped_metric()
-
-    def components(c):
-        g = base.components(c)
-        g[..., 0, 1] = g[..., 1, 0] = eps
-        return g
-
-    return hc.MetricField(components, base.exact_partials, label="skewed warped")
-
-
 class TestNonDiagonalBatches:
     """Off-diagonal cofactor terms: every built-in model metric is diagonal."""
 
     @pytest.mark.parametrize("n", (1, 2, CHUNK + 1))
-    @pytest.mark.parametrize("kind", ["general", "spd"])
-    def test_inverse(self, kind, n):
-        g = np.random.default_rng(n).normal(size=(n, 3, 3))
+    @pytest.mark.parametrize("kind, dim", [("general", 3), ("spd", 3), ("general", 2),
+                                           ("spd", 2)],
+                             ids=["general", "spd", "2x2-general", "2x2-spd"])
+    def test_inverse(self, kind, dim, n):
+        g = np.random.default_rng(n).normal(size=(n, dim, dim))
         if kind == "spd":
-            g = g @ g.swapaxes(-1, -2) + 0.1 * np.eye(3)
+            g = g @ g.swapaxes(-1, -2) + 0.1 * np.eye(dim)
         batch = tc._inv_small(g)
         for i in range(n):
             assert np.array_equal(tc._inv_small(g[i]), batch[i])
-        assert np.max(np.abs(batch @ g - np.eye(3))) < 1e-8
+        assert np.max(np.abs(batch @ g - np.eye(dim))) < 1e-8
 
     @pytest.mark.parametrize("n", (1, 2, CHUNK + 1))
-    def test_christoffel(self, n):
-        m = skewed_metric()
+    def test_christoffel(self, skewed, n):
+        m = skewed
         c = sample_coords(n)
         batch = tc._christoffel(m, c)
         for i in range(n):

@@ -10,7 +10,7 @@ PUBLIC = {
     "MetricField", "TangentVector", "Z_FLOOR", "christoffel_at",
     "conformal_deviation_at", "covariant_metric_derivative_at", "euclidean_metric",
     "metric_at", "metric_partials_at", "riemann_at", "sectional_curvature",
-    "sectional_curvature_at", "warped_metric",
+    "warped_metric",
     # transport
     "BOUNDARY_ESCAPE", "COMPLETED", "STEP_LIMIT", "CurveError", "CurveSpec",
     "IntegrationError", "IntegratorConfig", "StraightSegment", "Termination",
@@ -38,4 +38,4 @@ def test_public_surface():
     exported = {name for name, obj in vars(hc).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)}
     assert exported == PUBLIC
-    assert len(PUBLIC) == 70
+    assert len(PUBLIC) == 69

@@ -72,6 +72,37 @@ def test_mutated_exponent_verdicts():
     assert failing(report) == ["C2", "C4", "C7", "C9", "C11"]
 
 
+def xz_coupled_metric(exponent=4.0, eps=0.01):
+    """The model metric plus g_xz = g_zx = eps z, with exact partials.
+
+    It couples the line leaf to the half-plane leaf, so the chart metric is
+    no longer an orthogonal product.  The base's closed-form Christoffel
+    symbols do not hold for it, so it carries none.
+    """
+    base = tensor_core.warped_metric(exponent)
+
+    def components(c):
+        g = base.components(c)
+        g[..., 0, 2] = g[..., 2, 0] = eps * c[..., 2]
+        return g
+
+    def partials(c):
+        d = base.exact_partials(c)
+        d[..., 2, 0, 2] = d[..., 2, 2, 0] = eps
+        return d
+
+    return hc.MetricField(components, partials, label=f"xz-coupled eps={eps:g}")
+
+
+def test_xz_coupling_fails_c12(cat, monkeypatch):
+    monkeypatch.setattr(checklist, "warped_metric", xz_coupled_metric)
+    cfg = hc.ChecklistConfig(samples=10, seed=0)
+    assert failing(hc.run_checklist(cfg)) == ["C2", "C4", "C7", "C8", "C9", "C12"]
+    ctx = checklist._Context(cfg, cat)
+    # |g_xz| at the highest sample, against a tolerance of 1e-12
+    assert ctx.swept("C12")["metric_block_diagonal"] == 0.01 * ctx.points[:, 2].max()
+
+
 @pytest.mark.parametrize("samples", (CHUNK - 1, 2 * CHUNK + 3))
 def test_public_leaf_checks_match_the_sweep(cat, samples):
     """product_split_check and leaf_second_check run the same folds."""

@@ -27,6 +27,7 @@ from holocheck import (
     MetricField,
     TangentVector,
     checklist,
+    foliation,
     tensor_core,
 )
 from holocheck.tensor_core import CHUNK, Z_FLOOR
@@ -184,35 +185,27 @@ class TestCurvature:
             return np.diag([c[1] ** 4, 1.0])
 
         m2 = MetricField(components, dim=2)
-        k = hc.sectional_curvature_at(m2, np.array([0.0, 2.0]),
-                                      np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        k = sectional_at(m2, np.array([0.0, 2.0]), [1.0, 0.0], [0.0, 1.0])
         assert abs(k - (-0.5)) < 1e-6
+
+
+def sectional_at(m, p, u, v):
+    """Sectional curvature of span(u, v) at ``p`` from the public single-point calls."""
+    return hc.sectional_curvature(hc.metric_at(m, p), hc.riemann_at(m, p).riemann,
+                                  np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
 
 class TestSectional:
     def test_curved_plane(self, model):
-        p = ChartPoint(0, 0, 1)
-        u = TangentVector(p, [0, 1, 0])
-        v = TangentVector(p, [0, 0, 1])
-        assert abs(hc.sectional_curvature_at(model, p, u, v) - (-2.0)) < 1e-8
+        k = sectional_at(model, ChartPoint(0, 0, 1), [0, 1, 0], [0, 0, 1])
+        assert abs(k - (-2.0)) < 1e-8
 
     def test_flat_plane(self, model):
-        p = ChartPoint(0, 0, 1)
-        u = TangentVector(p, [1, 0, 0])
-        v = TangentVector(p, [0, 0, 1])
-        assert abs(hc.sectional_curvature_at(model, p, u, v)) < 1e-10
+        assert abs(sectional_at(model, ChartPoint(0, 0, 1), [1, 0, 0], [0, 0, 1])) < 1e-10
 
     def test_degenerate_plane(self, model):
-        p = ChartPoint(1, 1, 1)
-        u = TangentVector(p, [1, 0, 0])
         with pytest.raises(DegeneratePlaneError):
-            hc.sectional_curvature_at(model, p, u, TangentVector(p, [2, 0, 0]))
-
-    def test_vector_based_elsewhere_rejected(self, model):
-        p = ChartPoint(0, 0, 1)
-        stray = TangentVector(ChartPoint(0, 0, 2), [0, 1, 0])
-        with pytest.raises(ValueError):
-            hc.sectional_curvature_at(model, p, stray, TangentVector(p, [0, 0, 1]))
+            sectional_at(model, ChartPoint(1, 1, 1), [1, 0, 0], [2, 0, 0])
 
 
 class TestCovariantDerivative:
@@ -423,3 +416,208 @@ class TestLeviCivitaWork:
         # C3's numeric part reads the closed form too (2 calls when it
         # rebuilt Levi-Civita from its own differences)
         assert not hasattr(checklist, "_levi_civita")
+
+
+# The sweep's kernels as they were written with np.einsum, kept here only as
+# the reference for the stacked-matmul kernels in tensor_core.  The 3x3 and
+# single-matrix inverses are unchanged; bound here, before a test patches them.
+_inv_small = tensor_core._inv_small
+
+
+def einsum_nabla(gamma, g, d):
+    correction = (np.einsum("...lki,...lj->...kij", gamma, g)
+                  + np.einsum("...lkj,...il->...kij", gamma, g))
+    return d - correction
+
+
+def einsum_levi_civita(ginv, d):
+    dt = d.swapaxes(-1, -3)
+    s = dt.swapaxes(-1, -2) + dt - d
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, s)
+
+
+def einsum_sectional_curvature(g, riemann, u, v):
+    ruvv = np.einsum("...ijkl,...j,...k,...l->...i", riemann, v, u, v)
+    inner = np.einsum("...i,...ij,...j->...", u, g, ruvv)
+    uu = np.einsum("...i,...ij,...j->...", u, g, u)
+    vv = np.einsum("...i,...ij,...j->...", v, g, v)
+    uv = np.einsum("...i,...ij,...j->...", u, g, v)
+    gram = uu * vv - uv * uv
+    if np.any(gram <= 1e-12 * uu * vv):
+        raise DegeneratePlaneError("directions are linearly dependent")
+    k = inner / gram
+    return float(k) if k.ndim == 0 else k
+
+
+def einsum_curvature(m, c, method="auto", h=None, gamma=None, ginv=None):
+    """``tensor_core._curvature`` with the Riemann sum over einsum views."""
+    if gamma is None:
+        gamma = tensor_core._christoffel(m, c, method, h)
+    if ginv is None:
+        ginv = tensor_core._inv_small(tensor_core._metric(m, c))
+    step = tensor_core._fd_step(m, c, h)
+    tensor_core._check_stencil(m, c, step)
+    den = 2.0 * np.asarray(step)[..., None, None, None]
+    dgamma = np.empty(c.shape[:-1] + (m.dim,) + gamma.shape[-3:])
+    for k, e in enumerate(tensor_core._stencil_shifts(c, step)):
+        dgamma[..., k, :, :, :] = (tensor_core._christoffel(m, c + e, method, h)
+                                   - tensor_core._christoffel(m, c - e, method, h)) / den
+    n, lead = m.dim, gamma.shape[:-3]
+    gg = (gamma.reshape(lead + (n * n, n))
+          @ gamma.reshape(lead + (n, n * n))).reshape(lead + (n,) * 4)
+    riemann = (np.einsum("...kilj->...ijkl", dgamma)
+               - np.einsum("...likj->...ijkl", dgamma)
+               + np.einsum("...iklj->...ijkl", gg)
+               - np.einsum("...ilkj->...ijkl", gg))
+    ricci = np.einsum("...ijil->...jl", riemann)
+    scalar = np.einsum("...jl,...jl->...", ginv, ricci)
+    return riemann, ricci, scalar
+
+
+def moveaxis_inv_small(g):
+    """The batched 2x2 inverse through a stacked cofactor array."""
+    if g.ndim == 2 or g.shape[-1] != 2:
+        return _inv_small(g)
+    (a, b), (d, e) = np.moveaxis(g, (-2, -1), (0, 1))
+    cof = np.array([[e, -b], [-d, a]])
+    return np.moveaxis(cof, (0, 1), (-2, -1)) / (a * e - b * d)[..., None, None]
+
+
+EINSUM_KERNELS = {"_nabla": einsum_nabla, "_levi_civita": einsum_levi_civita,
+                  "sectional_curvature": einsum_sectional_curvature,
+                  "_inv_small": moveaxis_inv_small, "_curvature": einsum_curvature}
+
+
+def kernel_inputs(m, n, seed=3):
+    rng = np.random.default_rng(seed)
+    lo = [-5.0] * (m.dim - 1) + [0.2]
+    hi = [5.0] * (m.dim - 1) + [10.0]
+    c = rng.uniform(lo, hi, (n, m.dim))
+    return c, tensor_core._metric(m, c), tensor_core._partials(m, c)
+
+
+def axis_vectors(n, dim, avoid, seed):
+    """Per point a coordinate axis other than ``avoid[i]``, scaled by +-2^k.
+
+    Every product with such a vector is exact, so each contraction sums at
+    most one nonzero term whatever its order.
+    """
+    rng = np.random.default_rng(seed)
+    axes = (avoid + rng.integers(1, dim, n)) % dim
+    out = np.zeros((n, dim))
+    out[np.arange(n), axes] = rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(-3, 4, n)
+    return out, axes
+
+
+def assert_close(got, want, scale):
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def sectional_scale(g, riemann, u, v):
+    """Size of the terms behind K(u, v): |u||g||R|(|v|, |u|, |v|) plus the
+    cancellation in the Gram determinant, both over the Gram determinant."""
+    au, av = np.abs(u), np.abs(v)
+    terms = np.einsum("...i,...ij,...jklm,...k,...l,...m->...", au, np.abs(g),
+                      np.abs(riemann), av, au, av)
+    uu, vv, uv = (np.einsum("...i,...ij,...j->...", a, g, b) for a, b in
+                  ((u, u), (v, v), (u, v)))
+    gram = uu * vv - uv * uv
+    k = einsum_sectional_curvature(g, riemann, u, v)
+    return (terms + np.abs(k) * uu * vv) / gram
+
+
+class TestKernelBits:
+    """The stacked-matmul kernels give the einsum forms' bits, point for point.
+
+    Bits are kept where each contraction sums at most one nonzero product:
+    diagonal metrics, and the vectors the sweep passes (coordinate axes, or
+    planes through e1 whose curvature terms vanish).  With dense vectors the
+    kernels group u g v and R(v, u, v) as nested sums where the einsums
+    sum all terms in one run, so the last bits may differ there.
+    """
+
+    METRICS = {
+        "warped": lambda: hc.warped_metric(),
+        "conformal": lambda: hc.quotient_conformal_metric(hc.warped_metric()),
+        "halfplane": lambda: hc.induced_halfplane_metric(hc.warped_metric()),
+    }
+
+    @pytest.mark.parametrize("n", (1, CHUNK - 1, CHUNK, CHUNK + 1))
+    @pytest.mark.parametrize("name", ["warped", "conformal", "halfplane"])
+    def test_same_bits(self, name, n):
+        m = self.METRICS[name]()
+        c, g, d = kernel_inputs(m, n)
+        ginv = tensor_core._inv_small(g)
+        assert same_bits(ginv, moveaxis_inv_small(g))
+        gamma = tensor_core._christoffel(m, c)
+        assert same_bits(tensor_core._levi_civita(ginv, d), einsum_levi_civita(ginv, d))
+        assert same_bits(tensor_core._nabla(gamma, g, d), einsum_nabla(gamma, g, d))
+        if m.dim == 3:
+            # C9's pair: the model's connection against g' = z^-2 g
+            model = hc.warped_metric()
+            gp = tensor_core._metric(hc.quotient_conformal_metric(model), c)
+            dp = tensor_core._partials(hc.quotient_conformal_metric(model), c)
+            gamma = tensor_core._christoffel(model, c)
+            assert same_bits(tensor_core._nabla(gamma, gp, dp), einsum_nabla(gamma, gp, dp))
+
+        curvature = tensor_core._curvature(m, c)
+        for got, want in zip(curvature, einsum_curvature(m, c)):
+            assert same_bits(got, want)
+        riemann = curvature[0]
+        e = np.eye(m.dim)
+        u, axes = axis_vectors(n, m.dim, np.full(n, m.dim - 1), seed=n)
+        v, _ = axis_vectors(n, m.dim, axes, seed=n + 1)
+        theta = np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, n)
+        planes = np.stack([np.full(n, 0.3), np.cos(theta), np.sin(theta)], -1)
+        cases = [(e[-2], e[-1]),  # C4's (e2, e3) pair, C11's (e1, e2): the gemv branch
+                 (e[-1], u), (u, e[-1]), (u, v)]
+        if name == "warped":
+            cases.append((e[0], planes))  # C4's and C12's flat planes containing e1
+        for a, b in cases:
+            assert same_bits(hc.sectional_curvature(g, riemann, a, b),
+                             einsum_sectional_curvature(g, riemann, a, b))
+        # the 2x2 cofactors of general matrices, not only of the diagonal leaf
+        general = np.random.default_rng(n).normal(size=(n, 2, 2))
+        assert same_bits(tensor_core._inv_small(general), moveaxis_inv_small(general))
+        for i in range(min(n, 3)):  # one point: the float the public call returns
+            assert (hc.sectional_curvature(g[i], riemann[i], u[i], v[i])
+                    == einsum_sectional_curvature(g[i], riemann[i], u[i], v[i]))
+
+    @pytest.mark.parametrize("config", [
+        {}, {"metric_exponent": 3.0}, {"matrix": ((1000, 999), (1, 1))}],
+        ids=["default", "exponent-3", "trace-1001"])
+    def test_same_report_as_einsum_kernels(self, config, monkeypatch):
+        cfg = hc.ChecklistConfig(samples=CHUNK + 1, **config)
+        matmul = hc.emit_report(hc.run_checklist(cfg), "json")
+        for module in (tensor_core, checklist, foliation):
+            for name, kernel in EINSUM_KERNELS.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, kernel)
+        assert checklist._nabla is einsum_nabla
+        assert foliation.sectional_curvature is einsum_sectional_curvature
+        assert hc.emit_report(hc.run_checklist(cfg), "json") == matmul
+
+    @pytest.mark.parametrize("n", (1, CHUNK + 1))
+    def test_non_diagonal_metric(self, skewed, n):
+        # Sums of several nonzero products: BLAS may order or fuse them
+        # differently from einsum, so agreement is to rel 1e-13 of the size
+        # of the terms summed, not to the bit.
+        m = skewed
+        c, g, d = kernel_inputs(m, n)
+        ginv = tensor_core._inv_small(g)
+        gamma = tensor_core._levi_civita(ginv, d)
+        assert_close(gamma, einsum_levi_civita(ginv, d), np.abs(gamma))
+        # nabla of g's own connection is roundoff on terms of size |d|
+        assert_close(tensor_core._nabla(gamma, g, d), einsum_nabla(gamma, g, d),
+                     np.max(np.abs(d), axis=(-3, -2, -1), keepdims=True))
+        # the Riemann gathers only move entries: bits hold here too
+        curvature = tensor_core._curvature(m, c)
+        for got, want in zip(curvature, einsum_curvature(m, c)):
+            assert same_bits(got, want)
+        riemann = curvature[0]
+        e = np.eye(3)
+        dense = np.random.default_rng(n).uniform(-1.0, 1.0, (2, n, 3))
+        for u, v in ((e[1], e[2]), (e[0], dense[1]), (dense[0], e[2]), tuple(dense)):
+            assert_close(hc.sectional_curvature(g, riemann, u, v),
+                         einsum_sectional_curvature(g, riemann, u, v),
+                         sectional_scale(g, riemann, u, v))
