@@ -19,9 +19,7 @@ from .tensor_core import (
     christoffel_at,
     conformal_deviation_at,
     covariant_metric_derivative_at,
-    euclidean_metric,
     metric_at,
-    metric_partials_at,
     riemann_at,
     sectional_curvature,
     warped_metric,
@@ -56,15 +54,12 @@ from .quotient import (
     SingularMatrixError,
     ToralMatrix,
     ToralMatrixError,
-    classify_holonomy,
-    deck_apply,
     deck_differential,
     eigen_basis,
     holonomy_element,
     holonomy_of_loop,
     pullback_metric_residual,
     quotient_conformal_metric,
-    reduce_to_fundamental_domain,
     validate_toral_matrix,
 )
 from .foliation import (
@@ -75,8 +70,6 @@ from .foliation import (
     induced_halfplane_metric,
     induced_line_metric,
     leaf_first_check,
-    leaf_second_check,
-    product_split_check,
 )
 from .report import CheckResult, VerificationReport, emit_report
 from .checklist import ChecklistConfig, ConfigError, emit_traces, run_checklist

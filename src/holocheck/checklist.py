@@ -29,15 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .foliation import (
-    _fold_leaf_curvature,
-    _fold_product_split,
-    _halfplane_report,
-    _product_split_report,
-    _split_planes,
-    induced_halfplane_metric,
-    leaf_first_check,
-)
+from .foliation import gaussian_curvature, induced_halfplane_metric, leaf_first_check
 from .quotient import (
     LoopClass,
     ToralMatrixError,
@@ -70,6 +62,7 @@ from .transport import (
     _transport_curves,
     coordinate_rectangle,
     integrate_geodesic,
+    integrate_geodesic_coords,
     trajectory_to_csv,
     transport_frame_trace,
     transport_matrix,
@@ -105,6 +98,8 @@ class ChecklistConfig:
             raise ConfigError("t_max must be positive and finite")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if not math.isfinite(self.metric_exponent):
+            raise ConfigError("metric_exponent must be finite")
         try:
             IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
         except ValueError as exc:
@@ -221,7 +216,7 @@ class _Context:
         """
         results = {check_id: _Maxima() for check_id, _ in _SWEEP}
         for sl in chunks(len(self.points)):
-            geo = _Geometry(self.metric, self.points[sl], "exact")
+            geo = _Geometry(self.metric, self.points[sl])
             for check_id, fold in _SWEEP:
                 out = results[check_id]
                 if isinstance(out, Exception):
@@ -295,14 +290,37 @@ def _fold_conformal(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
     out.fold("invariance", _deck_defect(ctx.df, 1.0, ctx.gprime, c, gp))
 
 
+_LEAF_CURVATURE = "gaussian_curvature_times_z2_is_minus_2"
+
+
 def _fold_halfplane_leaf(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
     # The leaf's own induced metric at the sweep's heights, not the ambient
     # Riemann tensor: C11 stays an independent cross-check of C4.
-    _fold_leaf_curvature(ctx.leaf, geo.c[:, 2], out)
+    z = geo.c[:, 2]
+    k = gaussian_curvature(ctx.leaf, np.stack([np.zeros_like(z), z], axis=-1))
+    out.fold(_LEAF_CURVATURE, np.abs(k * z * z / -2.0 - 1.0))
+
+
+# Christoffel symbols with an index along the line direction e1.
+_MIXED = np.zeros((3, 3, 3), dtype=bool)
+_MIXED[0, :, :] = _MIXED[:, 0, :] = _MIXED[:, :, 0] = True
+_SHIFT = np.array([1.3, -0.7, 0.0])
+
+
+def _split_planes(n: int, seed: int) -> np.ndarray:
+    """C12's (n, 3) mixed planes: per point a theta, then an x for (x, cos, sin)."""
+    draws = np.random.default_rng(seed).uniform([0.0, -1.0], [2 * np.pi, 1.0], (n, 2))
+    return np.stack([draws[:, 1], np.cos(draws[:, 0]), np.sin(draws[:, 0])], axis=-1)
 
 
 def _fold_split(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
-    _fold_product_split(geo, ctx.split_planes[sl], out)
+    g = geo.g
+    out.fold("metric_block_diagonal", np.abs(g[:, 0, 1:]))
+    out.fold("line_block_constant", np.abs(g[:, 0, 0] - 1.0))
+    out.fold("blocks_depend_only_on_z", np.abs(_metric(geo.m, geo.c + _SHIFT) - g))
+    out.fold("mixed_christoffel_vanish", np.abs(geo.gamma[:, _MIXED]))
+    out.fold("planes_containing_line_flat",
+             np.abs(sectional_curvature(g, geo.curvature[0], _E1, ctx.split_planes[sl])))
 
 
 # The sampled checks, in the order they fold each chunk of the one sweep.
@@ -393,12 +411,30 @@ def _check_line_leaf(ctx: _Context) -> CheckResult:
 
 
 def _check_halfplane_leaf(ctx: _Context) -> CheckResult:
-    report = _halfplane_report(ctx.leaf, ctx.swept("C11"), ctx.cfg)
-    return _composite("C11", report.items)
+    curvature = ctx.swept("C11")[_LEAF_CURVATURE]
+    *_, term = integrate_geodesic_coords(
+        ctx.leaf, np.array([0.0, 1.0]), np.array([0.0, -1.0]), 2.0, ctx.cfg)
+    t_escape = term.t_escape if term.escaped else math.inf
+    return _composite("C11", [
+        (_LEAF_CURVATURE, curvature, 1e-6),
+        ("downward_geodesic_escapes_at_t1", abs(t_escape - 1.0), 1e-6),
+        # the unit-speed line z = 1 - t meets the floor at 1 - Z_FLOOR
+        ("downward_geodesic_escapes_at_crossing", abs(t_escape - (1.0 - Z_FLOOR)), 1e-8),
+    ])
+
+
+_SPLIT_TOLERANCES = (
+    ("metric_block_diagonal", 1e-12),
+    ("line_block_constant", 1e-12),
+    ("blocks_depend_only_on_z", 1e-12),
+    ("mixed_christoffel_vanish", 1e-10),
+    ("planes_containing_line_flat", 1e-8),
+)
 
 
 def _check_product_split(ctx: _Context) -> CheckResult:
-    return _composite("C12", _product_split_report(ctx.swept("C12")).items)
+    out = ctx.swept("C12")
+    return _composite("C12", [(name, out[name], tol) for name, tol in _SPLIT_TOLERANCES])
 
 
 _CHECKS = [

@@ -140,32 +140,6 @@ def eigen_basis(a: ToralMatrix) -> EigenBasis:
                       torus_to_eigen=np.linalg.inv(e2t))
 
 
-def _int_matrix_power(a: ToralMatrix, k: int) -> np.ndarray:
-    base = a.matrix if k >= 0 else a.inverse().matrix
-    out = np.eye(2, dtype=np.int64)
-    for _ in range(abs(k)):
-        out = out @ base
-    return out
-
-
-def deck_apply(a: ToralMatrix, p: Sequence[float], k: int = 1) -> np.ndarray:
-    """Apply the k-th power of the deck map in torus coordinates.
-
-    (x, y, z) -> (A^k (x, y) mod 1, lambda^k z); the torus part is reduced
-    into [0, 1).  k may be negative (the matrix power stays exact integer
-    arithmetic because det A = 1).
-    """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (3,):
-        raise ValueError(f"expected torus coordinates (x, y, z), got shape {p.shape}")
-    if p[2] <= 0.0:
-        raise ChartDomainError(f"torus point requires z > 0, got z={p[2]}")
-    lam = eigen_basis(a).lam
-    ak = _int_matrix_power(a, k)
-    xy = np.mod(ak @ p[:2], 1.0)
-    return np.array([xy[0], xy[1], lam ** k * p[2]])
-
-
 def deck_differential(a: ToralMatrix, frame: Optional[EigenBasis] = None) -> np.ndarray:
     """Differential of the deck map in the eigenbasis frame (v1, v2, v3).
 
@@ -207,25 +181,6 @@ def _deck_defect(df: np.ndarray, factor: float, m: MetricField, c: np.ndarray,
     # the right factor as one product over the flattened batch
     pulled = ((df.T @ g_image).reshape(-1, 3) @ df).reshape(g_image.shape)
     return np.max(np.abs(pulled - factor * g_here), axis=(-2, -1))
-
-
-def reduce_to_fundamental_domain(a: ToralMatrix, p: Sequence[float]):
-    """Move p into the fundamental domain z in [1, lambda), torus part in [0, 1).
-
-    Returns ``(q, k)`` with ``f^k(p) = q``; k is the unique integer with
-    z / lambda^k in [1, lambda).
-    """
-    p = np.asarray(p, dtype=float)
-    lam = eigen_basis(a).lam
-    if p[2] <= 0.0:
-        raise ChartDomainError(f"torus point requires z > 0, got z={p[2]}")
-    n = math.floor(math.log(p[2]) / math.log(lam))
-    while p[2] / lam ** n >= lam:
-        n += 1
-    while p[2] / lam ** n < 1.0:
-        n -= 1
-    q = deck_apply(a, p, k=-n)
-    return q, -n
 
 
 def quotient_conformal_metric(m: MetricField) -> MetricField:
@@ -305,15 +260,16 @@ def _length_ratios(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.sqrt(out_sq / in_sq)
 
 
-def classify_holonomy(h, g_at_base: np.ndarray):
-    """Split a holonomy element into scale and g-orthogonal part.
+def holonomy_element(matrix: np.ndarray, g_at_base: np.ndarray) -> HolonomyElement:
+    """Classify a raw holonomy matrix at a base point with metric ``g_at_base``.
 
-    Accepts a HolonomyElement or a bare 3x3 matrix.  Returns
-    ``(scale, ortho_part, invariant_line_residual)`` where scale is the
-    per-vector g-length ratio averaged over the frame and the residual is
-    the sine of the g-angle between the image of v1 and v1.
+    The scale is the per-vector g-length ratio averaged over the frame, and
+    the invariant-line residual is the sine of the g-angle between the image
+    of v1 and v1.  The reported defect folds together the g-orthogonality
+    residual of matrix/scale and the spread of the per-vector length ratios,
+    so it is small only for genuine similarities.
     """
-    matrix = np.asarray(getattr(h, "matrix", h), dtype=float)
+    matrix = np.array(matrix, dtype=float)
     g = np.asarray(g_at_base, dtype=float)
     if abs(np.linalg.det(matrix)) < 1e-300:
         raise SingularMatrixError("holonomy matrix is singular")
@@ -322,20 +278,7 @@ def classify_holonomy(h, g_at_base: np.ndarray):
     u = matrix[:, 0]
     e1 = np.array([1.0, 0.0, 0.0])
     cos = float(u @ g @ e1) / math.sqrt(float(u @ g @ u) * float(e1 @ g @ e1))
-    residual = math.sqrt(max(0.0, 1.0 - min(1.0, cos * cos)))
-    return scale, ortho_part, residual
-
-
-def holonomy_element(matrix: np.ndarray, g_at_base: np.ndarray) -> HolonomyElement:
-    """Build a classified HolonomyElement from a raw matrix.
-
-    The reported defect folds together the g-orthogonality residual of
-    matrix/scale and the spread of the per-vector length ratios, so it is
-    small only for genuine similarities.
-    """
-    matrix = np.array(matrix, dtype=float)
-    g = np.asarray(g_at_base, dtype=float)
-    scale, ortho_part, line_residual = classify_holonomy(matrix, g)
+    line_residual = math.sqrt(max(0.0, 1.0 - min(1.0, cos * cos)))
     orth_res = float(np.max(np.abs(ortho_part.T @ g @ ortho_part - g)))
     spread = float(np.max(np.abs(_length_ratios(matrix, g) - scale)))
     matrix.setflags(write=False)

@@ -217,18 +217,6 @@ def warped_metric(exponent: float = 4.0) -> MetricField:
                        christoffel=christoffel)
 
 
-def euclidean_metric(dim: int = 3) -> MetricField:
-    """Constant identity metric on the chart (flat comparison model)."""
-
-    def components(c):
-        return np.zeros(c.shape[:-1] + (dim, dim)) + np.eye(dim)
-
-    def partials(c):
-        return np.zeros(c.shape[:-1] + (dim, dim, dim))
-
-    return MetricField(components, partials, label="euclidean", dim=dim)
-
-
 @dataclass(frozen=True, eq=False)
 class ChristoffelAtPoint:
     """Christoffel symbols ``gamma[k, i, j] = Gamma^k_ij`` at one point."""
@@ -329,38 +317,26 @@ def _metric(m: MetricField, c: np.ndarray) -> np.ndarray:
 def _inv_small(g: np.ndarray) -> np.ndarray:
     """Closed-form inverse for the 2x2/3x3 matrices of the chart metrics.
 
-    An unbatched matrix unpacks into Python floats (the geodesic hot path).
-    A batch of 3x3 matrices takes its cofactors as cross products of
-    cyclically rolled rows, ``cof[:, i] = row(i + 1) x row(i + 2)``, on whole
-    arrays.  Both run the same products and subtractions in the same order
-    in IEEE double, so a point gives the same bits either way.
+    ``g`` is one matrix or a batch of them, shape (..., n, n).  A 3x3
+    inverse takes its cofactors as cross products of cyclically rolled
+    rows, ``cof[:, i] = row(i + 1) x row(i + 2)``, on whole arrays; a 2x2
+    one reverses the matrix over a signed determinant.  The products and
+    subtractions are those of the textbook cofactor formulas, in the same
+    order, so a matrix gets the same bits alone or inside a batch.
     """
     n = g.shape[-1]
-    if n not in (2, 3):
-        return np.linalg.inv(g)
-    if n == 3 and g.ndim > 2:
+    if n == 3:
         flat = g.reshape(g.shape[:-2] + (9,))
         cr = (flat.take(_ROLL[1, 1], -1) * flat.take(_ROLL[2, 2], -1)
               - flat.take(_ROLL[1, 2], -1) * flat.take(_ROLL[2, 1], -1))
         terms = g[..., 0, :] * cr[..., 0, :]
         det = terms[..., 0] + terms[..., 1] + terms[..., 2]
         return cr.swapaxes(-1, -2) / det[..., None, None]
-    if g.ndim > 2:
+    if n == 2:
         # [[e, -b], [-d, a]] / det as the reversed matrix over a signed det
         det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
         return g[..., ::-1, ::-1].swapaxes(-1, -2) / (det[..., None, None] * _COF2_SIGN)
-    rows = g.tolist()
-    if n == 3:
-        (a, b, c), (d, e, f), (p, q, r) = rows
-        det = a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
-        return np.array([
-            [e * r - f * q, c * q - b * r, b * f - c * e],
-            [f * p - d * r, a * r - c * p, c * d - a * f],
-            [d * q - e * p, b * p - a * q, a * e - b * d],
-        ]) / det
-    (a, b), (d, e) = rows
-    det = a * e - b * d
-    return np.array([[e, -b], [-d, a]]) / det
+    return np.linalg.inv(g)
 
 
 def _partials(m: MetricField, c: np.ndarray, method: str = "auto",
@@ -478,6 +454,16 @@ def _conformal_deviation(m_conn: MetricField, m_target: MetricField,
                           _metric(m_target, c), v)
 
 
+def _worst(values) -> float:
+    """The largest of ``values`` as a float, +inf if any of them is NaN.
+
+    Python's ``max`` skips a NaN that comes second, and a residual of NaN
+    would pass no check, so a NaN residual reads as the worst one.
+    """
+    top = float(np.max(values))
+    return np.inf if np.isnan(top) else top
+
+
 class _Maxima(dict):
     """Running maxima of named residuals, folded in one chunk at a time."""
 
@@ -485,24 +471,23 @@ class _Maxima(dict):
         return 0.0
 
     def fold(self, name: str, values) -> None:
-        self[name] = max(self[name], float(np.max(values)))
+        self[name] = max(self[name], _worst(values))
 
 
 class _Geometry:
     """The geometry of ``m`` at one chunk of points, each array built once.
 
-    The points are validated on first use; g, its partials (``method``),
-    g^-1, the Christoffel symbols (the model's closed form unless ``method``
-    is "numeric") and ``(riemann, ricci, scalar)`` are each computed at most
-    once, however many checks read them.  An array whose
-    construction raises is not cached, so it raises again for every reader:
-    a fault in the shared geometry fails each check that uses it.
+    The points are validated on first use; g, its exact partials, g^-1, the
+    Christoffel symbols (the model's closed form when it ships one, else
+    the Levi-Civita connection of g) and ``(riemann, ricci, scalar)`` are
+    each computed at most once, however many checks read them.  An array
+    whose construction raises is not cached, so it raises again for every
+    reader: a fault in the shared geometry fails each check that uses it.
     """
 
-    def __init__(self, m: MetricField, points: np.ndarray, method: str = "auto"):
+    def __init__(self, m: MetricField, points: np.ndarray):
         self.m = m
         self.points = points
-        self.method = method
 
     @cached_property
     def c(self) -> np.ndarray:
@@ -514,7 +499,7 @@ class _Geometry:
 
     @cached_property
     def dg(self) -> np.ndarray:
-        return _partials(self.m, self.c, self.method)
+        return _partials(self.m, self.c, "exact")
 
     @cached_property
     def ginv(self) -> np.ndarray:
@@ -522,13 +507,13 @@ class _Geometry:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        if self.method != "numeric" and self.m.christoffel is not None:
-            return _christoffel(self.m, self.c, self.method)
+        if self.m.christoffel is not None:
+            return _christoffel(self.m, self.c, "exact")
         return _levi_civita(self.ginv, self.dg)
 
     @cached_property
     def curvature(self):
-        return _curvature(self.m, self.c, self.method, gamma=self.gamma, ginv=self.ginv)
+        return _curvature(self.m, self.c, "exact", gamma=self.gamma, ginv=self.ginv)
 
 
 def metric_at(m: MetricField, p: PointLike) -> np.ndarray:
@@ -546,19 +531,6 @@ def metric_at(m: MetricField, p: PointLike) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise MetricError("metric components are not positive definite") from None
     return g
-
-
-def metric_partials_at(m: MetricField, p: PointLike, h: Optional[float] = None,
-                       method: str = "auto") -> np.ndarray:
-    """Partial derivatives ``out[k] = d_k g`` at ``p``.
-
-    ``method`` selects the exact-partials path when the model carries one
-    ("auto"/"exact") or forces central differences with step ``h``
-    ("numeric"); the numeric path is the independent cross-check of the
-    exact one.
-    """
-    c = _coords(m, p)
-    return _partials(m, c, method, h)
 
 
 def christoffel_at(m: MetricField, p: PointLike, method: str = "auto",

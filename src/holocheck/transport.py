@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -493,12 +494,32 @@ class TrajectorySample:
     velocity: TangentVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Accepted integration samples of a geodesic plus its termination."""
+    """A geodesic's accepted steps, one row each, plus its termination.
 
-    samples: Tuple[TrajectorySample, ...]
+    ``ts``, ``xs`` and ``vs`` are the arrays :func:`integrate_geodesic_coords`
+    returns: parameters, positions and velocities, made read-only.
+    ``samples`` is a view of the same rows as :class:`TrajectorySample`
+    objects, built on first use.
+    """
+
+    ts: np.ndarray
+    xs: np.ndarray
+    vs: np.ndarray
     termination: Termination
+
+    def __post_init__(self):
+        for rows in (self.ts, self.xs, self.vs):
+            rows.setflags(write=False)
+
+    @cached_property
+    def samples(self) -> Tuple[TrajectorySample, ...]:
+        out = []
+        for t, x, v in zip(self.ts, self.xs, self.vs):
+            pt = ChartPoint.from_coords(x)
+            out.append(TrajectorySample(float(t), pt, TangentVector(pt, v)))
+        return tuple(out)
 
     @property
     def final(self) -> TrajectorySample:
@@ -564,20 +585,15 @@ def integrate_geodesic(m: MetricField, p0: ChartPoint, v0: TangentVector,
         raise ValueError("chart trajectories require a 3D metric; "
                          "use integrate_geodesic_coords for other dimensions")
     v0c = _vector(v0, 3, base=p0.coords)
-    ts, xs, vs, term = integrate_geodesic_coords(m, p0.coords, v0c, t_max, cfg)
-    samples = []
-    for t, x, v in zip(ts, xs, vs):
-        pt = ChartPoint.from_coords(x)
-        samples.append(TrajectorySample(float(t), pt, TangentVector(pt, v)))
-    return Trajectory(samples=tuple(samples), termination=term)
+    return Trajectory(*integrate_geodesic_coords(m, p0.coords, v0c, t_max, cfg))
 
 
 def geodesic_energy_drift(m: MetricField, traj: Trajectory) -> float:
-    """Max relative drift of g(v, v) along the trajectory samples."""
+    """Max relative drift of g(v, v) along the trajectory's steps."""
     energies = []
-    for s in traj.samples:
-        g = np.asarray(m.components(s.point.coords), dtype=float)
-        energies.append(float(s.velocity.comp @ g @ s.velocity.comp))
+    for x, v in zip(traj.xs, traj.vs):
+        g = np.asarray(m.components(x), dtype=float)
+        energies.append(float(v @ g @ v))
     e0 = energies[0]
     return float(np.max(np.abs(np.array(energies) - e0)) / abs(e0))
 
@@ -761,7 +777,6 @@ def curvature_via_loop(m: MetricField, p: ChartPoint, i: int, j: int,
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV dump of a trajectory: columns t, xt, yt, z, v1, v2, v3."""
     lines = ["t,xt,yt,z,v1,v2,v3"]
-    for s in traj.samples:
-        row = [s.t, s.point.xt, s.point.yt, s.point.z, *s.velocity.comp]
+    for row in np.column_stack([traj.ts, traj.xs, traj.vs]).tolist():
         lines.append(",".join(f"{x:.17g}" for x in row))
     return "\n".join(lines) + "\n"

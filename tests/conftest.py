@@ -1,6 +1,19 @@
+import numpy as np
 import pytest
 
 import holocheck as hc
+
+
+def euclidean_metric(dim=3):
+    """Constant identity metric on the chart (flat comparison model)."""
+
+    def components(c):
+        return np.zeros(c.shape[:-1] + (dim, dim)) + np.eye(dim)
+
+    def partials(c):
+        return np.zeros(c.shape[:-1] + (dim, dim, dim))
+
+    return hc.MetricField(components, partials, label="euclidean", dim=dim)
 
 
 @pytest.fixture(scope="session")
@@ -10,7 +23,7 @@ def model():
 
 @pytest.fixture(scope="session")
 def euclid():
-    return hc.euclidean_metric()
+    return euclidean_metric()
 
 
 @pytest.fixture(scope="session")

@@ -85,20 +85,41 @@ class TestBatchMatchesSinglePoints:
                 for x in c] == list(batch)
 
 
+def float_inverse(g):
+    """The cofactor inverse of one 2x2 or 3x3 matrix, one Python float at a
+    time: the bit reference for ``tensor_core._inv_small``."""
+    rows = g.tolist()
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (p, q, r) = rows
+        det = a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
+        return np.array([
+            [e * r - f * q, c * q - b * r, b * f - c * e],
+            [f * p - d * r, a * r - c * p, c * d - a * f],
+            [d * q - e * p, b * p - a * q, a * e - b * d],
+        ]) / det
+    (a, b), (d, e) = rows
+    return np.array([[e, -b], [-d, a]]) / (a * e - b * d)
+
+
 class TestNonDiagonalBatches:
     """Off-diagonal cofactor terms: every built-in model metric is diagonal."""
 
     @pytest.mark.parametrize("n", (1, 2, CHUNK + 1))
     @pytest.mark.parametrize("kind, dim", [("general", 3), ("spd", 3), ("general", 2),
-                                           ("spd", 2)],
-                             ids=["general", "spd", "2x2-general", "2x2-spd"])
+                                           ("spd", 2), ("diagonal", 3), ("diagonal", 2)],
+                             ids=["general", "spd", "2x2-general", "2x2-spd",
+                                  "diagonal", "2x2-diagonal"])
     def test_inverse(self, kind, dim, n):
         g = np.random.default_rng(n).normal(size=(n, dim, dim))
         if kind == "spd":
             g = g @ g.swapaxes(-1, -2) + 0.1 * np.eye(dim)
+        elif kind == "diagonal":
+            g = g * np.eye(dim)  # negative entries leave -0.0 off the diagonal
         batch = tc._inv_small(g)
         for i in range(n):
-            assert np.array_equal(tc._inv_small(g[i]), batch[i])
+            reference = float_inverse(g[i]).tobytes()
+            assert tc._inv_small(g[i]).tobytes() == reference
+            assert batch[i].tobytes() == reference
         assert np.max(np.abs(batch @ g - np.eye(dim))) < 1e-8
 
     @pytest.mark.parametrize("n", (1, 2, CHUNK + 1))
@@ -132,7 +153,7 @@ def test_checklist_residuals_are_single_point_maxima(cat):
     # the closed-form connection against g's central differences
     numeric = max(np.max(np.abs(tc._nabla(
         hc.christoffel_at(m, p).gamma, hc.metric_at(m, p),
-        hc.metric_partials_at(m, p, method="numeric", h=1e-5)))) for p in pts)
+        tc._partials(m, p.coords, "numeric", 1e-5)))) for p in pts)
     assert by_id["C3"] == max(exact / cfg.tol_abs, numeric / 1e-5)
 
     curv = [hc.riemann_at(m, p) for p in pts]
@@ -159,8 +180,9 @@ def test_checklist_residuals_are_single_point_maxima(cat):
     leaf = hc.induced_halfplane_metric(m)
     curv_res = max(abs(hc.gaussian_curvature(leaf, np.array([0.0, p.z])) * p.z * p.z
                        / -2.0 - 1.0) for p in pts)
-    escape = hc.leaf_second_check(m, [], cfg=ctx.cfg).items[1]
-    assert by_id["C11"] == max(curv_res / 1e-6, escape.residual / escape.tolerance)
+    *_, term = hc.integrate_geodesic_coords(leaf, [0.0, 1.0], [0.0, -1.0], 2.0, ctx.cfg)
+    assert by_id["C11"] == max(curv_res / 1e-6, abs(term.t_escape - 1.0) / 1e-6,
+                               abs(term.t_escape - (1.0 - hc.Z_FLOOR)) / 1e-8)
 
     rng = np.random.default_rng(cfg.seed)
     mixed_gamma = mixed_plane = 0.0
@@ -230,7 +252,10 @@ class TestBatchSafetyChecks:
 
     def test_checks_reject_floor_point(self, cat, model):
         c = self.batch([0.0, 0.0, 1e-7])
-        with pytest.raises(ChartDomainError):
-            hc.product_split_check(model, c)
+        ctx = checklist._Context(hc.ChecklistConfig(samples=len(c)), cat)
+        ctx.points = c
+        for check_id in ("C2", "C3", "C4", "C9", "C11", "C12"):
+            with pytest.raises(ChartDomainError, match="floor"):
+                ctx.swept(check_id)
         with pytest.raises(ChartDomainError):
             hc.pullback_metric_residual(cat, model, c)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import holocheck as hc
-from holocheck import ChartPoint, TangentVector
+from holocheck import ChartPoint, TangentVector, checklist
+
+
+@pytest.fixture(scope="module")
+def sweep(cat):
+    """The checklist's sweep over 100 sample points."""
+    return checklist._Context(hc.ChecklistConfig(samples=100, seed=1), cat)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +33,22 @@ class TestLineLeaf:
         names = [i.name for i in report.items]
         assert "long_horizon_geodesic_completes" in names
 
+    def test_nan_metric_fails(self, model, cfg):
+        # NaN in g at xt = 4, one of the leaf's sample points; the geodesic
+        # and the transport read the closed-form symbols, which stay finite
+        def components(c):
+            g = model.components(c)
+            g[c[..., 0] == 4.0] = np.nan
+            return g
+
+        nan_model = hc.MetricField(components, model.exact_partials,
+                                   christoffel=model.christoffel)
+        report = hc.leaf_first_check(nan_model, t_max=10.0, cfg=cfg)
+        assert not report.passed
+        assert report.items[0].name == "induced_metric_constant"
+        assert report.items[0].residual == np.inf
+        assert all(item.residual == 0.0 for item in report.items[1:])
+
 
 class TestHalfplaneLeaf:
     def test_induced_metric(self, model):
@@ -46,13 +68,11 @@ class TestHalfplaneLeaf:
             kk = hc.gaussian_curvature(leaf.induced_metric, np.array([0.0, z]))
             assert abs(kk * z * z / -2.0 - 1.0) < 1e-6
 
-    def test_report_passes(self, model, cfg):
-        report = hc.leaf_second_check(model, [0.5, 1.0, 2.0, 7.0], cfg=cfg)
-        assert report.kind == "halfplane_leaf"
-        assert report.passed
-        escape = next(i for i in report.items
-                      if i.name == "downward_geodesic_escapes_at_t1")
-        assert escape.residual <= 1e-6
+    def test_report_passes(self, sweep):
+        c11 = checklist._check_halfplane_leaf(sweep)
+        assert c11.passed
+        assert "downward_geodesic_escapes_at_t1: residual=" in c11.note
+        assert sweep.swept("C11")["gaussian_curvature_times_z2_is_minus_2"] <= 1e-6
 
     def test_gaussian_needs_2d(self, model):
         with pytest.raises(ValueError):
@@ -60,13 +80,12 @@ class TestHalfplaneLeaf:
 
 
 class TestProductSplit:
-    def test_report_passes(self, model, points100):
-        report = hc.product_split_check(model, points100)
-        assert report.passed
-        by_name = {i.name: i for i in report.items}
-        assert by_name["metric_block_diagonal"].residual == 0.0
-        assert by_name["mixed_christoffel_vanish"].residual <= 1e-10
-        assert by_name["planes_containing_line_flat"].residual <= 1e-8
+    def test_report_passes(self, sweep):
+        assert checklist._check_product_split(sweep).passed
+        out = sweep.swept("C12")
+        assert out["metric_block_diagonal"] == 0.0
+        assert out["mixed_christoffel_vanish"] <= 1e-10
+        assert out["planes_containing_line_flat"] <= 1e-8
 
     def test_distributions_orthogonal(self, model, points100):
         for p in points100[:25]:

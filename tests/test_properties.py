@@ -8,7 +8,6 @@ from holocheck import ChartPoint
 
 chart_x = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 chart_z = st.floats(min_value=0.2, max_value=10.0, allow_nan=False)
-torus_xy = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 # family of hyperbolic matrices [[n+1, 1], [n, 1]]: det 1, trace n + 2 > 2
 hyperbolic_n = st.integers(min_value=1, max_value=9)
 
@@ -43,29 +42,6 @@ def test_scalar_curvature_profile(x, y, z):
 def test_riemann_antisymmetry(x, y, z):
     r = hc.riemann_at(MODEL, ChartPoint(x, y, z)).riemann
     assert np.max(np.abs(r + r.transpose(0, 1, 3, 2))) < 1e-9
-
-
-@settings(deadline=None, max_examples=100)
-@given(hyperbolic_n, torus_xy, torus_xy,
-       st.floats(min_value=0.05, max_value=50.0, allow_nan=False))
-def test_deck_apply_bijection(n, x, y, z):
-    a = hc.validate_toral_matrix([[n + 1, 1], [n, 1]])
-    p = np.array([x, y, z])
-    q = hc.deck_apply(a, hc.deck_apply(a, p), k=-1)
-    d = np.abs(q[:2] - p[:2]) % 1.0
-    assert np.max(np.minimum(d, 1.0 - d)) < 1e-12
-    assert abs(q[2] - z) <= 1e-12 * z
-
-
-@settings(deadline=None, max_examples=100)
-@given(hyperbolic_n, torus_xy, torus_xy,
-       st.floats(min_value=0.01, max_value=1000.0, allow_nan=False))
-def test_fundamental_domain_reduction(n, x, y, z):
-    a = hc.validate_toral_matrix([[n + 1, 1], [n, 1]])
-    lam = hc.eigen_basis(a).lam
-    q, k = hc.reduce_to_fundamental_domain(a, np.array([x, y, z]))
-    assert 1.0 <= q[2] < lam
-    assert abs(hc.deck_apply(a, np.array([x, y, z]), k=k)[2] - q[2]) <= 1e-12 * q[2]
 
 
 @settings(deadline=None, max_examples=50)

@@ -8,9 +8,8 @@ PUBLIC = {
     # tensor_core
     "ChartDomainError", "ChartPoint", "DegeneratePlaneError", "MetricError",
     "MetricField", "TangentVector", "Z_FLOOR", "christoffel_at",
-    "conformal_deviation_at", "covariant_metric_derivative_at", "euclidean_metric",
-    "metric_at", "metric_partials_at", "riemann_at", "sectional_curvature",
-    "warped_metric",
+    "conformal_deviation_at", "covariant_metric_derivative_at", "metric_at",
+    "riemann_at", "sectional_curvature", "warped_metric",
     # transport
     "BOUNDARY_ESCAPE", "COMPLETED", "STEP_LIMIT", "CurveError", "CurveSpec",
     "IntegrationError", "IntegratorConfig", "StraightSegment", "Termination",
@@ -20,14 +19,12 @@ PUBLIC = {
     "transport_matrix",
     # quotient
     "EigenBasis", "HolonomyElement", "LiftEscapeError", "LoopClass",
-    "SingularMatrixError", "ToralMatrix", "ToralMatrixError", "classify_holonomy",
-    "deck_apply", "deck_differential", "eigen_basis", "holonomy_element",
-    "holonomy_of_loop", "pullback_metric_residual", "quotient_conformal_metric",
-    "reduce_to_fundamental_domain", "validate_toral_matrix",
+    "SingularMatrixError", "ToralMatrix", "ToralMatrixError", "deck_differential",
+    "eigen_basis", "holonomy_element", "holonomy_of_loop", "pullback_metric_residual",
+    "quotient_conformal_metric", "validate_toral_matrix",
     # foliation
     "FoliationReport", "LeafModel", "gaussian_curvature", "halfplane_leaf",
     "induced_halfplane_metric", "induced_line_metric", "leaf_first_check",
-    "leaf_second_check", "product_split_check",
     # report and checklist
     "CheckResult", "VerificationReport", "emit_report", "ChecklistConfig",
     "ConfigError", "emit_traces", "run_checklist",
@@ -38,4 +35,4 @@ def test_public_surface():
     exported = {name for name, obj in vars(hc).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)}
     assert exported == PUBLIC
-    assert len(PUBLIC) == 69
+    assert len(PUBLIC) == 62

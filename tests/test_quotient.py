@@ -13,15 +13,10 @@ import pytest
 
 import holocheck as hc
 from holocheck import ChartPoint, LoopClass, ToralMatrixError
-from holocheck.tensor_core import _metric
+from holocheck.tensor_core import _metric, _partials
 
 LAM = (3.0 + math.sqrt(5.0)) / 2.0
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
-
-
-def torus_distance(a, b):
-    d = np.abs(np.asarray(a) - np.asarray(b)) % 1.0
-    return np.max(np.minimum(d, 1.0 - d))
 
 
 class TestValidateToralMatrix:
@@ -106,30 +101,6 @@ class TestEigenBasis:
             assert np.max(np.abs(m @ f.v1 - f.lam * f.v1)) < 1e-11 * f.lam
 
 
-class TestDeckApply:
-    def test_fixed_origin(self, cat):
-        q = hc.deck_apply(cat, (0.0, 0.0, 1.0))
-        np.testing.assert_allclose(q, [0.0, 0.0, LAM], atol=1e-15)
-
-    def test_torus_reduction(self, cat):
-        # A (0.5, 0.5) = (1.5, 1.0) = (0.5, 0.0) mod 1
-        q = hc.deck_apply(cat, (0.5, 0.5, 1.0))
-        np.testing.assert_allclose(q, [0.5, 0.0, LAM], atol=1e-15)
-
-    def test_inverse_roundtrip(self, cat):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            p = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0.1, 20)])
-            q = hc.deck_apply(cat, hc.deck_apply(cat, p, k=1), k=-1)
-            assert torus_distance(q[:2], p[:2]) < 1e-12
-            assert abs(q[2] - p[2]) < 1e-12 * p[2]
-
-    def test_powers_compose(self, cat):
-        p = np.array([0.2, 0.7, 1.0])
-        q2 = hc.deck_apply(cat, hc.deck_apply(cat, p))
-        np.testing.assert_allclose(hc.deck_apply(cat, p, k=2), q2, atol=1e-12)
-
-
 class TestDeckDifferential:
     def test_diagonal_form(self, cat, frame):
         df = hc.deck_differential(cat, frame)
@@ -160,35 +131,6 @@ class TestPullbackResidual:
             assert hc.pullback_metric_residual(cat, gprime, p, expected_factor=1.0) < 1e-10
 
 
-class TestFundamentalDomain:
-    def test_example_reduction(self, cat):
-        q, k = hc.reduce_to_fundamental_domain(cat, (0.2, 0.7, 7.0))
-        assert k == -2
-        np.testing.assert_allclose(q, [0.3, 0.9, 7.0 / LAM**2], atol=1e-12)
-        assert abs(q[2] - 1.0213) < 1e-4
-
-    def test_already_inside(self, cat):
-        p = (0.4, 0.9, 1.7)
-        q, k = hc.reduce_to_fundamental_domain(cat, p)
-        assert k == 0
-        np.testing.assert_allclose(q, p, atol=0)
-
-    def test_boundary_convention(self, cat):
-        q, k = hc.reduce_to_fundamental_domain(cat, (0.0, 0.0, LAM))
-        assert k == -1
-        np.testing.assert_allclose(q, [0.0, 0.0, 1.0], atol=1e-12)
-
-    def test_result_in_domain(self, cat):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            p = np.array([rng.uniform(0, 1), rng.uniform(0, 1),
-                          math.exp(rng.uniform(-8, 8))])
-            q, k = hc.reduce_to_fundamental_domain(cat, p)
-            assert 1.0 <= q[2] < LAM
-            np.testing.assert_allclose(hc.deck_apply(cat, p, k=k)[2], q[2],
-                                       rtol=1e-12)
-
-
 class TestConformalMetric:
     def test_values(self, model):
         gprime = hc.quotient_conformal_metric(model)
@@ -200,8 +142,8 @@ class TestConformalMetric:
     def test_exact_partials_match_numeric(self, model):
         gprime = hc.quotient_conformal_metric(model)
         p = ChartPoint(0.3, 0.1, 1.6)
-        exact = hc.metric_partials_at(gprime, p, method="exact")
-        numeric = hc.metric_partials_at(gprime, p, method="numeric", h=1e-6)
+        exact = _partials(gprime, p.coords, "exact")
+        numeric = _partials(gprime, p.coords, "numeric", 1e-6)
         assert np.max(np.abs(exact - numeric)) < 1e-8
 
 
@@ -258,27 +200,22 @@ class TestHolonomy:
 
 
 class TestClassifyHolonomy:
+    """holonomy_element splits a raw matrix into scale and g-orthogonal part."""
+
     def test_identity(self):
-        scale, ortho, res = hc.classify_holonomy(np.eye(3), np.eye(3))
-        assert scale == 1.0 and res == 0.0
-        np.testing.assert_allclose(ortho, np.eye(3), atol=0)
+        elem = hc.holonomy_element(np.eye(3), np.eye(3))
+        assert elem.scale == 1.0 and elem.invariant_line_residual == 0.0
+        assert elem.ortho_defect == 0.0
 
     def test_similarity_decomposition(self):
-        scale, ortho, res = hc.classify_holonomy(np.eye(3) / LAM, np.eye(3))
-        assert abs(scale - 1.0 / LAM) < 1e-15
-        np.testing.assert_allclose(ortho, np.eye(3), atol=1e-14)
-        assert res < 1e-15
-
-    def test_accepts_holonomy_element(self, cat, model, cfg):
-        h = hc.holonomy_of_loop(cat, model, LoopClass(["gz"], ChartPoint(0, 0, 1)), cfg)
-        g_base = _metric(model, np.array([0.0, 0.0, 1.0]))
-        scale, _, res = hc.classify_holonomy(h, g_base)
-        assert abs(scale - h.scale) < 1e-15
-        assert res == h.invariant_line_residual
+        elem = hc.holonomy_element(np.eye(3) / LAM, np.eye(3))
+        assert abs(elem.scale - 1.0 / LAM) < 1e-15
+        assert elem.ortho_defect < 1e-14
+        assert elem.invariant_line_residual < 1e-15
 
     def test_singular_matrix(self):
         with pytest.raises(hc.SingularMatrixError):
-            hc.classify_holonomy(np.zeros((3, 3)), np.eye(3))
+            hc.holonomy_element(np.zeros((3, 3)), np.eye(3))
 
     def test_contractible_loop_element(self, model, cfg):
         base = ChartPoint(0, 0, 1)

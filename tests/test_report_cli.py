@@ -170,7 +170,8 @@ class TestRunChecklist:
         nan, inf = float("nan"), float("inf")
         for bad in (dict(t_max=nan), dict(t_max=inf), dict(tol_abs=nan),
                     dict(tol_rel=nan), dict(tol_abs=inf), dict(seed=-1),
-                    dict(rel_tol=nan), dict(abs_tol=nan)):
+                    dict(rel_tol=nan), dict(abs_tol=nan), dict(metric_exponent=nan),
+                    dict(metric_exponent=inf)):
             with pytest.raises(hc.ConfigError):
                 hc.ChecklistConfig(**bad)
 
@@ -226,7 +227,8 @@ class TestCli:
 
     @pytest.mark.parametrize("args", [["--t-max", "nan"], ["--t-max", "inf"],
                                       ["--tol-abs", "nan"], ["--tol-rel", "nan"],
-                                      ["--seed", "-1"]])
+                                      ["--seed", "-1"], ["--metric-exponent", "nan"],
+                                      ["--metric-exponent", "inf"]])
     def test_bad_config_exit_two(self, capsys, args):
         assert main(args) == 2
         assert "configuration error" in capsys.readouterr().err

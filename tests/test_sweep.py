@@ -4,10 +4,11 @@ The sampled checks (C2, C3, C4, C9, C11, C12) fold one walk over the sample
 chunks: the shared geometry is built once per chunk, a fault in one fold
 fails only its own check, and a fault in the shared geometry fails every
 check that reads it.  The work counts are exact, where timings are not.
+Test-side mutant metrics pin the exact set of checks each one fails, and a
+NaN residual fails its check instead of being skipped by the fold.
 """
 
 import numpy as np
-import pytest
 
 import holocheck as hc
 from holocheck import checklist, foliation, tensor_core
@@ -72,30 +73,39 @@ def test_mutated_exponent_verdicts():
     assert failing(report) == ["C2", "C4", "C7", "C9", "C11"]
 
 
-def xz_coupled_metric(exponent=4.0, eps=0.01):
-    """The model metric plus g_xz = g_zx = eps z, with exact partials.
+def warped_plus(component, entry, partial):
+    """A ``checklist.warped_metric`` stand-in: the model plus one perturbed entry.
 
-    It couples the line leaf to the half-plane leaf, so the chart metric is
-    no longer an orthogonal product.  The base's closed-form Christoffel
-    symbols do not hold for it, so it carries none.
+    ``component(c)`` is added to g at ``entry`` and its mirror, and each
+    ``(k, value(c))`` of ``partial`` to d_k of those entries.  The base's
+    closed-form Christoffel symbols do not hold for it, so it carries none.
     """
-    base = tensor_core.warped_metric(exponent)
+    i, j = entry
 
-    def components(c):
-        g = base.components(c)
-        g[..., 0, 2] = g[..., 2, 0] = eps * c[..., 2]
-        return g
+    def factory(exponent=4.0):
+        base = tensor_core.warped_metric(exponent)
 
-    def partials(c):
-        d = base.exact_partials(c)
-        d[..., 2, 0, 2] = d[..., 2, 2, 0] = eps
-        return d
+        def components(c):
+            g = base.components(c)
+            g[..., i, j] = g[..., j, i] = g[..., i, j] + component(c)
+            return g
 
-    return hc.MetricField(components, partials, label=f"xz-coupled eps={eps:g}")
+        def partials(c):
+            d = base.exact_partials(c)
+            for k, value in partial:
+                d[..., k, i, j] = d[..., k, j, i] = d[..., k, i, j] + value(c)
+            return d
+
+        return hc.MetricField(components, partials, label=f"perturbed g_{i}{j}")
+
+    return factory
 
 
 def test_xz_coupling_fails_c12(cat, monkeypatch):
-    monkeypatch.setattr(checklist, "warped_metric", xz_coupled_metric)
+    # g_xz = g_zx = 0.01 z couples the line leaf to the half-plane leaf, so
+    # the chart metric is no longer an orthogonal product
+    monkeypatch.setattr(checklist, "warped_metric", warped_plus(
+        lambda c: 0.01 * c[..., 2], (0, 2), [(2, lambda c: 0.01)]))
     cfg = hc.ChecklistConfig(samples=10, seed=0)
     assert failing(hc.run_checklist(cfg)) == ["C2", "C4", "C7", "C8", "C9", "C12"]
     ctx = checklist._Context(cfg, cat)
@@ -103,16 +113,54 @@ def test_xz_coupling_fails_c12(cat, monkeypatch):
     assert ctx.swept("C12")["metric_block_diagonal"] == 0.01 * ctx.points[:, 2].max()
 
 
-@pytest.mark.parametrize("samples", (CHUNK - 1, 2 * CHUNK + 3))
-def test_public_leaf_checks_match_the_sweep(cat, samples):
-    """product_split_check and leaf_second_check run the same folds."""
-    cfg = hc.ChecklistConfig(samples=samples, seed=4)
-    ctx = checklist._Context(cfg, cat)
-    split = hc.product_split_check(ctx.metric, ctx.points, seed=cfg.seed)
-    assert split.items == foliation._product_split_report(ctx.swept("C12")).items
-    leaf = hc.leaf_second_check(ctx.metric, ctx.points[:, 2], cfg=ctx.cfg)
-    assert leaf.items == foliation._halfplane_report(ctx.leaf, ctx.swept("C11"),
-                                                     ctx.cfg).items
-    chart_points = [hc.ChartPoint(*p) for p in ctx.points]
-    assert hc.product_split_check(ctx.metric, chart_points, seed=cfg.seed) == split
-    assert all(np.isfinite(item.residual) for item in split.items + leaf.items)
+def test_xy_coupling_fails_c6(monkeypatch):
+    # g_xy = 0.01 z tilts the invariant line: every holonomy moves v1
+    monkeypatch.setattr(checklist, "warped_metric", warped_plus(
+        lambda c: 0.01 * c[..., 2], (0, 1), [(2, lambda c: 0.01)]))
+    report = hc.run_checklist(hc.ChecklistConfig(samples=10, seed=0))
+    assert failing(report) == ["C2", "C4", "C5", "C6", "C7", "C9", "C12"]
+    assert next(c for c in report.checks if c.id == "C6").worst_part == "gy"
+
+
+def test_curved_line_leaf_fails_c10(monkeypatch):
+    # g_xx = 1 + 0.01 xt^2: the line leaf's induced metric is no longer constant
+    monkeypatch.setattr(checklist, "warped_metric", warped_plus(
+        lambda c: 0.01 * c[..., 0] ** 2, (0, 0), [(0, lambda c: 0.02 * c[..., 0])]))
+    report = hc.run_checklist(hc.ChecklistConfig(samples=10, seed=0))
+    assert failing(report) == ["C2", "C5", "C7", "C9", "C10", "C12"]
+    c10 = next(c for c in report.checks if c.id == "C10")
+    assert c10.worst_part == "induced_metric_constant"
+    # the leaf's samples run over xt in [-8, 8]: |g_xx(0) - g_xx(-8)| = 0.01 * 64
+    assert "induced_metric_constant: residual=6.400e-01" in c10.note
+
+
+def test_nan_fold_is_worst():
+    out = tensor_core._Maxima()
+    out.fold("a", [1.0, 2.0])
+    out.fold("a", np.array([np.nan, 0.5]))
+    out.fold("a", [3.0])
+    out.fold("b", [np.nan])
+    out.fold("b", [1.0])
+    assert out == {"a": np.inf, "b": np.inf}
+    assert tensor_core._worst([0.25, 0.5]) == 0.5
+
+
+def test_nan_metric_fails_every_sampled_check(cat, monkeypatch):
+    # NaN in g at the height of one sample: every sweep check reads g there
+    cfg = hc.ChecklistConfig(samples=10, seed=0)
+    z_bad = checklist._Context(cfg, cat).points[3, 2]
+
+    def nan_metric(exponent=4.0):
+        base = tensor_core.warped_metric(exponent)
+
+        def components(c):
+            g = base.components(c)
+            g[c[..., 2] == z_bad] = np.nan
+            return g
+
+        return hc.MetricField(components, base.exact_partials, label="NaN at one height")
+
+    monkeypatch.setattr(checklist, "warped_metric", nan_metric)
+    report = hc.run_checklist(cfg)
+    assert failing(report) == list(SAMPLED)
+    assert all(c.residual == np.inf for c in report.checks if c.id in SAMPLED)

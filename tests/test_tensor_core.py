@@ -94,37 +94,37 @@ class TestMetricAt:
 
 class TestMetricPartials:
     def test_exact_at_z1(self, model):
-        d = hc.metric_partials_at(model, ChartPoint(0, 0, 1))
+        d = tensor_core._partials(model, np.array([0.0, 0.0, 1.0]))
         expected = np.zeros((3, 3, 3))
         expected[2, 1, 1] = 4.0
         np.testing.assert_allclose(d, expected, atol=0)
 
     def test_euclidean_zero(self, euclid):
-        d = hc.metric_partials_at(euclid, ChartPoint(1, 2, 3))
+        d = tensor_core._partials(euclid, np.array([1.0, 2.0, 3.0]))
         assert np.all(d == 0.0)
 
     def test_numeric_matches_exact_derivative(self, model):
         # oracle: d_z z^4 = 4 z^3 = 32 at z = 2
-        d = hc.metric_partials_at(model, ChartPoint(0, 0, 2), h=1e-5, method="numeric")
+        d = tensor_core._partials(model, np.array([0.0, 0.0, 2.0]), "numeric", 1e-5)
         assert abs(d[2, 1, 1] - 32.0) < 1e-6
         d[2, 1, 1] = 0.0
         assert np.max(np.abs(d)) < 1e-9
 
     def test_explicit_step_must_stay_in_chart(self, model):
         with pytest.raises(ChartDomainError):
-            hc.metric_partials_at(model, ChartPoint(0, 0, 2e-6), h=1e-5, method="numeric")
+            tensor_core._partials(model, np.array([0.0, 0.0, 2e-6]), "numeric", 1e-5)
         with pytest.raises(ChartDomainError):
-            hc.metric_partials_at(model, ChartPoint(0, 0, 0.5), h=0.6, method="numeric")
+            tensor_core._partials(model, np.array([0.0, 0.0, 0.5]), "numeric", 0.6)
 
     def test_default_step_caps_near_floor(self, model):
         # the automatic step shrinks so the stencil stays inside the chart
-        d = hc.metric_partials_at(model, ChartPoint(0, 0, 2e-6), method="numeric")
+        d = tensor_core._partials(model, np.array([0.0, 0.0, 2e-6]), "numeric")
         assert np.all(np.isfinite(d))
 
     def test_exact_method_requires_exact_partials(self):
         bare = MetricField(lambda c: np.eye(3))
         with pytest.raises(ValueError):
-            hc.metric_partials_at(bare, ChartPoint(0, 0, 1), method="exact")
+            tensor_core._partials(bare, np.array([0.0, 0.0, 1.0]), "exact")
 
 
 class TestChristoffel:
@@ -360,7 +360,6 @@ class TestClosedFormConnection:
         assert hc.quotient_conformal_metric(model).christoffel is None
         assert hc.induced_halfplane_metric(model).christoffel is None
         assert hc.induced_line_metric(model).christoffel is None
-        assert hc.euclidean_metric().christoffel is None
 
     def test_perturbed_symbols_fail_c3(self, cat, monkeypatch):
         # Both parts of C3 compare the closed form with a derivative of g,
@@ -420,7 +419,8 @@ class TestLeviCivitaWork:
 
 # The sweep's kernels as they were written with np.einsum, kept here only as
 # the reference for the stacked-matmul kernels in tensor_core.  The 3x3 and
-# single-matrix inverses are unchanged; bound here, before a test patches them.
+# single-matrix inverses are tensor_core's own (``test_batch`` holds them to
+# the Python-float cofactor formulas); bound here, before a test patches them.
 _inv_small = tensor_core._inv_small
 
 

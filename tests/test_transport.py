@@ -404,6 +404,20 @@ class TestCurvatureViaLoop:
 
 
 class TestTrajectoryCsv:
+    def test_samples_view_the_arrays(self, model, cfg):
+        p0 = ChartPoint(0, 0, 2)
+        traj = hc.integrate_geodesic(model, p0, TangentVector(p0, [0.2, 0.4, -0.5]),
+                                     2.0, cfg)
+        assert traj.samples is traj.samples and traj.final is traj.samples[-1]
+        assert [s.t for s in traj.samples] == traj.ts.tolist()
+        assert [s.point.coords.tolist() for s in traj.samples] == traj.xs.tolist()
+        assert [s.velocity.comp.tolist() for s in traj.samples] == traj.vs.tolist()
+        # the rows the CSV wrote when it read the samples
+        rows = [[s.t, s.point.xt, s.point.yt, s.point.z, *s.velocity.comp]
+                for s in traj.samples]
+        assert hc.trajectory_to_csv(traj).splitlines()[1:] == [
+            ",".join(f"{x:.17g}" for x in row) for row in rows]
+
     def test_header_and_rows(self, model, cfg):
         p0 = ChartPoint(0, 0, 1)
         traj = hc.integrate_geodesic(model, p0, TangentVector(p0, [0, 0, -1]), 2.0, cfg)
@@ -650,18 +664,19 @@ class TestEscapeEvents:
         assert np.isnan(y_new).all() and np.isnan(k[stats.rhs:]).all()
         assert stats.rhs == int(np.argmax(_C > 0.5)) < 12
 
-    def test_lowered_floor_fails_exact_crossing_parts(self, cat, model, cfg, monkeypatch):
+    def test_lowered_floor_fails_exact_crossing_parts(self, cat, monkeypatch):
         # The event fires 1e-7 below the documented floor: the escape is still
         # within 1e-6 of t = 1, but 1e-7 past the exact crossing.
         monkeypatch.setattr(transport, "Z_FLOOR", hc.Z_FLOOR - 1e-7)
         ctx = checklist._Context(hc.ChecklistConfig(samples=10), cat)
         c8 = checklist._check_incompleteness(ctx)
         assert not c8.passed and c8.worst_part == "downward_escape_at_crossing"
-        c8_parts = {name: (float(res), float(tol)) for name, res, tol
-                    in re.findall(r"(\S+): residual=(\S+) tol=([^;\s]+)", c8.note)}
-        c11 = hc.leaf_second_check(model, [0.5, 1.0, 2.0], cfg)
+        c11 = checklist._check_halfplane_leaf(ctx)
         assert not c11.passed
-        c11_parts = {part.name: (part.residual, part.tolerance) for part in c11.items}
+        assert c11.worst_part == "downward_geodesic_escapes_at_crossing"
+        c8_parts, c11_parts = ({name: (float(res), float(tol)) for name, res, tol
+                                in re.findall(r"(\S+): residual=(\S+) tol=([^;\s]+)",
+                                              c.note)} for c in (c8, c11))
         for parts, old, new in (
                 (c8_parts, "downward_escape_at_t=1", "downward_escape_at_crossing"),
                 (c11_parts, "downward_geodesic_escapes_at_t1",
