@@ -359,7 +359,7 @@ def _check_nonflat(ctx: _Context) -> CheckResult:
 def _check_parallel_field(ctx: _Context) -> CheckResult:
     # one run per segment index: the curves' k-th segments are its lanes
     w0 = np.broadcast_to(_E1[:, None], (len(ctx.curves), 3, 1))
-    w, _ = _transport_curves(ctx.metric, ctx.curves, w0, ctx.cfg)
+    w = _transport_curves(ctx.metric, ctx.curves, w0, ctx.cfg)
     residual = float(np.max(np.abs(w[..., 0] - _E1)))
     return check_result("C5", _DESCRIPTIONS["C5"], _CLAIMS["C5"], residual, 1e-8,
                         f"max over {len(ctx.curves)} random polylines")
@@ -509,7 +509,8 @@ def emit_traces(config: ChecklistConfig):
 
     Returns the list of written file paths.  The geodesic trace has columns
     t, xt, yt, z, v1, v2, v3; the transport trace carries the accumulated
-    frame matrix entries p11..p33 along the deck lift from z=1 to z=lambda.
+    frame matrix entries p11..p33 along the deck lift from z=1 to z=lambda,
+    one row per accepted step of each piece of the lift.
     """
     if config.emit_traces_dir is None:
         raise ConfigError("emit_traces requires emit_traces_dir")

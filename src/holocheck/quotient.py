@@ -79,10 +79,6 @@ class ToralMatrix:
     def trace(self) -> int:
         return self.a11 + self.a22
 
-    def inverse(self) -> "ToralMatrix":
-        # det = 1, so the inverse is the integer adjugate; it keeps the trace.
-        return ToralMatrix(self.a22, -self.a12, -self.a21, self.a11)
-
 
 def validate_toral_matrix(entries) -> ToralMatrix:
     """Parse a 2x2 array-like into a validated :class:`ToralMatrix`."""

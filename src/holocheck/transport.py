@@ -23,17 +23,19 @@ Transport solves the linear equation w' = A(s) w with
 A(s) = -Gamma(c(s))[c'(s), .], which does not depend on w, so each
 attempted step asks for A at its eleven distinct stage abscissae in one
 batched Christoffel evaluation, and each stage is one matmul into the
-slope buffer.  Segments run as lanes of one integration, held as
+slope buffer.  Straight paths run as lanes of one integration, held as
 (lanes, 3) start and delta arrays, so the stage points of every lane are
 one broadcast: they share the step, and the error norm is the worst
-lane's, so every segment is held to the tolerance on its own.  A
-transport matrix integrates each segment of its curve from the identity
-as a lane and composes the segment matrices.  Vectors and recorded frame
-traces are carried with lanes across curves: round k integrates segment k
-of every curve that has one, each lane starting from its own curve's
-block, so many curves cost one run per segment index.  Curve tangents
-come exactly from the curve model, never differenced from sampled
-positions.
+lane's, so every path is held to the tolerance on its own.  A transport
+matrix and a frame trace cut each segment of the curve into short pieces,
+geometric in z (no piece spans a z ratio above 2), integrate every piece
+from the identity as a lane and compose the piece matrices; transport is
+linear, so the product is exact, and each piece covers a fraction of its
+segment, so the shared run takes few steps.  Vectors are carried with
+lanes across curves: round k integrates segment k of every curve that has
+one, each lane starting from its own curve's block, so many curves cost
+one run per segment index.  Curve tangents come exactly from the curve
+model, never differenced from sampled positions.
 """
 
 from __future__ import annotations
@@ -205,18 +207,17 @@ class _LinearField:
 
     A(s) = -Gamma(c(s))[c'(s), .] does not depend on w, so its values at
     several abscissae come from one batched Christoffel evaluation.  Each
-    segment is one lane, held as a row of the (lanes, 3) start and delta
-    arrays; the state is the lanes' (3, width) blocks, flat.
+    straight segment or piece is one lane, held as a row of the (lanes, 3)
+    start and delta arrays; the state is the lanes' (3, width) blocks, flat.
     """
 
-    def __init__(self, m: MetricField, segments: Sequence["StraightSegment"],
-                 width: int):
+    def __init__(self, m: MetricField, c0: np.ndarray, delta: np.ndarray, width: int):
         self.m = m
-        self.c0 = np.array([seg._c0 for seg in segments])
-        self.delta = np.array([seg._delta for seg in segments])
+        self.c0 = c0
+        self.delta = delta
         # a straight segment's velocity is its constant delta; A holds -delta
-        self.minus_delta = -self.delta
-        self.shape = (len(segments), 3, width)
+        self.minus_delta = -delta
+        self.shape = (len(c0), 3, width)
 
     def matrices(self, s: np.ndarray) -> np.ndarray:
         """A at the abscissae ``s`` (shape (n,)) for every lane: (n, lanes, 3, 3).
@@ -684,15 +685,21 @@ def _check_3d(m: MetricField) -> None:
         raise ValueError("curve transport requires a 3D metric")
 
 
-def _transport_lanes(m: MetricField, segments, w0: np.ndarray,
-                     cfg: IntegratorConfig, record: bool):
-    """Transport the block w0[j] (3, width) along segments[j], as lanes of one run.
+# A transported segment is cut into at least this many pieces, and into
+# more where its z range exceeds a ratio of 2 ** _MIN_PIECES.
+_MIN_PIECES = 8
 
-    Returns the accepted (s, (lanes, 3, width) state) samples; without
-    ``record`` only the final one.
+
+def _transport_lanes(m: MetricField, c0: np.ndarray, delta: np.ndarray,
+                     w0: np.ndarray, cfg: IntegratorConfig, record: bool):
+    """Transport the block w0[j] (3, width) along c0[j] + s delta[j], s in [0, 1].
+
+    The straight paths run as lanes of one integration.  Returns the
+    accepted (s, (lanes, 3, width) state) samples; without ``record`` only
+    the final one.
     """
     lanes, _, width = w0.shape
-    field = _LinearField(m, segments, width)
+    field = _LinearField(m, c0, delta, width)
     samples, status, _, _ = _integrate(field, w0.ravel(), 1.0, cfg, lanes=lanes,
                                     record=record)
     if status != COMPLETED:
@@ -701,34 +708,55 @@ def _transport_lanes(m: MetricField, segments, w0: np.ndarray,
 
 
 def _transport_curves(m: MetricField, curves: Sequence[CurveSpec],
-                      w0: np.ndarray, cfg: IntegratorConfig, record: bool = False):
+                      w0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
     """Carry the block w0[i] (3, width) along curves[i], for all curves at once.
 
     Round k integrates segment k of every curve that has one, as the lanes
     of one run, from where round k - 1 left that curve's block.  Returns the
-    end blocks (curves, 3, width) and, with ``record``, each curve's
-    accepted-step history [(t, coords, block), ...] with t the global curve
-    parameter (segment index plus the in-segment parameter).
+    end blocks (curves, 3, width).
     """
     _check_3d(m)
     w = np.array(w0, dtype=float)
-    traces = [[] for _ in curves]
     for k in range(max(len(curve.segments) for curve in curves)):
         active = [i for i, curve in enumerate(curves) if len(curve.segments) > k]
-        segments = [curves[i].segments[k] for i in active]
-        samples = _transport_lanes(m, segments, w[active], cfg, record)
-        if record:
-            for lane, (i, seg) in enumerate(zip(active, segments)):
-                traces[i] += [(k + s, seg.point(s), y[lane]) for s, y in samples]
-        w[active] = samples[-1][1]
-    return w, traces
+        c0 = np.array([curves[i].segments[k]._c0 for i in active])
+        delta = np.array([curves[i].segments[k]._delta for i in active])
+        w[active] = _transport_lanes(m, c0, delta, w[active], cfg, False)[-1][1]
+    return w
+
+
+def _pieces(curve: CurveSpec):
+    """Cut every segment of the curve into pieces, as (lanes, 3) start and delta arrays.
+
+    A segment whose z runs from z0 to z1 gets n = max(_MIN_PIECES,
+    ceil(log2 of the larger over the smaller)) pieces with geometric z
+    boundaries z0 (z1 / z0)^(i / n), so no piece spans a z ratio above 2;
+    at constant z they are equal in the segment parameter.  Returns
+    ``(c0, delta, k, a, d)``: piece j covers the global curve parameters
+    k[j] + (a[j] + s d[j]) for s in [0, 1] (segment index plus the
+    in-segment parameter).
+    """
+    c0, delta, k, a, d = [], [], [], [], []
+    for i, seg in enumerate(curve.segments):
+        log_ratio = math.log1p(seg._delta[2] / seg._c0[2])
+        n = max(_MIN_PIECES, math.ceil(abs(log_ratio) / math.log(2.0)))
+        cuts = np.arange(n + 1) / n
+        if log_ratio != 0.0:
+            cuts = np.expm1(cuts * log_ratio)
+            cuts /= cuts[-1]
+        c0.append(seg._c0 + cuts[:-1, None] * seg._delta)
+        delta.append(np.diff(cuts)[:, None] * seg._delta)
+        k.append(np.full(n, i))
+        a.append(cuts[:-1])
+        d.append(np.diff(cuts))
+    return tuple(np.concatenate(x) for x in (c0, delta, k, a, d))
 
 
 def parallel_transport(m: MetricField, curve: CurveSpec, w0: TangentVector,
                        cfg: IntegratorConfig = DEFAULT_CONFIG) -> TangentVector:
     """Parallel transport of w0 along the curve; returns the endpoint vector."""
     w = _vector(w0, 3, base=curve.start.coords)
-    w_end, _ = _transport_curves(m, [curve], w[None, :, None], cfg)
+    w_end = _transport_curves(m, [curve], w[None, :, None], cfg)
     return TangentVector(curve.end, w_end[0, :, 0])
 
 
@@ -736,16 +764,19 @@ def transport_matrix(m: MetricField, curve: CurveSpec,
                      cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Matrix P whose columns are the transports of the coordinate frame.
 
-    Every segment is transported from the identity as one lane of a single
-    integration, and P is the product of the segment matrices, last segment
-    leftmost.  P is a g-isometry between the endpoint tangent spaces:
+    Every segment is cut into pieces (see :func:`_pieces`), every piece is
+    transported from the identity as one lane of a single integration, and
+    P is the product of the piece matrices, last piece leftmost.  Transport
+    is linear, so the product is the transport along the whole curve.  P is
+    a g-isometry between the endpoint tangent spaces:
     ``P.T g(end) P = g(start)`` up to integration tolerance.
     """
     _check_3d(m)
-    identities = np.broadcast_to(np.eye(3), (len(curve.segments), 3, 3))
+    c0, delta = _pieces(curve)[:2]
+    identities = np.broadcast_to(np.eye(3), (len(c0), 3, 3))
     p = np.eye(3)
-    for p_seg in _transport_lanes(m, curve.segments, identities, cfg, False)[-1][1]:
-        p = p_seg @ p
+    for p_piece in _transport_lanes(m, c0, delta, identities, cfg, False)[-1][1]:
+        p = p_piece @ p
     return p
 
 
@@ -753,11 +784,22 @@ def transport_frame_trace(m: MetricField, curve: CurveSpec,
                           cfg: IntegratorConfig = DEFAULT_CONFIG):
     """Accepted-step history of the frame transport along the curve.
 
-    Returns [(t, coords, P), ...] with t the global curve parameter
-    (segment index plus the in-segment parameter).
+    Returns [(t, coords, P), ...] in increasing t, the global curve
+    parameter (segment index plus the in-segment parameter): the start,
+    then one row per accepted step of each piece of :func:`transport_matrix`,
+    whose frame is composed with the product of the pieces before it.
     """
-    _, traces = _transport_curves(m, [curve], np.eye(3)[None], cfg, record=True)
-    return traces[0]
+    _check_3d(m)
+    c0, delta, k, a, d = _pieces(curve)
+    identities = np.broadcast_to(np.eye(3), (len(c0), 3, 3))
+    samples = _transport_lanes(m, c0, delta, identities, cfg, True)
+    trace = [(0.0, c0[0], np.eye(3))]
+    p = np.eye(3)
+    for j in range(len(c0)):
+        trace += [(k[j] + (a[j] + s * d[j]), c0[j] + s * delta[j], y[j] @ p)
+                  for s, y in samples[1:]]
+        p = samples[-1][1][j] @ p
+    return trace
 
 
 def curvature_via_loop(m: MetricField, p: ChartPoint, i: int, j: int,

@@ -63,11 +63,6 @@ class TestValidateToralMatrix:
             with pytest.raises(ToralMatrixError):
                 hc.validate_toral_matrix(bad)
 
-    def test_inverse_is_valid_and_inverts(self, cat):
-        inv = cat.inverse()
-        assert inv.trace == cat.trace
-        assert np.array_equal(inv.matrix @ cat.matrix, np.eye(2, dtype=int))
-
 
 class TestEigenBasis:
     def test_lambda_closed_form(self, frame):

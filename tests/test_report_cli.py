@@ -152,13 +152,22 @@ class TestRunChecklist:
         assert doc["config"]["matrix"] == [["nan", 1], [1, 1]]
         assert doc["checks"][0]["status"] == "fail"
 
-    @pytest.mark.parametrize("matrix", [((5, 4), (1, 1)), ((1000, 999), (1, 1))])
+    @pytest.mark.parametrize("matrix", [((5, 4), (1, 1)), ((1000, 999), (1, 1)),
+                                        ((2 ** 53 + 1, 2 ** 53), (1, 1))])
     def test_large_trace_matrices_pass(self, matrix):
         # C2 measures roundoff relative to lambda^2 g, so it holds at any trace
         rep = hc.run_checklist(hc.ChecklistConfig(matrix=matrix, seed=0))
         assert [c.id for c in rep.checks if c.status != "pass"] == []
         c2 = next(c for c in rep.checks if c.id == "C2")
         assert "absolute max" in c2.note
+
+    def test_trace_sweep_passes(self):
+        # every hyperbolic matrix C1 accepts is certified, up to and past
+        # entries of 2^53, where the deck lift spans z from 1 to about 9e15
+        for trace in (3, 4, 6, 10, 30, 100, 1000, 10 ** 6, 10 ** 12, 2 ** 53 + 2):
+            rep = hc.run_checklist(hc.ChecklistConfig(
+                matrix=((trace - 1, trace - 2), (1, 1)), samples=200))
+            assert [c.id for c in rep.checks if c.status != "pass"] == [], trace
 
     def test_config_validation(self):
         with pytest.raises(hc.ConfigError):
@@ -242,6 +251,16 @@ class TestCli:
         capsys.readouterr()
         assert (tmp_path / "escape_geodesic.csv").exists()
         assert (tmp_path / "gz_transport.csv").exists()
+
+    def test_traces_at_entries_above_two_to_the_53(self, tmp_path, capsys):
+        big = 2 ** 53
+        assert main(["--matrix", f"{big + 1} {big} 1 1", "--emit-traces",
+                     str(tmp_path)]) == 0
+        assert "12/12 checks passed" in capsys.readouterr().out
+        gz = (tmp_path / "gz_transport.csv").read_text().splitlines()
+        final = dict(zip(gz[0].split(","), (float(x) for x in gz[-1].split(","))))
+        lam = hc.eigen_basis(hc.validate_toral_matrix([[big + 1, big], [1, 1]])).lam
+        assert final["p22"] == pytest.approx(1.0 / lam ** 2, rel=1e-9)
 
     def test_comma_separated_matrix(self, capsys):
         assert main(["--matrix", "2,1,1,1", "--samples", "20"]) == 0

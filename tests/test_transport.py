@@ -46,6 +46,19 @@ def acceptance_style_curves(count, seed):
     return curves
 
 
+def lane_arrays(segments):
+    """The (lanes, 3) start and delta arrays of unsplit straight segments."""
+    return (np.array([seg._c0 for seg in segments]),
+            np.array([seg._delta for seg in segments]))
+
+
+def unsplit_transport(model, segments, cfg, record=False):
+    """Each segment transported from the identity as one lane of one run."""
+    identities = np.broadcast_to(np.eye(3), (len(segments), 3, 3))
+    return transport._transport_lanes(model, *lane_arrays(segments), identities, cfg,
+                                      record)
+
+
 class TestIntegratorConfig:
     def test_defaults(self):
         c = hc.IntegratorConfig()
@@ -186,25 +199,38 @@ class TestCurveSpec:
 
 
 class TestLanes:
-    """transport_matrix runs all segments of a curve as lanes of one integration."""
+    """transport_matrix runs the pieces of all segments as lanes of one integration."""
 
     def test_matches_segment_by_segment_frames(self, model):
+        # the product of the pieces against the product of unsplit segments
         for curve in acceptance_style_curves(10, seed=7):
-            lanes = hc.transport_matrix(model, curve, TIGHT)
-            serial = hc.transport_frame_trace(model, curve, TIGHT)[-1][2]
-            assert np.max(np.abs(lanes - serial)) <= 1e-9 * np.max(np.abs(serial))
+            p = hc.transport_matrix(model, curve, TIGHT)
+            unsplit = np.eye(3)
+            for p_seg in unsplit_transport(model, curve.segments, TIGHT)[-1][1]:
+                unsplit = p_seg @ unsplit
+            assert np.max(np.abs(p - unsplit)) <= 1e-9 * np.max(np.abs(unsplit))
 
-    def test_unequal_segment_costs(self, model):
-        # The third acceptance curve: its middle segment needs about an
-        # eighth of the steps of the others, yet rides along with them.
+    def test_unequal_segment_costs(self, model, monkeypatch):
+        # The third acceptance curve: its middle segment alone needs about a
+        # seventh of the steps of the others.  Cut into eight pieces each, all
+        # 24 pieces share one step, in fewer steps than the costliest segment
+        # alone, and every piece adds the same rows to the frame trace.
         curve = acceptance_style_curves(3, seed=0)[2]
-        trace = hc.transport_frame_trace(model, curve, TIGHT)
-        steps = np.bincount([int(t) for t, _, _ in trace if t % 1.0 != 0.0])
-        assert max(steps) > 7 * min(steps)
+        alone = [len(unsplit_transport(model, [seg], TIGHT, record=True)) - 1
+                 for seg in curve.segments]
+        assert max(alone) > 6 * min(alone)
+        steps = count_calls(monkeypatch, "_rk_step")
         p = hc.transport_matrix(model, curve, TIGHT)
+        assert steps[0] < max(alone) / 2
         g0 = _metric(model, curve.start.coords)
         g1 = _metric(model, curve.end.coords)
         assert np.max(np.abs(p.T @ g1 @ p - g0)) < 1e-7
+        trace = hc.transport_frame_trace(model, curve, TIGHT)
+        ts = np.array([t for t, _, _ in trace])
+        assert ts[0] == 0.0 and np.all(np.diff(ts) > 0.0) and ts[-1] == 3.0
+        rows = np.bincount(np.ceil(ts[1:]).astype(int) - 1)  # segment k: (k, k + 1]
+        assert len(set(rows)) == 1 and rows[0] % 8 == 0
+        assert np.array_equal(trace[-1][2], p)
 
     def test_error_norm_is_worst_lane(self):
         # Hairer's norm h |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)) at scale 1;
@@ -275,7 +301,7 @@ class TestManyCurves:
             for _ in range(n + 1)]) for n in (1, 3, 2, 1, 3, 2, 2, 1)]
         for v in (*np.eye(3), np.array([0.3, -1.2, 0.8])):
             w0 = np.broadcast_to(v[:, None], (len(curves), 3, 1))
-            many, _ = transport._transport_curves(model, curves, w0, TIGHT)
+            many = transport._transport_curves(model, curves, w0, TIGHT)
             for curve, w in zip(curves, many[..., 0]):
                 one = hc.parallel_transport(model, curve,
                                             TangentVector(curve.start, v), TIGHT).comp
@@ -287,7 +313,7 @@ class TestManyCurves:
     def test_per_curve_start_blocks(self, model):
         curves = acceptance_style_curves(3, seed=2)
         w0 = np.random.default_rng(9).normal(size=(3, 3, 2))
-        many, _ = transport._transport_curves(model, curves, w0, TIGHT)
+        many = transport._transport_curves(model, curves, w0, TIGHT)
         for curve, block, end in zip(curves, w0, many):
             p = hc.transport_matrix(model, curve, TIGHT)
             assert np.max(np.abs(end - p @ block)) <= 1e-9 * np.max(np.abs(p @ block))
@@ -512,7 +538,7 @@ class TestStepBits:
         rng = np.random.default_rng(10 * lanes + width)
         for curve in acceptance_style_curves(4, seed=lanes):
             segments = (curve.segments * 2)[:lanes]
-            field = transport._LinearField(model, segments, width)
+            field = transport._LinearField(model, *lane_arrays(segments), width)
             for _ in range(5):
                 y = rng.normal(size=lanes * 3 * width)
                 t, h = rng.uniform(0.0, 0.9), 10.0 ** rng.uniform(-4.0, -1.0)
@@ -571,7 +597,7 @@ class TestTableau:
     def test_eighth_order_convergence(self, model):
         # dy along the z-line from 0.5 to 5 scales by (z0 / z)^2 = 1/100 exactly
         curve = CurveSpec.from_points([ChartPoint(0, 0, 0.5), ChartPoint(0, 0, 5.0)])
-        field = transport._LinearField(model, curve.segments, 1)
+        field = transport._LinearField(model, *lane_arrays(curve.segments), 1)
 
         def fixed_steps(n):
             y, stats = np.array([0.0, 1.0, 0.0]), transport._IntegrationStats()
@@ -727,16 +753,32 @@ class TestIntegrationStats:
         assert len(curve.segments) == 3
         hc.transport_matrix(model, curve, cfg)
         [stats] = runs
-        # DP5 took 370 steps (365 accepted); a linear step is one batch at
-        # 11 abscissae for each of the 3 lanes
-        assert stats.rhs == 3 * (2 + 11 * stats.attempted)
-        self.assert_stats(stats, 1.060826387442199e-04, 0.031920676254837195, attempted=41,
-                          accepted=39, rejected=2, refinement=0, rhs=1359)
+        # DP5 took 370 steps (365 accepted), DOP853 41 with one lane per
+        # segment; a linear step is one batch at 11 abscissae for each of the
+        # 24 lanes, eight pieces per segment
+        assert stats.rhs == 24 * (2 + 11 * stats.attempted)
+        self.assert_stats(stats, 5.209725217868461e-04, 0.1800642096094952, attempted=9,
+                          accepted=9, rejected=0, refinement=0, rhs=2424)
 
     def test_deck_loop_at_trace_1001(self, model, cfg, monkeypatch):
         runs = self.record(monkeypatch)
         a = hc.validate_toral_matrix([[1000, 999], [1, 1]])
         hc.holonomy_of_loop(a, model, hc.LoopClass(["gz"], ChartPoint(0, 0, 1)), cfg)
-        [stats] = runs  # DP5: 222 steps, 220 accepted
-        self.assert_stats(stats, 9.985875070520303e-05, 0.1872747693729254, attempted=63,
-                          accepted=61, rejected=2, refinement=0, rhs=695)
+        # DP5: 222 steps, 220 accepted; DOP853 on the one straight lift: 63
+        # steps.  The lift from z = 1 to lambda, about 999, runs as ten pieces
+        # of z ratio 999^(1/10), which the homothety z -> cz maps onto each other.
+        [stats] = runs
+        self.assert_stats(stats, 0.029098688337406847, 0.16057599136012457, attempted=9,
+                          accepted=9, rejected=0, refinement=0, rhs=1010)
+
+    def test_deck_loop_steps_do_not_grow_with_lambda(self, model, cfg, monkeypatch):
+        # one straight lift took 12 steps at lambda 2.6 and 93 at 1e12, and
+        # underflowed at 9e15; its pieces share a step at every lambda
+        runs = self.record(monkeypatch)
+        base = ChartPoint(0, 0, 1)
+        for trace in (3, 4, 6, 10, 30, 100, 1000, 10 ** 6, 10 ** 12, 2 ** 53 + 2):
+            a = hc.validate_toral_matrix([[trace - 1, trace - 2], [1, 1]])
+            elem = hc.holonomy_of_loop(a, model, hc.LoopClass(["gz"], base), cfg)
+            assert runs[-1].attempted <= 12
+            lam = hc.eigen_basis(a).lam
+            assert np.max(np.abs(elem.matrix * lam - np.eye(3))) < 1e-9
