@@ -16,8 +16,8 @@ exact partials, the numeric part with central differences at h = 1e-5,
 which checks the exact partials as well.  A fault in one fold fails only
 that check; a fault in the shared geometry fails every check that reads
 it.  C11 keeps its own derivatives on purpose: it takes the half-plane
-leaf's curvature from the induced 2-D metric at the sweep's heights,
-because it is the independent cross-check of C4's ambient Riemann tensor.
+leaf's curvature from the induced 2-D metric at the sweep's heights by
+Brioschi's formula, the independent cross-check of C4's Riemann tensor.
 """
 
 from __future__ import annotations

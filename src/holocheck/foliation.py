@@ -9,11 +9,11 @@ induced warped metric diag(z^4, 1) has Gaussian curvature -2/z^2 and runs
 into the boundary at finite affine parameter.  The chart metric is the
 orthogonal product of the two.
 
-Leaf metrics are genuine coordinate restrictions of the 3D model, and the
-half-plane curvature runs through the same tensor pipeline with the
-dimension set to 2; nothing here is special-cased to closed forms.  The
-half-plane leaf's curvature and the product splitting are sampled checks,
-folded in the checklist's one sweep over the sample points.
+Leaf metrics are genuine coordinate restrictions of the 3D model; nothing
+here is special-cased to closed forms.  The half-plane curvature comes from
+Brioschi's formula with no connection built, so it shares no Christoffel or
+Riemann code with the ambient curvature it cross-checks.  It and the product
+splitting are sampled checks, folded in the checklist's one sweep.
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ from .tensor_core import (
     ChartPoint,
     MetricField,
     TangentVector,
+    _check_stencil,
     _coords,
-    _curvature,
+    _fd_step,
     _metric,
+    _partials,
+    _stencil_shifts,
     _worst,
-    sectional_curvature,
 )
 from .transport import (
     CurveSpec,
@@ -108,17 +110,36 @@ def halfplane_leaf(m: MetricField) -> LeafModel:
 
 
 def gaussian_curvature(m2: MetricField, coords):
-    """Gaussian curvature of a 2D metric: the only sectional curvature.
+    """Gaussian curvature of a 2D metric E du^2 + 2F du dv + G dv^2.
 
-    ``coords`` of shape (2,) gives a float; shape (..., 2) gives one value
-    per point.
+    Brioschi's formula: K = (det A - det B) / (EG - F^2)^2, from E, F, G,
+    their first partials and the second partials E_vv, F_uv, G_uu, which
+    are central differences of the first partials at the four stencil
+    points.  ``coords`` of shape (2,) gives a float; shape (..., 2) gives
+    one value per point.
     """
     if m2.dim != 2:
         raise ValueError("gaussian curvature is defined for 2D metrics")
     c = _coords(m2, coords, batch=True)
-    riemann, _, _ = _curvature(m2, c)
-    return sectional_curvature(_metric(m2, c), riemann,
-                               np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    step = _fd_step(m2, c, None)
+    _check_stencil(m2, c, step)
+    den = 2.0 * np.asarray(step)[..., None, None, None]
+    # dd[l][..., k, i, j] = d_l d_k g_ij
+    dd = [(_partials(m2, c + h) - _partials(m2, c - h)) / den
+          for h in _stencil_shifts(c, step)]
+    g, p = _metric(m2, c), _partials(m2, c)
+    e, f, gg = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+    eu, fu, gu = p[..., 0, 0, 0], p[..., 0, 0, 1], p[..., 0, 1, 1]
+    ev, fv, gv = p[..., 1, 0, 0], p[..., 1, 0, 1], p[..., 1, 1, 1]
+    fuv = 0.5 * (dd[0][..., 1, 0, 1] + dd[1][..., 0, 0, 1])
+    a11 = -0.5 * dd[1][..., 1, 0, 0] + fuv - 0.5 * dd[0][..., 0, 1, 1]
+    a21 = fv - 0.5 * gu
+    det = e * gg - f * f
+    det_a = (a11 * det - 0.5 * eu * (a21 * gg - 0.5 * gv * f)
+             + (fu - 0.5 * ev) * (a21 * f - 0.5 * gv * e))
+    det_b = -0.25 * (ev * ev * gg - 2.0 * ev * gu * f + gu * gu * e)
+    k = (det_a - det_b) / (det * det)
+    return float(k) if k.ndim == 0 else k
 
 
 def leaf_first_check(m: MetricField, t_max: float = 1e3,

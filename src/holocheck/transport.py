@@ -1,41 +1,10 @@
 """Geodesic integration and parallel transport along chart polylines.
 
-The workhorse is the Dormand-Prince 8(5,3) pair as Hairer and Wanner's
-DOP853 code uses it: an explicit Runge-Kutta method of order 8 with 12
-slopes per step, the last of which is the next step's first (first same
-as last).  The step error is Hairer's combined 5th- and 3rd-order
-estimate, and the step factor is err^(-1/8) within [0.2, 10]; the step
-after a rejected one does not grow.  A step writes the slope of each
-stage into its row of one (13, size) buffer, and the error norm reuses |y|
-of the last accepted state.  Geodesics solve x'' + Gamma(x)[x', x'] = 0,
-one right-hand-side call per stage, which fills one preallocated
-state-sized array; a stage point at or below z = 0 ends its step, which
-is rejected and retried no longer than the slope's path to half the floor
-height, so a straight escape reaches the floor in one step.  Escape
-through the chart floor is an event on the fiber coordinate, detected at
-accepted step endpoints and located on the crossing step's cubic Hermite
-interpolant (its end states and slopes, so no extra right-hand side):
-each pass steps from the last state above the floor to the interpolant's
-root, in a bracket whose ends are verified states on either side of the
-floor, so a crossing takes about two refinement steps.
-
-Transport solves the linear equation w' = A(s) w with
-A(s) = -Gamma(c(s))[c'(s), .], which does not depend on w, so each
-attempted step asks for A at its eleven distinct stage abscissae in one
-batched Christoffel evaluation, and each stage is one matmul into the
-slope buffer.  Straight paths run as lanes of one integration, held as
-(lanes, 3) start and delta arrays, so the stage points of every lane are
-one broadcast: they share the step, and the error norm is the worst
-lane's, so every path is held to the tolerance on its own.  A transport
-matrix and a frame trace cut each segment of the curve into short pieces,
-geometric in z (no piece spans a z ratio above 2), integrate every piece
-from the identity as a lane and compose the piece matrices; transport is
-linear, so the product is exact, and each piece covers a fraction of its
-segment, so the shared run takes few steps.  Vectors are carried with
-lanes across curves: round k integrates segment k of every curve that has
-one, each lane starting from its own curve's block, so many curves cost
-one run per segment index.  Curve tangents come exactly from the curve
-model, never differenced from sampled positions.
+One integrator, the Dormand-Prince 8(5,3) pair of Hairer and Wanner's
+DOP853, solves the geodesic equation, with floor escapes as events, and the
+linear transport equation w' = A(s) w, whose straight paths run as the lanes
+of one integration.  Curve tangents come exactly from the curve model.
+README's Modules section describes the step, the events and the pieces.
 """
 
 from __future__ import annotations
@@ -305,7 +274,8 @@ def _error_norm(k, h, abs_y0, abs_y1, cfg, lanes):
 
 
 def _initial_step(f, y0, f0, t_end, cfg, lanes):
-    """Hairer's starting step, taken per lane; the smallest lane step wins."""
+    """Hairer's starting step per lane; the smallest wins, and a lane whose
+    slope is exactly zero at t = 0 and at the probe bounds nothing (t_end)."""
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
 
     def rms(x):
@@ -314,14 +284,18 @@ def _initial_step(f, y0, f0, t_end, cfg, lanes):
     d0 = rms(y0)
     d1 = rms(f0)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
-    h0 = min(float(np.min(h0)), t_end)
+    moving = (f0 != 0.0).reshape(lanes, -1).any(axis=1)
+    h0 = min(float(np.min(h0[moving])) if moving.any() else 1e-6, t_end)
     f1 = f(h0, y0 + h0 * f0)
     if not np.isfinite(f1).all():
         return max(1e-8 * t_end, 1e-12)
     d = np.maximum(d1, rms(f1 - f0) / h0)
     h1 = np.where(d <= 1e-15, max(1e-6, h0 * 1e-3),
                   (0.01 / np.maximum(d, 1e-15)) ** _EXPONENT)
-    return min(100 * h0, float(np.min(h1)), t_end)
+    moving |= (f1 != 0.0).reshape(lanes, -1).any(axis=1)
+    if not moving.any():
+        return t_end
+    return min(100 * h0, float(np.min(h1[moving])), t_end)
 
 
 def _hermite_root(e0, m0, e1, m1):
@@ -787,16 +761,20 @@ def transport_frame_trace(m: MetricField, curve: CurveSpec,
     Returns [(t, coords, P), ...] in increasing t, the global curve
     parameter (segment index plus the in-segment parameter): the start,
     then one row per accepted step of each piece of :func:`transport_matrix`,
-    whose frame is composed with the product of the pieces before it.
+    whose frame is composed with the product of the pieces before it; a
+    piece ends at the next piece's start, the last at the curve's end.
     """
     _check_3d(m)
     c0, delta, k, a, d = _pieces(curve)
+    t_ends = np.append(k[1:] + a[1:], len(curve.segments))
+    ends = np.vstack([c0[1:], curve.segments[-1].end.coords])
     identities = np.broadcast_to(np.eye(3), (len(c0), 3, 3))
     samples = _transport_lanes(m, c0, delta, identities, cfg, True)
     trace = [(0.0, c0[0], np.eye(3))]
     p = np.eye(3)
     for j in range(len(c0)):
-        trace += [(k[j] + (a[j] + s * d[j]), c0[j] + s * delta[j], y[j] @ p)
+        trace += [(t_ends[j], ends[j], y[j] @ p) if s == 1.0 else
+                  (k[j] + (a[j] + s * d[j]), c0[j] + s * delta[j], y[j] @ p)
                   for s, y in samples[1:]]
         p = samples[-1][1][j] @ p
     return trace

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import holocheck as hc
-from holocheck import ChartPoint, TangentVector, checklist
+from holocheck import ChartPoint, TangentVector, checklist, tensor_core
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +50,30 @@ class TestLineLeaf:
         assert all(item.residual == 0.0 for item in report.items[1:])
 
 
+def sheared_leaf():
+    """E = v^4 + u^2/10, F = uv/5, G = 1 + v/4 on (u, v), v > 0: F != 0 and
+    every entry depends on u or v, with exact partials."""
+
+    def components(c):
+        u, v = c[..., 0], c[..., 1]
+        g = np.empty(c.shape[:-1] + (2, 2))
+        g[..., 0, 0] = v ** 4 + 0.1 * u * u
+        g[..., 0, 1] = g[..., 1, 0] = 0.2 * u * v
+        g[..., 1, 1] = 1.0 + 0.25 * v
+        return g
+
+    def partials(c):
+        u, v = c[..., 0], c[..., 1]
+        d = np.empty(c.shape[:-1] + (2, 2, 2))
+        d[..., 0, 0, 0], d[..., 1, 0, 0] = 0.2 * u, 4.0 * v ** 3
+        d[..., 0, 0, 1] = d[..., 0, 1, 0] = 0.2 * v
+        d[..., 1, 0, 1] = d[..., 1, 1, 0] = 0.2 * u
+        d[..., 0, 1, 1], d[..., 1, 1, 1] = 0.0, 0.25
+        return d
+
+    return hc.MetricField(components, partials, label="sheared leaf", dim=2)
+
+
 class TestHalfplaneLeaf:
     def test_induced_metric(self, model):
         leaf = hc.halfplane_leaf(model)
@@ -67,6 +91,27 @@ class TestHalfplaneLeaf:
         for z in np.geomspace(0.2, 10.0, 17):
             kk = hc.gaussian_curvature(leaf.induced_metric, np.array([0.0, z]))
             assert abs(kk * z * z / -2.0 - 1.0) < 1e-6
+
+    def test_brioschi_matches_riemann_pipeline(self):
+        # the oracle: the 2-D Riemann tensor and the (e1, e2) sectional curvature
+        m = sheared_leaf()
+        c = np.random.default_rng(5).uniform([-5.0, 0.2], [5.0, 10.0], (300, 2))
+        riemann, _, _ = tensor_core._curvature(m, c)
+        want = hc.sectional_curvature(tensor_core._metric(m, c), riemann,
+                                      np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        got = hc.gaussian_curvature(m, c)
+        assert np.all(np.abs(got - want) <= 1e-8 * np.abs(want))
+
+    def test_single_point_model_without_partials(self):
+        # differences of central differences, one stencil point at a time
+        m2 = hc.MetricField(lambda c: np.diag([c[1] ** 4, 1.0]), dim=2)
+        assert abs(hc.gaussian_curvature(m2, np.array([0.0, 2.0])) + 0.5) < 1e-6
+
+    def test_exponent_3_leaf(self):
+        leaf = hc.halfplane_leaf(hc.warped_metric(3.0)).induced_metric
+        z = np.geomspace(0.2, 10.0, 33)
+        k = hc.gaussian_curvature(leaf, np.stack([np.zeros_like(z), z], axis=-1))
+        assert np.all(np.abs(k * z * z + 0.75) <= 1e-7)
 
     def test_report_passes(self, sweep):
         c11 = checklist._check_halfplane_leaf(sweep)

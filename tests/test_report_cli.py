@@ -261,6 +261,8 @@ class TestCli:
         final = dict(zip(gz[0].split(","), (float(x) for x in gz[-1].split(","))))
         lam = hc.eigen_basis(hc.validate_toral_matrix([[big + 1, big], [1, 1]])).lam
         assert final["p22"] == pytest.approx(1.0 / lam ** 2, rel=1e-9)
+        # the last row is the lift's end point, not a rounded piece sum
+        assert final["z"] == lam == 9007199254740994.0
 
     def test_comma_separated_matrix(self, capsys):
         assert main(["--matrix", "2,1,1,1", "--samples", "20"]) == 0

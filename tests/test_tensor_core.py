@@ -408,10 +408,11 @@ class TestLeviCivitaWork:
     def test_sweep(self, cat, monkeypatch):
         inner = self.count(monkeypatch, tensor_core)
         checklist._Context(hc.ChecklistConfig(samples=CHUNK + 1), cat)._sweep()
-        # per chunk: the 2-D leaf's Gamma and its four stencil points (C11's
-        # cross-check); the 3-D Gamma and its six stencil points read the
-        # closed form (24 inner calls without it)
-        assert inner[0] == 10
+        # the 3-D Gamma and its six stencil points read the closed form (24
+        # inner calls without it), and C11's cross-check takes the leaf's
+        # curvature by Brioschi's formula (10 calls through the 2-D Riemann
+        # pipeline)
+        assert inner[0] == 0
         # C3's numeric part reads the closed form too (2 calls when it
         # rebuilt Levi-Civita from its own differences)
         assert not hasattr(checklist, "_levi_civita")
@@ -594,7 +595,7 @@ class TestKernelBits:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, kernel)
         assert checklist._nabla is einsum_nabla
-        assert foliation.sectional_curvature is einsum_sectional_curvature
+        assert checklist.sectional_curvature is einsum_sectional_curvature
         assert hc.emit_report(hc.run_checklist(cfg), "json") == matmul
 
     @pytest.mark.parametrize("n", (1, CHUNK + 1))

@@ -232,6 +232,17 @@ class TestLanes:
         assert len(set(rows)) == 1 and rows[0] % 8 == 0
         assert np.array_equal(trace[-1][2], p)
 
+    def test_trace_pieces_end_where_the_next_starts(self, model, cfg):
+        # a piece's last row is the next piece's start, t and coordinates,
+        # and the final row the curve's end, not a rounded start + delta
+        lam = hc.eigen_basis(hc.validate_toral_matrix([[1000, 999], [1, 1]])).lam
+        curve = CurveSpec.from_points([ChartPoint(0, 0, 1), ChartPoint(0, 0, lam),
+                                       ChartPoint(0.5, 0.5, 3.0)])
+        c0, _, k, a, _ = transport._pieces(curve)
+        rows = {(t, tuple(c)) for t, c, _ in hc.transport_frame_trace(model, curve, cfg)}
+        assert all((k[j] + a[j], tuple(c0[j])) in rows for j in range(len(c0)))
+        assert (2.0, (0.5, 0.5, 3.0)) in rows
+
     def test_error_norm_is_worst_lane(self):
         # Hairer's norm h |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)) at scale 1;
         # with only a first-stage slope, e5 and e3 are _E5[0] and _E3[0]
@@ -260,6 +271,26 @@ class TestLanes:
         slow, fast = start(np.array([-1.0])), start(np.array([-40.0]))
         assert fast < 0.5 * slow
         assert start(np.array([-1.0, -40.0])) == pytest.approx(fast, rel=1e-12)
+
+    def test_lanes_at_rest_do_not_bound_the_first_step(self, cfg):
+        def start(f, y0, lanes):
+            return transport._initial_step(f, y0, f(0.0, y0), 1.0, cfg, lanes)
+
+        # every lane at rest: the first step is the whole interval
+        assert start(lambda t, y: np.zeros_like(y), np.ones(4), 2) == 1.0
+        # a lane at rest beside a moving one leaves the moving lane's step
+        r = np.array([0.0, 0.0, -40.0, -40.0])
+        assert start(lambda t, y: r * y, np.ones(4), 2) == pytest.approx(
+            start(lambda t, y: r[2:] * y, np.ones(2), 1), rel=1e-12)
+
+    def test_rejections_keep_a_late_kink_accurate(self, cfg):
+        # the slope is exactly zero at t = 0 and at the probe, so the first
+        # attempt spans [0, 1]; only the error test can resolve the kink
+        samples, status, _, stats = transport._integrate(
+            lambda t, y: np.array([max(0.0, t - 0.5) ** 3]), np.zeros(1), 1.0, cfg)
+        assert status == transport.COMPLETED
+        assert stats.rejected > 0
+        assert abs(samples[-1][1][0] - 0.5 ** 4 / 4) <= 1e-9
 
     def test_one_christoffel_batch_per_step(self, model, monkeypatch):
         christoffel = count_calls(monkeypatch, "_christoffel")
