@@ -72,6 +72,6 @@ from .foliation import (
     leaf_first_check,
 )
 from .report import CheckResult, VerificationReport, emit_report
-from .checklist import ChecklistConfig, ConfigError, emit_traces, run_checklist
+from .checklist import ChecklistConfig, ConfigError, run_checklist
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ from .quotient import (
     quotient_conformal_metric,
     validate_toral_matrix,
 )
-from .report import CheckResult, VerificationReport, check_result
+from .report import CheckResult, VerificationReport
 from .tensor_core import (
     ChartPoint,
     TangentVector,
@@ -58,7 +58,8 @@ from .tensor_core import (
 )
 from .transport import (
     CurveSpec,
-    IntegratorConfig,
+    DEFAULT_CONFIG,
+    IntegrationError,
     _transport_curves,
     coordinate_rectangle,
     integrate_geodesic,
@@ -75,7 +76,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ChecklistConfig:
-    """Inputs of a verification run; defaults reproduce the certified case."""
+    """Inputs of a verification run; defaults reproduce the certified case.
+
+    Every run integrates with the integrator defaults, ``DEFAULT_CONFIG``."""
 
     matrix: Tuple[Tuple[int, int], Tuple[int, int]] = ((2, 1), (1, 1))
     samples: int = 1000
@@ -83,8 +86,6 @@ class ChecklistConfig:
     tol_rel: float = 1e-6
     seed: int = 0
     t_max: float = 100.0
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     # Test hook: any exponent other than 4 breaks the deck homothety (C2).
     metric_exponent: float = 4.0
     emit_traces_dir: Optional[str] = None
@@ -100,10 +101,6 @@ class ChecklistConfig:
             raise ConfigError("seed must be non-negative")
         if not math.isfinite(self.metric_exponent):
             raise ConfigError("metric_exponent must be finite")
-        try:
-            IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
-        except ValueError as exc:
-            raise ConfigError(f"bad integrator settings: {exc}") from exc
 
 
 _DESCRIPTIONS = {
@@ -164,7 +161,7 @@ class _Context:
         self.metric = warped_metric(config.metric_exponent)
         self.gprime = quotient_conformal_metric(self.metric)
         self.leaf = induced_halfplane_metric(self.metric)
-        self.cfg = IntegratorConfig(rel_tol=config.rel_tol, abs_tol=config.abs_tol)
+        self.cfg = DEFAULT_CONFIG
         rng = np.random.default_rng(config.seed)
         n = config.samples
         xs = rng.uniform(-5.0, 5.0, n)
@@ -228,6 +225,17 @@ class _Context:
         return results
 
 
+def _result(check_id: str, residual: float, tolerance: float, note: str = "",
+            worst_part: str = "") -> CheckResult:
+    return CheckResult(check_id, _DESCRIPTIONS[check_id], _CLAIMS[check_id],
+                       residual, tolerance, note, worst_part)
+
+
+def _failed(check_id: str, note: str) -> CheckResult:
+    """A check that could not produce a residual: residual inf, tolerance 0."""
+    return _result(check_id, math.inf, 0.0, note)
+
+
 def _composite(check_id: str, parts) -> CheckResult:
     """Fold named (residual, tolerance) parts into one normalized check.
 
@@ -246,8 +254,7 @@ def _composite(check_id: str, parts) -> CheckResult:
         if ratio > worst:
             worst, worst_part = ratio, name
         details.append(f"{name}: residual={residual:.3e} tol={tolerance:.1e}")
-    return check_result(check_id, _DESCRIPTIONS[check_id], _CLAIMS[check_id],
-                        max(0.0, worst), 1.0, "; ".join(details), worst_part)
+    return _result(check_id, max(0.0, worst), 1.0, "; ".join(details), worst_part)
 
 
 _E1, _E2, _E3 = np.eye(3)
@@ -336,9 +343,9 @@ _SWEEP = (
 
 def _check_homothety(ctx: _Context) -> CheckResult:
     out = ctx.swept("C2")
-    return check_result("C2", _DESCRIPTIONS["C2"], _CLAIMS["C2"], out["relative"], 1e-10,
-                        f"max over {len(ctx.points)} points of |f*g - lambda^2 g| / "
-                        f"max|lambda^2 g|; absolute max {out['absolute']:.3e}")
+    return _result("C2", out["relative"], 1e-10,
+                   f"max over {len(ctx.points)} points of |f*g - lambda^2 g| / "
+                   f"max|lambda^2 g|; absolute max {out['absolute']:.3e}")
 
 
 def _check_compatibility(ctx: _Context) -> CheckResult:
@@ -361,8 +368,7 @@ def _check_parallel_field(ctx: _Context) -> CheckResult:
     w0 = np.broadcast_to(_E1[:, None], (len(ctx.curves), 3, 1))
     w = _transport_curves(ctx.metric, ctx.curves, w0, ctx.cfg)
     residual = float(np.max(np.abs(w[..., 0] - _E1)))
-    return check_result("C5", _DESCRIPTIONS["C5"], _CLAIMS["C5"], residual, 1e-8,
-                        f"max over {len(ctx.curves)} random polylines")
+    return _result("C5", residual, 1e-8, f"max over {len(ctx.curves)} random polylines")
 
 
 def _check_reducibility(ctx: _Context) -> CheckResult:
@@ -460,8 +466,8 @@ def _config_echo(config: ChecklistConfig) -> dict:
         "tol_rel": config.tol_rel,
         "seed": config.seed,
         "t_max": config.t_max,
-        "integrator_rel_tol": config.rel_tol,
-        "integrator_abs_tol": config.abs_tol,
+        "integrator_rel_tol": DEFAULT_CONFIG.rel_tol,
+        "integrator_abs_tol": DEFAULT_CONFIG.abs_tol,
         "metric_exponent": config.metric_exponent,
         "emit_traces_dir": config.emit_traces_dir,
     }
@@ -472,78 +478,60 @@ def run_checklist(config: ChecklistConfig = ChecklistConfig()) -> VerificationRe
 
     An invalid gluing matrix fails C1 and marks the dependent checks as
     not run; any exception inside a check is converted into a failed check
-    with the exception text as its note.
+    with the exception text as its note.  A trace that cannot be computed
+    raises :class:`IntegrationError`, one that cannot be written OSError.
     """
-    checks = []
     try:
         matrix = validate_toral_matrix(config.matrix)
-        checks.append(check_result("C1", _DESCRIPTIONS["C1"], _CLAIMS["C1"],
-                                   0.0, 0.0, note=f"trace={matrix.trace}, det=1"))
     except ToralMatrixError as exc:
-        matrix = None
-        checks.append(check_result("C1", _DESCRIPTIONS["C1"], _CLAIMS["C1"],
-                                   math.inf, 0.0, note=str(exc)))
+        checks = [_failed("C1", str(exc))]
+        checks += [_failed(check_id, "not run: invalid gluing matrix")
+                   for check_id, _ in _CHECKS]
+        return VerificationReport(config_echo=_config_echo(config), checks=tuple(checks))
+    checks = [_result("C1", 0.0, 0.0, f"trace={matrix.trace}, det=1")]
+    ctx = _Context(config, matrix)
+    for check_id, fn in _CHECKS:
+        try:
+            checks.append(fn(ctx))
+        except Exception as exc:
+            checks.append(_failed(check_id, f"{type(exc).__name__}: {exc}"))
     traces: Tuple[str, ...] = ()
-    if matrix is None:
-        for check_id, _ in _CHECKS:
-            checks.append(check_result(check_id, _DESCRIPTIONS[check_id],
-                                       _CLAIMS[check_id], math.inf, 0.0,
-                                       note="not run: invalid gluing matrix"))
-    else:
-        ctx = _Context(config, matrix)
-        for check_id, fn in _CHECKS:
-            try:
-                checks.append(fn(ctx))
-            except Exception as exc:
-                checks.append(check_result(check_id, _DESCRIPTIONS[check_id],
-                                           _CLAIMS[check_id], math.inf, 0.0,
-                                           note=f"{type(exc).__name__}: {exc}"))
-        if config.emit_traces_dir is not None:
-            traces = tuple(os.path.basename(p) for p in emit_traces(config))
+    if config.emit_traces_dir is not None:
+        traces = _write_traces(ctx, config.emit_traces_dir)
     return VerificationReport(config_echo=_config_echo(config),
                               checks=tuple(checks), traces_emitted=traces)
 
 
-def emit_traces(config: ChecklistConfig):
-    """Write the escape-geodesic and deck-lift transport CSV traces.
-
-    Returns the list of written file paths.  The geodesic trace has columns
-    t, xt, yt, z, v1, v2, v3; the transport trace carries the accumulated
-    frame matrix entries p11..p33 along the deck lift from z=1 to z=lambda,
-    one row per accepted step of each piece of the lift.
-    """
-    if config.emit_traces_dir is None:
-        raise ConfigError("emit_traces requires emit_traces_dir")
-    matrix = validate_toral_matrix(config.matrix)
-    lam = eigen_basis(matrix).lam
-    metric = warped_metric(config.metric_exponent)
-    cfg = IntegratorConfig(rel_tol=config.rel_tol, abs_tol=config.abs_tol)
-    out_dir = config.emit_traces_dir
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
+def _escape_trace(ctx: _Context) -> str:
+    """The downward escape geodesic from (0, 0, 1): t, xt, yt, z, v1, v2, v3."""
     p0 = ChartPoint(0.0, 0.0, 1.0)
-    traj = integrate_geodesic(metric, p0, TangentVector(p0, [0.0, 0.0, -1.0]),
-                              2.0, cfg)
-    path = os.path.join(out_dir, "escape_geodesic.csv")
-    _write_text(path, trajectory_to_csv(traj))
-    written.append(path)
+    return trajectory_to_csv(integrate_geodesic(
+        ctx.metric, p0, TangentVector(p0, [0.0, 0.0, -1.0]), 2.0, ctx.cfg))
 
-    lift = CurveSpec.from_points([p0, ChartPoint(0.0, 0.0, lam)])
-    trace = transport_frame_trace(metric, lift, cfg)
+
+def _gz_trace(ctx: _Context) -> str:
+    """The frame p11..p33 along the deck lift from z = 1 to z = lambda, one row
+    per accepted step of each piece of the lift."""
+    lift = CurveSpec.from_points([ChartPoint(0.0, 0.0, 1.0),
+                                  ChartPoint(0.0, 0.0, ctx.frame.lam)])
     lines = ["t,xt,yt,z," + ",".join(f"p{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3))]
-    for t, coords, frame in trace:
-        row = [t, *coords, *frame.ravel()]
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    path = os.path.join(out_dir, "gz_transport.csv")
-    _write_text(path, "\n".join(lines) + "\n")
-    written.append(path)
-    return written
+    for t, coords, frame in transport_frame_trace(ctx.metric, lift, ctx.cfg):
+        lines.append(",".join(f"{x:.17g}" for x in [t, *coords, *frame.ravel()]))
+    return "\n".join(lines) + "\n"
 
 
-def _write_text(path: str, text: str):
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write trace file {path}: {exc}") from exc
+_TRACES = (("escape_geodesic.csv", _escape_trace), ("gz_transport.csv", _gz_trace))
+
+
+def _write_traces(ctx: _Context, out_dir: str) -> Tuple[str, ...]:
+    """Write the run's CSV traces into ``out_dir``; return their file names."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, build in _TRACES:
+        path = os.path.join(out_dir, name)
+        try:
+            text = build(ctx)
+            with open(path, "w") as fh:
+                fh.write(text)
+        except (IntegrationError, OSError) as exc:
+            raise type(exc)(f"cannot write trace file {path}: {exc}") from exc
+    return tuple(name for name, _ in _TRACES)

@@ -1,7 +1,7 @@
 """Command-line front end for the verification checklist.
 
 Exit codes: 0 when every check passes, 1 when any check fails (or traces
-cannot be written), 2 on a configuration error.
+cannot be computed or written), 2 on a configuration error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 from .checklist import ChecklistConfig, ConfigError, run_checklist
 from .report import emit_report
+from .transport import IntegrationError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +74,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         report = run_checklist(config)
-    except OSError as exc:
+    except (OSError, IntegrationError) as exc:
         print(f"holocheck: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(emit_report(report, args.report).decode())

@@ -28,12 +28,10 @@ from .tensor_core import (
     ChartPoint,
     MetricField,
     TangentVector,
-    _check_stencil,
+    _central_difference,
     _coords,
-    _fd_step,
     _metric,
     _partials,
-    _stencil_shifts,
     _worst,
 )
 from .transport import (
@@ -45,15 +43,10 @@ from .transport import (
     parallel_transport,
 )
 
-LINE_LEAF = "line_leaf"
-HALFPLANE_LEAF = "halfplane_leaf"
-
-
 @dataclass(frozen=True)
 class FoliationReport:
     """Bundle of check parts for one leaf or splitting property."""
 
-    kind: str
     items: Tuple[Part, ...]
 
     @property
@@ -63,9 +56,8 @@ class FoliationReport:
 
 @dataclass(frozen=True)
 class LeafModel:
-    """A leaf kind together with the induced metric restricted to it."""
+    """A leaf together with the induced metric restricted to it."""
 
-    kind: str
     induced_metric: MetricField
 
 
@@ -106,7 +98,7 @@ def induced_halfplane_metric(m: MetricField) -> MetricField:
 
 
 def halfplane_leaf(m: MetricField) -> LeafModel:
-    return LeafModel(HALFPLANE_LEAF, induced_halfplane_metric(m))
+    return LeafModel(induced_halfplane_metric(m))
 
 
 def gaussian_curvature(m2: MetricField, coords):
@@ -121,18 +113,14 @@ def gaussian_curvature(m2: MetricField, coords):
     if m2.dim != 2:
         raise ValueError("gaussian curvature is defined for 2D metrics")
     c = _coords(m2, coords, batch=True)
-    step = _fd_step(m2, c, None)
-    _check_stencil(m2, c, step)
-    den = 2.0 * np.asarray(step)[..., None, None, None]
-    # dd[l][..., k, i, j] = d_l d_k g_ij
-    dd = [(_partials(m2, c + h) - _partials(m2, c - h)) / den
-          for h in _stencil_shifts(c, step)]
+    # dd[..., l, k, i, j] = d_l d_k g_ij
+    dd = _central_difference(m2, lambda x: _partials(m2, x), c, None)
     g, p = _metric(m2, c), _partials(m2, c)
     e, f, gg = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
     eu, fu, gu = p[..., 0, 0, 0], p[..., 0, 0, 1], p[..., 0, 1, 1]
     ev, fv, gv = p[..., 1, 0, 0], p[..., 1, 0, 1], p[..., 1, 1, 1]
-    fuv = 0.5 * (dd[0][..., 1, 0, 1] + dd[1][..., 0, 0, 1])
-    a11 = -0.5 * dd[1][..., 1, 0, 0] + fuv - 0.5 * dd[0][..., 0, 1, 1]
+    fuv = 0.5 * (dd[..., 0, 1, 0, 1] + dd[..., 1, 0, 0, 1])
+    a11 = -0.5 * dd[..., 1, 1, 0, 0] + fuv - 0.5 * dd[..., 0, 0, 1, 1]
     a21 = fv - 0.5 * gu
     det = e * gg - f * f
     det_a = (a11 * det - 0.5 * eu * (a21 * gg - 0.5 * gv * f)
@@ -161,7 +149,7 @@ def leaf_first_check(m: MetricField, t_max: float = 1e3,
     curve = CurveSpec([StraightSegment(p0, ChartPoint(7.0, 0.0, 1.0))])
     w = parallel_transport(m, curve, TangentVector(p0, [1.0, 0.0, 0.0]), cfg)
     fix_res = float(np.max(np.abs(w.comp - np.array([1.0, 0.0, 0.0]))))
-    return FoliationReport(LINE_LEAF, (
+    return FoliationReport((
         Part("induced_metric_constant", const_res, 1e-12),
         Part("long_horizon_geodesic_completes", horizon_res, 0.0),
         Part("geodesic_stays_in_leaf", drift_res, 1e-7),

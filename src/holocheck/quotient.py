@@ -249,13 +249,6 @@ class HolonomyElement:
     invariant_line_residual: float
 
 
-def _length_ratios(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g-length ratio of each transported frame vector, column by column."""
-    out_sq = np.diag(matrix.T @ g @ matrix)
-    in_sq = np.diag(g)
-    return np.sqrt(out_sq / in_sq)
-
-
 def holonomy_element(matrix: np.ndarray, g_at_base: np.ndarray) -> HolonomyElement:
     """Classify a raw holonomy matrix at a base point with metric ``g_at_base``.
 
@@ -269,28 +262,30 @@ def holonomy_element(matrix: np.ndarray, g_at_base: np.ndarray) -> HolonomyEleme
     g = np.asarray(g_at_base, dtype=float)
     if abs(np.linalg.det(matrix)) < 1e-300:
         raise SingularMatrixError("holonomy matrix is singular")
-    scale = float(np.mean(_length_ratios(matrix, g)))
+    # the g-length ratio of each transported frame vector, column by column
+    ratios = np.sqrt(np.diag(matrix.T @ g @ matrix) / np.diag(g))
+    scale = float(np.mean(ratios))
     ortho_part = matrix / scale
     u = matrix[:, 0]
     e1 = np.array([1.0, 0.0, 0.0])
     cos = float(u @ g @ e1) / math.sqrt(float(u @ g @ u) * float(e1 @ g @ e1))
     line_residual = math.sqrt(max(0.0, 1.0 - min(1.0, cos * cos)))
     orth_res = float(np.max(np.abs(ortho_part.T @ g @ ortho_part - g)))
-    spread = float(np.max(np.abs(_length_ratios(matrix, g) - scale)))
+    spread = float(np.max(np.abs(ratios - scale)))
     matrix.setflags(write=False)
     return HolonomyElement(matrix=matrix, scale=scale,
                            ortho_defect=max(orth_res, spread),
                            invariant_line_residual=line_residual)
 
 
-def _generator_affine(gen: str, frame: EigenBasis):
+def _generator_affine(gen: str, a: ToralMatrix, frame: EigenBasis):
     """Deck transformation of a generator in eigen coordinates: u -> M u + b."""
     if gen == "gx":
         return np.eye(3), frame.torus_to_eigen @ np.array([1.0, 0.0, 0.0])
     if gen == "gy":
         return np.eye(3), frame.torus_to_eigen @ np.array([0.0, 1.0, 0.0])
     if gen == "gz":
-        return np.diag([frame.lam, 1.0 / frame.lam, frame.lam]), np.zeros(3)
+        return deck_differential(a, frame), np.zeros(3)
     if gen == "gz^-1":
         return np.diag([1.0 / frame.lam, frame.lam, 1.0 / frame.lam]), np.zeros(3)
     raise ValueError(f"unknown generator {gen!r}")
@@ -323,7 +318,7 @@ def holonomy_of_loop(a: ToralMatrix, m: MetricField, loop: LoopClass,
     b_acc = np.zeros(3)
     q = base.copy()
     for gen in loop.word:
-        m_gen, b_gen = _generator_affine(gen, frame)
+        m_gen, b_gen = _generator_affine(gen, a, frame)
         canonical_end = m_gen @ base + b_gen
         q_next = m_acc @ canonical_end + b_acc
         try:

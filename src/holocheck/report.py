@@ -27,39 +27,32 @@ class Part(NamedTuple):
 class CheckResult:
     """Outcome of one checklist entry.
 
-    ``status`` is derived from the residual by :func:`passes`.  Composite
-    checks report a dimensionless worst ratio against tolerance 1.0, list
-    the raw parts in ``note`` and name the part with that ratio in
-    ``worst_part``; the text report shows it, the JSON report does not.
+    ``passed`` and ``status`` are derived from the residual by
+    :func:`passes`.  Composite checks report a dimensionless worst ratio
+    against tolerance 1.0, list the raw parts in ``note`` and name the part
+    with that ratio in ``worst_part``; the text report shows it, the JSON
+    report does not.
     """
 
     id: str
     description: str
     claim: str
-    status: str
     residual: float
     tolerance: float
     note: str = ""
     worst_part: str = ""
 
     def __post_init__(self):
-        expected = "pass" if passes(self.residual, self.tolerance) else "fail"
-        if self.status != expected:
-            raise ValueError(f"check {self.id}: status {self.status!r} contradicts "
-                             f"residual {self.residual} vs tolerance {self.tolerance}")
+        object.__setattr__(self, "residual", float(self.residual))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return passes(self.residual, self.tolerance)
 
-
-def check_result(id: str, description: str, claim: str, residual: float,
-                 tolerance: float, note: str = "", worst_part: str = "") -> CheckResult:
-    residual = float(residual)
-    status = "pass" if passes(residual, tolerance) else "fail"
-    return CheckResult(id=id, description=description, claim=claim, status=status,
-                       residual=residual, tolerance=float(tolerance), note=note,
-                       worst_part=worst_part)
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 @dataclass(frozen=True)

@@ -300,14 +300,27 @@ def _check_stencil(m: MetricField, c: np.ndarray, step) -> None:
             f"h={np.ravel(np.broadcast_to(step, z.shape))[k]}")
 
 
-def _stencil_shifts(c: np.ndarray, step) -> list:
-    """``step * e_k`` for each coordinate direction k, shaped like ``c``."""
-    shifts = []
-    for k in range(c.shape[-1]):
+def _central_difference(m: MetricField, f: Callable[[np.ndarray], np.ndarray],
+                        c: np.ndarray, h: Optional[float]) -> np.ndarray:
+    """The one stencil: ``out[..., k, *] = (f(c + h e_k) - f(c - h e_k)) / 2h``.
+
+    ``f`` maps coordinates of shape ``(..., dim)`` to arrays with the same
+    leading shape; the step is ``h`` or the default step per point, and a
+    stencil that reaches the chart boundary is rejected.
+    """
+    step = _fd_step(m, c, h)
+    _check_stencil(m, c, step)
+    out = None
+    for k in range(m.dim):
         e = np.zeros(c.shape)
         e[..., k] = step
-        shifts.append(e)
-    return shifts
+        diff = f(c + e) - f(c - e)
+        if out is None:
+            tail = diff.ndim - (c.ndim - 1)
+            out = np.empty(c.shape[:-1] + (m.dim,) + diff.shape[c.ndim - 1:])
+            den = 2.0 * np.asarray(step)[(...,) + (None,) * tail]
+        out[(slice(None),) * (c.ndim - 1) + (k,)] = diff / den
+    return out
 
 
 def _metric(m: MetricField, c: np.ndarray) -> np.ndarray:
@@ -348,13 +361,7 @@ def _partials(m: MetricField, c: np.ndarray, method: str = "auto",
         raise ValueError("metric has no exact partials")
     if method in ("auto", "exact") and m.exact_partials is not None:
         return np.asarray(m.exact_partials(c), dtype=float)
-    step = _fd_step(m, c, h)
-    _check_stencil(m, c, step)
-    den = 2.0 * np.asarray(step)[..., None, None]
-    out = np.empty(c.shape[:-1] + (m.dim, m.dim, m.dim))
-    for k, e in enumerate(_stencil_shifts(c, step)):
-        out[..., k, :, :] = (_metric(m, c + e) - _metric(m, c - e)) / den
-    return out
+    return _central_difference(m, lambda x: _metric(m, x), c, h)
 
 
 @cache
@@ -398,13 +405,7 @@ def _curvature(m: MetricField, c: np.ndarray, method: str = "auto",
         gamma = _christoffel(m, c, method, h)
     if ginv is None:
         ginv = _inv_small(_metric(m, c))
-    step = _fd_step(m, c, h)
-    _check_stencil(m, c, step)
-    den = 2.0 * np.asarray(step)[..., None, None, None]
-    dgamma = np.empty(c.shape[:-1] + (m.dim,) + gamma.shape[-3:])
-    for k, e in enumerate(_stencil_shifts(c, step)):
-        dgamma[..., k, :, :, :] = (_christoffel(m, c + e, method, h)
-                                   - _christoffel(m, c - e, method, h)) / den
+    dgamma = _central_difference(m, lambda x: _christoffel(m, x, method, h), c, h)
     # gg[i, k, l, j] = G^i_kp G^p_lj, one (dim^2, dim) x (dim, dim^2) product
     n, lead = m.dim, gamma.shape[:-3]
     gg = gamma.reshape(lead + (n * n, n)) @ gamma.reshape(lead + (n, n * n))

@@ -28,7 +28,6 @@ class TestLineLeaf:
 
     def test_report_passes(self, model, cfg):
         report = hc.leaf_first_check(model, t_max=1e3, cfg=cfg)
-        assert report.kind == "line_leaf"
         assert report.passed
         names = [i.name for i in report.items]
         assert "long_horizon_geodesic_completes" in names

@@ -1,5 +1,7 @@
-"""The names ``import holocheck`` exports, pinned so that a change shows."""
+"""The names ``import holocheck`` exports and the run's configuration
+fields, pinned so that a change shows."""
 
+import dataclasses
 import inspect
 
 import holocheck as hc
@@ -27,12 +29,19 @@ PUBLIC = {
     "induced_halfplane_metric", "induced_line_metric", "leaf_first_check",
     # report and checklist
     "CheckResult", "VerificationReport", "emit_report", "ChecklistConfig",
-    "ConfigError", "emit_traces", "run_checklist",
+    "ConfigError", "run_checklist",
 }
+
+CONFIG_FIELDS = ("matrix", "samples", "tol_abs", "tol_rel", "seed", "t_max",
+                 "metric_exponent", "emit_traces_dir")
 
 
 def test_public_surface():
     exported = {name for name, obj in vars(hc).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)}
     assert exported == PUBLIC
-    assert len(PUBLIC) == 62
+    assert len(PUBLIC) == 61
+
+
+def test_config_fields():
+    assert tuple(f.name for f in dataclasses.fields(hc.ChecklistConfig)) == CONFIG_FIELDS

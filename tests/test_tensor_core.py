@@ -460,7 +460,9 @@ def einsum_curvature(m, c, method="auto", h=None, gamma=None, ginv=None):
     tensor_core._check_stencil(m, c, step)
     den = 2.0 * np.asarray(step)[..., None, None, None]
     dgamma = np.empty(c.shape[:-1] + (m.dim,) + gamma.shape[-3:])
-    for k, e in enumerate(tensor_core._stencil_shifts(c, step)):
+    for k in range(m.dim):
+        e = np.zeros(c.shape)
+        e[..., k] = step
         dgamma[..., k, :, :, :] = (tensor_core._christoffel(m, c + e, method, h)
                                    - tensor_core._christoffel(m, c - e, method, h)) / den
     n, lead = m.dim, gamma.shape[:-3]
