@@ -74,6 +74,11 @@ class ConfigError(ValueError):
     """The checklist configuration itself is unusable."""
 
 
+# The horizon of the downward probes from height 1 (C8, C11 and the escape
+# trace), twice the affine parameter at which they meet the floor.
+_DOWN_T_MAX = 2.0
+
+
 @dataclass(frozen=True)
 class ChecklistConfig:
     """Inputs of a verification run; defaults reproduce the certified case.
@@ -95,8 +100,10 @@ class ChecklistConfig:
             raise ConfigError("samples must be positive")
         if not (0 < self.tol_abs < math.inf and 0 < self.tol_rel < math.inf):
             raise ConfigError("tolerances must be positive and finite")
-        if not 0 < self.t_max < math.inf:
-            raise ConfigError("t_max must be positive and finite")
+        if not _DOWN_T_MAX <= self.t_max < math.inf:
+            raise ConfigError(
+                f"t_max must be finite and at least {_DOWN_T_MAX:g}, the downward "
+                f"probe's horizon: a shorter upward probe shows nothing about completeness")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if not math.isfinite(self.metric_exponent):
@@ -390,7 +397,7 @@ def _check_similarity(ctx: _Context) -> CheckResult:
 def _check_incompleteness(ctx: _Context) -> CheckResult:
     p0 = ChartPoint(0.0, 0.0, 1.0)
     down = integrate_geodesic(ctx.metric, p0, TangentVector(p0, [0.0, 0.0, -1.0]),
-                              2.0, ctx.cfg)
+                              _DOWN_T_MAX, ctx.cfg)
     t_escape = down.termination.t_escape if down.termination.escaped else math.inf
     up = integrate_geodesic(ctx.metric, p0, TangentVector(p0, [0.0, 0.0, 1.0]),
                             ctx.config.t_max, ctx.cfg)
@@ -419,7 +426,7 @@ def _check_line_leaf(ctx: _Context) -> CheckResult:
 def _check_halfplane_leaf(ctx: _Context) -> CheckResult:
     curvature = ctx.swept("C11")[_LEAF_CURVATURE]
     *_, term = integrate_geodesic_coords(
-        ctx.leaf, np.array([0.0, 1.0]), np.array([0.0, -1.0]), 2.0, ctx.cfg)
+        ctx.leaf, np.array([0.0, 1.0]), np.array([0.0, -1.0]), _DOWN_T_MAX, ctx.cfg)
     t_escape = term.t_escape if term.escaped else math.inf
     return _composite("C11", [
         (_LEAF_CURVATURE, curvature, 1e-6),
@@ -506,7 +513,7 @@ def _escape_trace(ctx: _Context) -> str:
     """The downward escape geodesic from (0, 0, 1): t, xt, yt, z, v1, v2, v3."""
     p0 = ChartPoint(0.0, 0.0, 1.0)
     return trajectory_to_csv(integrate_geodesic(
-        ctx.metric, p0, TangentVector(p0, [0.0, 0.0, -1.0]), 2.0, ctx.cfg))
+        ctx.metric, p0, TangentVector(p0, [0.0, 0.0, -1.0]), _DOWN_T_MAX, ctx.cfg))
 
 
 def _gz_trace(ctx: _Context) -> str:

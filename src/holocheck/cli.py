@@ -10,6 +10,8 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .checklist import ChecklistConfig, ConfigError, run_checklist
 from .report import emit_report
 from .transport import IntegrationError
@@ -73,7 +75,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"holocheck: configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run_checklist(config)
+        # a failing check says what broke in its note; numpy's floating-point
+        # warnings (overflow, invalid values) would only bury it on stderr
+        with np.errstate(all="ignore"):
+            report = run_checklist(config)
     except (OSError, IntegrationError) as exc:
         print(f"holocheck: {exc}", file=sys.stderr)
         return 1

@@ -47,6 +47,7 @@ every plane containing dx is flat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -98,7 +99,7 @@ class ChartPoint:
         object.__setattr__(self, "xt", float(self.xt))
         object.__setattr__(self, "yt", float(self.yt))
         object.__setattr__(self, "z", float(self.z))
-        if not (np.isfinite(self.xt) and np.isfinite(self.yt) and np.isfinite(self.z)):
+        if not (math.isfinite(self.xt) and math.isfinite(self.yt) and math.isfinite(self.z)):
             raise ChartDomainError("chart point has non-finite coordinates")
         if self.z <= 0.0:
             raise ChartDomainError(f"chart requires z > 0, got z={self.z}")
@@ -262,7 +263,7 @@ def _coords(m: MetricField, p: PointLike, batch: bool = False) -> np.ndarray:
 def _vector(v: VectorLike, dim: int, base: Optional[np.ndarray] = None) -> np.ndarray:
     """Normalize a vector argument; check the base point when one is carried."""
     if isinstance(v, TangentVector):
-        if base is not None and not np.allclose(v.base.coords, base, rtol=0.0, atol=1e-12):
+        if base is not None and not (np.abs(v.base.coords - base) <= 1e-12).all():
             raise ValueError("tangent vector is based at a different point")
         return np.asarray(v.comp, dtype=float)
     arr = np.asarray(v, dtype=float)

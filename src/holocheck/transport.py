@@ -163,6 +163,9 @@ _STAGE = (None, *(_A[s, :s] for s in range(1, 12)), _B)
 # For a linear field, the index of stage s's abscissa among the eleven
 # distinct new ones: stage 12 shares t + h with stage 11.
 _ROW = (None, *range(11), 10)
+# The abscissae as Python floats, so a callable's stage times t + c h are
+# float arithmetic rather than numpy scalar arithmetic (the same bits).
+_C_FLOAT = tuple(_C.tolist())
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -248,7 +251,7 @@ def _rk_step(f, t, y, h, k1, stats):
         return y_s, k
     for s in range(1, 13):
         y_s = y + h * (_STAGE[s] @ k[:s])
-        k[s] = f(t + _C[s] * h, y_s)
+        k[s] = f(t + _C_FLOAT[s] * h, y_s)
         if math.isnan(k[s, 0]):
             stats.rhs += s
             k[s + 1:] = np.nan
@@ -267,6 +270,12 @@ def _error_norm(k, h, abs_y0, abs_y1, cfg, lanes):
     e = _ERR @ k[:12]
     e /= cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y0, abs_y1)
     e *= e
+    if lanes == 1:  # the same arithmetic, finished in Python floats
+        e5, e3 = e.sum(axis=1).tolist()
+        den = e5 + 0.01 * e3
+        if den <= 0.0:
+            den = 1.0
+        return h * (e5 / math.sqrt(den)) / math.sqrt(e.shape[1])
     e5, e3 = e.reshape(2, lanes, -1).sum(axis=2)
     den = e5 + 0.01 * e3
     den[den <= 0.0] = 1.0  # both estimates are zero
@@ -369,8 +378,13 @@ def _integrate(f, y0, t_end, cfg, floor_index=None, lanes=1, record=True):
     latest accepted state.  ``status`` is COMPLETED, BOUNDARY_ESCAPE or
     STEP_LIMIT; the step budget counts attempted steps.  With
     ``floor_index``, the run ends with BOUNDARY_ESCAPE where y[floor_index]
-    falls to Z_FLOOR, and a step that leaves the chart is retried no longer
-    than the slope's path to Z_FLOOR / 2.  ``stats`` is the run's
+    falls to Z_FLOOR.  While y[floor_index] falls, two kinds of step are
+    taken no longer than the slope's path to Z_FLOOR / 2: the retry of a
+    step that left the chart, and the step after an accepted one that was
+    straight in y[floor_index] (each of its slopes has the floor component
+    of its first).  A straight escape thus lands between the floor and the
+    chart's edge in one step, while a path that bends towards the floor
+    still reaches it through retries.  ``stats`` is the run's
     :class:`_IntegrationStats`.
 
     The state may hold ``lanes`` independent systems of equal size side by
@@ -392,10 +406,16 @@ def _integrate(f, y0, t_end, cfg, floor_index=None, lanes=1, record=True):
     stats.rhs += 2 * lanes
     abs_y = np.abs(y)
     rejected = False
+    aim = False
     while t < t_end:
         if stats.attempted >= cfg.max_steps:
             return samples, STEP_LIMIT, None, stats
         h = min(h, t_end - t)
+        if aim and k1[floor_index] < 0.0:
+            # Along the slope, y[floor_index] reaches Z_FLOOR / 2 after
+            # (y - Z_FLOOR / 2) / -y', so a straight path lands between the
+            # chart's edge and the floor.
+            h = min(h, float((y[floor_index] - 0.5 * Z_FLOOR) / -k1[floor_index]))
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t}")
         stats.attempted += 1
@@ -413,11 +433,8 @@ def _integrate(f, y0, t_end, cfg, floor_index=None, lanes=1, record=True):
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -_EXPONENT))
         if not err_norm <= 1.0:  # NaN from a non-finite error rejects too
             h *= factor
-            if floor_index is not None and err_norm == math.inf and k1[floor_index] < 0.0:
-                # The step left the chart.  Along the slope, y[floor_index]
-                # reaches Z_FLOOR / 2 after (y - Z_FLOOR / 2) / -y', so a
-                # straight path lands between the chart's edge and the floor.
-                h = min(h, float((y[floor_index] - 0.5 * Z_FLOOR) / -k1[floor_index]))
+            # a step that left the chart is retried aimed along the slope
+            aim = aim or (floor_index is not None and err_norm == math.inf)
             rejected = True
             stats.rejected += 1
             continue
@@ -429,6 +446,9 @@ def _integrate(f, y0, t_end, cfg, floor_index=None, lanes=1, record=True):
                                               floor_index, stats)
             samples.append((t_cross, y_cross))
             return samples, BOUNDARY_ESCAPE, t_cross, stats
+        # the next step is aimed at the floor when every slope of this one
+        # has the floor component of its first: the path is straight in it
+        aim = floor_index is not None and bool((k[:, floor_index] == k1[floor_index]).all())
         t_new = t + h
         if record:
             samples.append((t_new, y_new))

@@ -14,17 +14,17 @@ from holocheck.cli import main
 
 REPORT_DIGESTS = [
     (["--samples", "200"],
-     "ca0b281f74a42557b637d673aafbec1df2103a3290075085414976592e082f7b"),
+     "b858059f11440279f4784f49ed90094eb740bec343e77ad3044e728cc14058f7"),
     (["--metric-exponent", "3"],
      "06339252bca7d6bf08586b6dbb2f7c31d8a75ed73d4f250b3ef86ac933fab986"),
     (["--matrix", "9007199254740993 9007199254740992 1 1", "--samples", "200"],
-     "43ece7b1dfbe7b60dbe14bd5caaeae5085949e4cbf5687176aa1ddaef723ba2d"),
+     "48d6ea2e3841531976973b4aac3ebc81865b5fa0973f3310df27e89a156590ed"),
     (["--matrix", "1 1 1 1"],
      "a6b302fd753f52f093251ad5727d5c2297af8768c1f9f910399c26c60e602223"),
 ]
 
 TRACE_DIGESTS = {
-    "escape_geodesic.csv": "d467bbf74e4115cd7c0515ce1ddb79c22e27159b422b9ad3ae2e231f87ad4c15",
+    "escape_geodesic.csv": "28ca1aeab5aea7bcab0dd9d28189e688fc12954ce9cf3df23f992458b66528b1",
     "gz_transport.csv": "ad3a0377b10c9a7c1dc18bef876269d8e0da3347ce3eb05f09119fef100159a1",
 }
 

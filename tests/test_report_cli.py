@@ -1,5 +1,6 @@
 """Report model, serialization, checklist orchestration and CLI exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -20,6 +21,15 @@ QUICK = dict(samples=60)
 @pytest.fixture(scope="module")
 def default_report():
     return hc.run_checklist(hc.ChecklistConfig(**QUICK))
+
+
+def run_module(*args):
+    """``python -m holocheck *args`` in a child that imports this holocheck."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hc.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "holocheck", *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 class TestCheckResult:
@@ -178,6 +188,14 @@ class TestRunChecklist:
             with pytest.raises(hc.ConfigError):
                 hc.ChecklistConfig(**bad)
 
+    def test_t_max_below_the_downward_horizon_rejected(self):
+        # an upward probe shorter than the downward one (2) shows nothing
+        # about completeness: --t-max 1e-9 used to certify 12/12
+        for short in (1e-9, 1.999):
+            with pytest.raises(hc.ConfigError, match="downward probe's horizon"):
+                hc.ChecklistConfig(t_max=short)
+        assert hc.ChecklistConfig(t_max=2.0).t_max == 2.0
+
 
 class TestTraces:
     def test_files_written(self, tmp_path):
@@ -236,6 +254,20 @@ class TestCli:
     def test_bad_config_exit_two(self, capsys, args):
         assert main(args) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_short_t_max_exit_two(self, capsys):
+        assert main(["--t-max", "1e-9"]) == 2
+        assert "downward probe's horizon" in capsys.readouterr().err
+
+    def test_overflowing_metric_keeps_stderr_clean(self):
+        # z^400 overflows in most checks, which fail and say so in the
+        # report; none of numpy's floating-point warnings reach stderr
+        proc = run_module("--samples", "50", "--metric-exponent", "400")
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert "3/12 checks passed" in proc.stdout
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+            "59e57fa70b7bb08d65ea1b8a39bd9396a2592a6ab6fbdd81b56f2f20dba769e2"
 
     def test_mutated_exponent_exit_one(self, capsys):
         assert main(["--samples", "40", "--metric-exponent", "3"]) == 1

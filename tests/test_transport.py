@@ -768,15 +768,72 @@ class TestIntegrationStats:
 
     def test_downward_geodesic(self, model, cfg, monkeypatch):
         # C8's escape (DP5: 35 attempted, 19 accepted, 16 rejected, 11
-        # bisection steps): a step that leaves the chart ends at its first
-        # stage below it, is retried with the slope's path to half the floor
-        # height, and two steps locate the crossing
+        # bisection steps; DOP853 with the retry rule alone: 7 attempted, 2
+        # rejected, 95 RHS): the path is straight in z, so the step after
+        # the first is capped at the slope's path to half the floor height
+        # and lands below the floor, and two steps locate the crossing
         runs = self.record(monkeypatch)
         p0 = ChartPoint(0.0, 0.0, 1.0)
         hc.integrate_geodesic(model, p0, TangentVector(p0, [0.0, 0.0, -1.0]), 2.0, cfg)
         [stats] = runs
-        self.assert_stats(stats, 0.00624191232177869, 0.33541413744059306, attempted=7,
-                          accepted=5, rejected=2, refinement=2, rhs=95)
+        self.assert_stats(stats, 0.03541397080083058, 0.6770701872029652, attempted=3,
+                          accepted=3, rejected=0, refinement=2, rhs=62)
+
+    def test_oblique_straight_escape(self, monkeypatch):
+        # an escape of the geodesic_escape benchmark workload (seed 7) that
+        # took 17 attempted steps, 6 of them rejected, with the retry rule alone
+        runs = self.record(monkeypatch)
+        p0 = ChartPoint(-1.32944632739536, -1.4707824740752524, 3.226313073010137)
+        v0 = TangentVector(p0, [0.22951743717978468, 0.0, -1.0437199249997464])
+        traj = hc.integrate_geodesic(hc.warped_metric(), p0, v0, 7.18969652387693)
+        [stats] = runs
+        assert traj.termination.escaped
+        self.assert_stats(stats, 0.040116069847868134, 2.6520340949871146, attempted=3,
+                          accepted=3, rejected=0, refinement=2, rhs=62)
+
+    @pytest.mark.parametrize("z0,h_min,h_max,counts", [
+        (7.5, 4.387674584572475e-05, 0.6591377360704345,
+         dict(attempted=63, accepted=34, rejected=29, refinement=2, rhs=754)),
+        (3.0, 8.422537517187263e-05, 0.25753077545611547,
+         dict(attempted=55, accepted=31, rejected=24, refinement=2, rhs=652)),
+    ])
+    def test_bending_escape_keeps_the_retry_rule(self, monkeypatch, z0, h_min, h_max,
+                                                  counts):
+        # in dx^2 + (1 + z)^2 dz^2 the downward geodesic speeds up as it
+        # falls, so no step is straight in z and no step is capped ahead of
+        # a rejection: these are the counts of the retry rule alone
+        runs = self.record(monkeypatch)
+        m2 = hc.MetricField(lambda c: np.diag([1.0, (1.0 + c[1]) ** 2]), dim=2)
+        hc.integrate_geodesic_coords(m2, [0.0, z0], [0.0, -1.0], 100.0)
+        [stats] = runs
+        self.assert_stats(stats, h_min, h_max, **counts)
+
+    def test_default_run_work_per_check(self, monkeypatch):
+        # (attempted, rejected, refinement, rhs) of each integration of the
+        # default run, by check; C7 reads C6's holonomies, and no other
+        # check integrates.  Counts repeat exactly, so a change of the step
+        # control shows here where timings on a shared host cannot.
+        runs, current = self.record(monkeypatch), []
+
+        def tagged(check_id, fn):
+            def run(ctx):
+                current.append((check_id, len(runs)))
+                return fn(ctx)
+            return run
+
+        monkeypatch.setattr(checklist, "_CHECKS",
+                            [(cid, tagged(cid, fn)) for cid, fn in checklist._CHECKS])
+        assert hc.run_checklist(hc.ChecklistConfig()).all_passed
+        starts = current + [(None, len(runs))]
+        work = {cid: [(s.attempted, s.rejected, s.refinement, s.rhs) for s in runs[a:b]]
+                for (cid, a), (_, b) in zip(starts, starts[1:]) if b > a}
+        assert work == {
+            "C5": [(1, 0, 0, 260)] * 2,
+            "C6": [(3, 0, 0, 280)] * 3 + [(3, 0, 0, 1120)],
+            "C8": [(3, 0, 2, 62), (6, 0, 0, 74)],
+            "C10": [(8, 0, 0, 98), (1, 0, 0, 13)],
+            "C11": [(3, 0, 2, 62)],
+        }
 
     def test_three_segment_polyline(self, model, cfg, monkeypatch):
         runs = self.record(monkeypatch)
