@@ -77,6 +77,9 @@ class ConfigError(ValueError):
 # The horizon of the downward probes from height 1 (C8, C11 and the escape
 # trace), twice the affine parameter at which they meet the floor.
 _DOWN_T_MAX = 2.0
+# The largest t_max: the upward probe climbs from z = 1 to z = 1 + t_max, and
+# above that the model's Gamma^z_{yt yt} = -2 z^3 overflows a float.
+_T_MAX_LIMIT = float((np.finfo(float).max / 4.0) ** (1.0 / 3.0)) - 1.0
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,10 @@ class ChecklistConfig:
             raise ConfigError(
                 f"t_max must be finite and at least {_DOWN_T_MAX:g}, the downward "
                 f"probe's horizon: a shorter upward probe shows nothing about completeness")
+        if self.t_max > _T_MAX_LIMIT:
+            raise ConfigError(
+                f"t_max must be at most {_T_MAX_LIMIT:.4g}: the upward probe climbs to "
+                f"z = 1 + t_max, and above that Gamma^z_(yt yt) = -2 z^3 overflows a float")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if not math.isfinite(self.metric_exponent):

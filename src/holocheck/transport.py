@@ -174,6 +174,22 @@ _MAX_FACTOR = 10.0
 _EXPONENT = 1.0 / 8.0
 
 
+def _connection_matrices(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a[..., l, k, j] = sum_i gamma[..., l, k, i, j] v[l, i]`` for (lanes, 3) ``v``.
+
+    Three broadcast products, summed in the order of
+    ``np.einsum("...kij,...i->...kj", gamma, v)``, whose sum starts from +0:
+    its bits, an all-zero sum's sign included (a test pins them), at a
+    fraction of its cost.
+    """
+    v = v[:, :, None, None]
+    a = gamma[..., 0, :] * v[:, 0]
+    a += gamma[..., 1, :] * v[:, 1]
+    a += gamma[..., 2, :] * v[:, 2]
+    a += 0.0  # a sum of -0 terms is +0, as einsum's
+    return a
+
+
 class _LinearField:
     """The right-hand side A(s) w of the linear transport equation w' = A w.
 
@@ -200,7 +216,7 @@ class _LinearField:
         c = self.c0 + s[:, None, None] * self.delta
         if c[..., 2].min() <= 0.0:
             return np.full(c.shape + (3,), np.nan)
-        return np.einsum("...kij,...i->...kj", _christoffel(self.m, c), self.minus_delta)
+        return _connection_matrices(_christoffel(self.m, c), self.minus_delta)
 
     def __call__(self, s: float, w: np.ndarray) -> np.ndarray:
         return (self.matrices(np.array([s]))[0] @ w.reshape(self.shape)).ravel()
@@ -356,8 +372,9 @@ def _refine_escape(f, t, y, k1, h, y_new, k_new, fi, stats):
     shift = nudge
     while hi - lo > EVENT_T_TOL:
         w = hi - lo
-        aim = lo + w * _hermite_root(y_lo[fi] - Z_FLOOR, w * k_lo[fi],
-                                     y_hi[fi] - Z_FLOOR, w * k_hi[fi]) + shift
+        # in Python floats, which numpy scalars would slow but not change
+        aim = lo + w * _hermite_root(float(y_lo[fi]) - Z_FLOOR, w * float(k_lo[fi]),
+                                     float(y_hi[fi]) - Z_FLOOR, w * float(k_hi[fi])) + shift
         if not lo < aim < hi:
             aim = 0.5 * (lo + hi)
         y_aim, k = _rk_step(f, t + lo, y_lo, aim - lo, k_lo, stats)
@@ -682,6 +699,10 @@ def _check_3d(m: MetricField) -> None:
 # A transported segment is cut into at least this many pieces, and into
 # more where its z range exceeds a ratio of 2 ** _MIN_PIECES.
 _MIN_PIECES = 8
+# A piece estimated to turn the frame by more than _MAX_TURN radians is split
+# into equal sub-pieces, while splitting leaves a curve at most _MAX_LANES.
+_MAX_TURN = 1.0
+_MAX_LANES = 256
 
 
 def _transport_lanes(m: MetricField, c0: np.ndarray, delta: np.ndarray,
@@ -719,31 +740,58 @@ def _transport_curves(m: MetricField, curves: Sequence[CurveSpec],
     return w
 
 
-def _pieces(curve: CurveSpec):
+def _pieces(m: MetricField, curve: CurveSpec):
     """Cut every segment of the curve into pieces, as (lanes, 3) start and delta arrays.
 
-    A segment whose z runs from z0 to z1 gets n = max(_MIN_PIECES,
+    A segment whose z runs from z0 to z1 is first cut into n = max(_MIN_PIECES,
     ceil(log2 of the larger over the smaller)) pieces with geometric z
     boundaries z0 (z1 / z0)^(i / n), so no piece spans a z ratio above 2;
-    at constant z they are equal in the segment parameter.  Returns
-    ``(c0, delta, k, a, d)``: piece j covers the global curve parameters
-    k[j] + (a[j] + s d[j]) for s in [0, 1] (segment index plus the
-    in-segment parameter).
+    at constant z they are equal in the segment parameter.  Such a piece
+    turns the frame by about its parameter length times the larger of
+    omega = sqrt(max(0, -tr(A^2) / 2)) at its two ends, where
+    A = -Gamma(c)[delta, .] comes from one Christoffel batch over every cut
+    of the curve.  A piece is split into ceil(turn / _MAX_TURN) equal
+    sub-pieces, so no fast-turning piece sets the shared step for the
+    others.  Where that would give the curve more than _MAX_LANES pieces,
+    the turn allowed per sub-piece grows to the curve's total turn over the
+    lanes to spare, and z cuts that alone reach _MAX_LANES are not split:
+    the integrator takes the extra steps.  Where A has real eigenvalues
+    (omega = 0, as on the model's vertical segments) or is not finite, the
+    z cuts stay as they are.  Returns ``(c0, delta, k, a, d)``: piece j
+    covers the global curve parameters k[j] + (a[j] + s d[j]) for s in
+    [0, 1] (segment index plus the in-segment parameter).
     """
-    c0, delta, k, a, d = [], [], [], [], []
-    for i, seg in enumerate(curve.segments):
+    cuts = []
+    for seg in curve.segments:
         log_ratio = math.log1p(seg._delta[2] / seg._c0[2])
         n = max(_MIN_PIECES, math.ceil(abs(log_ratio) / math.log(2.0)))
-        cuts = np.arange(n + 1) / n
+        u = np.arange(n + 1) / n
         if log_ratio != 0.0:
-            cuts = np.expm1(cuts * log_ratio)
-            cuts /= cuts[-1]
-        c0.append(seg._c0 + cuts[:-1, None] * seg._delta)
-        delta.append(np.diff(cuts)[:, None] * seg._delta)
-        k.append(np.full(n, i))
-        a.append(cuts[:-1])
-        d.append(np.diff(cuts))
-    return tuple(np.concatenate(x) for x in (c0, delta, k, a, d))
+            u = np.expm1(u * log_ratio)
+            u /= u[-1]
+        cuts.append(u)
+    seg_c0 = np.array([seg._c0 for seg in curve.segments])
+    seg_delta = np.array([seg._delta for seg in curve.segments])
+    owner = np.repeat(np.arange(len(cuts)), [len(u) for u in cuts])
+    u = np.concatenate(cuts)
+    coeff = _connection_matrices(
+        _christoffel(m, seg_c0[owner] + u[:, None] * seg_delta[owner]), -seg_delta[owner])
+    omega = np.sqrt(np.maximum(0.0, -0.5 * np.einsum("...kj,...jk->...", coeff, coeff)))
+    first = np.flatnonzero(owner[1:] == owner[:-1])  # each piece's first cut
+    width = u[first + 1] - u[first]
+    turn = width * np.maximum(omega[first], omega[first + 1])
+    turn[~np.isfinite(turn)] = 0.0  # a connection that overflows splits nothing
+    spare = _MAX_LANES - len(first)
+    limit = max(_MAX_TURN, turn.sum() / spare) if spare > 0 else math.inf
+    split = np.maximum(1, np.ceil(turn / limit)).astype(int)
+    # per sub-piece: segment, piece start and width, sub-pieces in the piece,
+    # and the index of the piece's first sub-piece
+    k, a, width, s, head = np.repeat([owner[first], u[first], width, split,
+                                      np.cumsum(split) - split], split, axis=1)
+    k = k.astype(int)
+    a += (np.arange(len(k)) - head) / s * width  # sub-piece i of s starts i / s in
+    d = width / s
+    return seg_c0[k] + a[:, None] * seg_delta[k], d[:, None] * seg_delta[k], k, a, d
 
 
 def parallel_transport(m: MetricField, curve: CurveSpec, w0: TangentVector,
@@ -766,7 +814,7 @@ def transport_matrix(m: MetricField, curve: CurveSpec,
     ``P.T g(end) P = g(start)`` up to integration tolerance.
     """
     _check_3d(m)
-    c0, delta = _pieces(curve)[:2]
+    c0, delta = _pieces(m, curve)[:2]
     identities = np.broadcast_to(np.eye(3), (len(c0), 3, 3))
     p = np.eye(3)
     for p_piece in _transport_lanes(m, c0, delta, identities, cfg, False)[-1][1]:
@@ -785,7 +833,7 @@ def transport_frame_trace(m: MetricField, curve: CurveSpec,
     piece ends at the next piece's start, the last at the curve's end.
     """
     _check_3d(m)
-    c0, delta, k, a, d = _pieces(curve)
+    c0, delta, k, a, d = _pieces(m, curve)
     t_ends = np.append(k[1:] + a[1:], len(curve.segments))
     ends = np.vstack([c0[1:], curve.segments[-1].end.coords])
     identities = np.broadcast_to(np.eye(3), (len(c0), 3, 3))

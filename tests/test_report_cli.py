@@ -196,6 +196,14 @@ class TestRunChecklist:
                 hc.ChecklistConfig(t_max=short)
         assert hc.ChecklistConfig(t_max=2.0).t_max == 2.0
 
+    def test_t_max_that_overflows_the_upward_probe_rejected(self):
+        # from z = 1 the upward probe climbs to 1 + t_max, and the model's
+        # Gamma^z_{yt yt} = -2 z^3 overflows above z = 3.5554e102
+        for t_max in (3.556e102, 1e300):
+            with pytest.raises(hc.ConfigError, match="overflows a float"):
+                hc.ChecklistConfig(t_max=t_max)
+        assert hc.ChecklistConfig(t_max=3.555e102).t_max == 3.555e102
+
 
 class TestTraces:
     def test_files_written(self, tmp_path):
@@ -258,6 +266,19 @@ class TestCli:
     def test_short_t_max_exit_two(self, capsys):
         assert main(["--t-max", "1e-9"]) == 2
         assert "downward probe's horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_max", ["5e102", "1e300"])
+    def test_overflowing_t_max_exit_two(self, capsys, t_max):
+        # these failed C8 with a step size underflow: the upward probe's
+        # Gamma^z_{yt yt} overflowed, and 0 * inf gave NaN slopes
+        assert main(["--t-max", t_max]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("holocheck: configuration error: t_max must be at most")
+
+    def test_largest_t_max_passes(self, capsys):
+        assert main(["--t-max", "1e102"]) == 0
+        assert "12/12 checks passed" in capsys.readouterr().out
 
     def test_overflowing_metric_keeps_stderr_clean(self):
         # z^400 overflows in most checks, which fail and say so in the

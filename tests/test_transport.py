@@ -52,6 +52,11 @@ def lane_arrays(segments):
             np.array([seg._delta for seg in segments]))
 
 
+def same_bits(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
 def unsplit_transport(model, segments, cfg, record=False):
     """Each segment transported from the identity as one lane of one run."""
     identities = np.broadcast_to(np.eye(3), (len(segments), 3, 3))
@@ -212,9 +217,10 @@ class TestLanes:
 
     def test_unequal_segment_costs(self, model, monkeypatch):
         # The third acceptance curve: its middle segment alone needs about a
-        # seventh of the steps of the others.  Cut into eight pieces each, all
-        # 24 pieces share one step, in fewer steps than the costliest segment
-        # alone, and every piece adds the same rows to the frame trace.
+        # seventh of the steps of the others.  Cut into at least eight pieces
+        # each, and more where a piece turns fast, all pieces share one step,
+        # in fewer steps than the costliest segment alone, and every piece
+        # adds the same rows to the frame trace.
         curve = acceptance_style_curves(3, seed=0)[2]
         alone = [len(unsplit_transport(model, [seg], TIGHT, record=True)) - 1
                  for seg in curve.segments]
@@ -229,19 +235,25 @@ class TestLanes:
         ts = np.array([t for t, _, _ in trace])
         assert ts[0] == 0.0 and np.all(np.diff(ts) > 0.0) and ts[-1] == 3.0
         rows = np.bincount(np.ceil(ts[1:]).astype(int) - 1)  # segment k: (k, k + 1]
-        assert len(set(rows)) == 1 and rows[0] % 8 == 0
+        pieces = np.bincount(transport._pieces(model, curve)[2])
+        assert pieces.min() >= 8 and len(set(pieces)) > 1
+        per_piece, rest = np.divmod(rows, pieces)
+        assert not rest.any() and len(set(per_piece)) == 1
         assert np.array_equal(trace[-1][2], p)
 
     def test_trace_pieces_end_where_the_next_starts(self, model, cfg):
         # a piece's last row is the next piece's start, t and coordinates,
-        # and the final row the curve's end, not a rounded start + delta
+        # and the final row the curve's end, not a rounded start + delta;
+        # the second curve's z pieces turn up to 2.25 rad and are split
         lam = hc.eigen_basis(hc.validate_toral_matrix([[1000, 999], [1, 1]])).lam
-        curve = CurveSpec.from_points([ChartPoint(0, 0, 1), ChartPoint(0, 0, lam),
-                                       ChartPoint(0.5, 0.5, 3.0)])
-        c0, _, k, a, _ = transport._pieces(curve)
-        rows = {(t, tuple(c)) for t, c, _ in hc.transport_frame_trace(model, curve, cfg)}
-        assert all((k[j] + a[j], tuple(c0[j])) in rows for j in range(len(c0)))
-        assert (2.0, (0.5, 0.5, 3.0)) in rows
+        curves = [[(0, 0, 1), (0, 0, lam), (0.5, 0.5, 3.0)], [(0, 0, 1), (0.5, 3.5, 3.0)]]
+        for nodes in curves:
+            curve = CurveSpec.from_points([ChartPoint(*p) for p in nodes])
+            c0, _, k, a, _ = transport._pieces(model, curve)
+            rows = {(t, tuple(c)) for t, c, _ in hc.transport_frame_trace(model, curve, cfg)}
+            assert all((k[j] + a[j], tuple(c0[j])) in rows for j in range(len(c0)))
+            assert (float(len(nodes) - 1), nodes[-1]) in rows
+        assert len(c0) > len(z_rule_pieces(curve)[0])
 
     def test_error_norm_is_worst_lane(self):
         # Hairer's norm h |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)) at scale 1;
@@ -297,7 +309,136 @@ class TestLanes:
         steps = count_calls(monkeypatch, "_rk_step")
         hc.transport_matrix(model, acceptance_style_curves(1, seed=7)[0], TIGHT)
         assert steps[0] > 0
-        assert christoffel[0] <= steps[0] + 2  # two for the initial-step probe
+        # two for the initial-step probe, one for the cuts' turn estimate
+        assert christoffel[0] <= steps[0] + 3
+
+
+def z_rule_pieces(curve):
+    """The z-ratio cuts alone, built as transport_matrix built them before
+    fast-turning pieces were split: (c0, delta, k, a, d)."""
+    c0, delta, k, a, d = [], [], [], [], []
+    for i, seg in enumerate(curve.segments):
+        log_ratio = math.log1p(seg._delta[2] / seg._c0[2])
+        n = max(8, math.ceil(abs(log_ratio) / math.log(2.0)))
+        cuts = np.arange(n + 1) / n
+        if log_ratio != 0.0:
+            cuts = np.expm1(cuts * log_ratio)
+            cuts /= cuts[-1]
+        c0.append(seg._c0 + cuts[:-1, None] * seg._delta)
+        delta.append(np.diff(cuts)[:, None] * seg._delta)
+        k.append(np.full(n, i))
+        a.append(cuts[:-1])
+        d.append(np.diff(cuts))
+    return tuple(np.concatenate(x) for x in (c0, delta, k, a, d))
+
+
+def piece_turns(model, curve):
+    """Each piece's parameter length times the larger omega at its ends, with
+    omega = sqrt(max(0, -tr(A^2) / 2)) and A = -Gamma(c)[segment delta, .]."""
+    c0, delta, k, _, d = transport._pieces(model, curve)
+    seg_delta = np.array([seg._delta for seg in curve.segments])[k]
+    omega = []
+    for c in (c0, c0 + delta):
+        a = -np.einsum("...kij,...i->...kj", tensor_core._christoffel(model, c), seg_delta)
+        omega.append(np.sqrt(np.maximum(0.0, -0.5 * np.trace(a @ a, axis1=-2, axis2=-1))))
+    return d * np.maximum(*omega)
+
+
+class TestPieces:
+    """A piece that turns fast is split until it turns at most _MAX_TURN."""
+
+    def test_each_piece_turns_at_most_one_radian(self, model):
+        assert transport._MAX_TURN == 1.0
+        for curve in acceptance_style_curves(10, seed=7):
+            c0, delta, k, a, d = transport._pieces(model, curve)
+            assert len(c0) < transport._MAX_LANES
+            assert np.max(piece_turns(model, curve)) <= 1.0 + 1e-12
+            # the pieces of a segment tile it, in order, from 0 to 1
+            for i in range(len(curve.segments)):
+                starts, widths = a[k == i], d[k == i]
+                assert starts[0] == 0.0
+                np.testing.assert_allclose(starts[1:], (starts + widths)[:-1],
+                                           rtol=0, atol=1e-15)
+                assert abs(starts[-1] + widths[-1] - 1.0) <= 1e-15
+            np.testing.assert_allclose(delta, d[:, None] * np.array(
+                [seg._delta for seg in curve.segments])[k], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("nodes", [
+        [(0.3, -0.4, 0.7), (0.3, -0.4, 40.0)],                   # vertical
+        [(0.3, -0.4, 40.0), (0.3, -0.4, 0.7), (0.3, -0.4, 2.0)],  # vertical, both ways
+        [(0.0, 0.0, 1.0), (2.0, 0.0, 1.0)],                      # xt at z = 1: A = 0
+        [(0.0, 0.0, 1.0), (0.0, 3.0, 1.0)],                      # yt at z = 1, slowly
+        [(1.5, 1.5, 1.5), (1.5, 1.5, 1.5)],                      # zero length
+    ])
+    def test_slow_segments_keep_the_z_cuts(self, model, nodes):
+        curve = CurveSpec.from_points([ChartPoint(*p) for p in nodes])
+        for got, want in zip(transport._pieces(model, curve), z_rule_pieces(curve)):
+            assert same_bits(got, want)
+
+    def test_certification_lifts_keep_the_z_cuts(self, monkeypatch):
+        # C6's three lifts and its rectangle at two matrices: the pieces are
+        # bit for bit the z cuts, so reports and traces keep their bytes
+        curves = []
+        original = transport._pieces
+
+        def recorded(m, curve):
+            curves.append(curve)
+            return original(m, curve)
+
+        monkeypatch.setattr(transport, "_pieces", recorded)
+        for matrix in (((2, 1), (1, 1)), ((1000, 999), (1, 1))):
+            hc.run_checklist(hc.ChecklistConfig(matrix=matrix, samples=8))
+        assert len(curves) == 8
+        model = hc.warped_metric()
+        for curve in curves:
+            for got, want in zip(original(model, curve), z_rule_pieces(curve)):
+                assert same_bits(got, want)
+
+    @pytest.mark.parametrize("nodes", [
+        [(0.0, 0.0, 100.0), (0.0, 50.0, 100.0)],       # about 10^4 rad in yt
+        [(0.0, 0.0, 1.0), (0.0, 1.0, 1e30)],            # 100 z cuts, omega up to 2e30
+        [(0.0, 0.0, 1.0), (0.0, 1.0, 1e300)],           # the connection overflows
+        [(0.0, 0.0, 1.0), (0.0, 0.0, 1e300)],           # 997 z cuts, vertical
+        [(0.0, 0.0, 1.0), (0.0, 5.0, 300.0), (0.0, -5.0, 1.0)],
+    ])
+    def test_extreme_curves_stay_under_the_ceiling(self, model, nodes):
+        curve = CurveSpec.from_points([ChartPoint(*p) for p in nodes])
+        with np.errstate(over="ignore", invalid="ignore"):
+            c0, delta, k, a, d = transport._pieces(model, curve)
+        z_cuts = len(z_rule_pieces(curve)[0])
+        assert len(c0) <= max(transport._MAX_LANES, z_cuts)
+        assert np.all(d > 0.0) and np.isfinite(c0).all() and np.isfinite(delta).all()
+        if z_cuts >= transport._MAX_LANES:
+            assert len(c0) == z_cuts  # nothing left to split into
+
+    def test_split_curve_at_the_ceiling_transports(self, model, monkeypatch):
+        # 10^4 rad in all: each of the 248 pieces turns about 40 rad, so the
+        # run takes the extra steps (204; the 8 z cuts alone took 6,172) and
+        # still transports an isometry that fixes e1
+        curve = CurveSpec.from_points([ChartPoint(0, 0, 100.0), ChartPoint(0, 50, 100.0)])
+        assert len(transport._pieces(model, curve)[0]) == 248
+        steps = count_calls(monkeypatch, "_rk_step")
+        p = hc.transport_matrix(model, curve, TIGHT)
+        assert steps[0] < 250
+        g = _metric(model, curve.start.coords)
+        assert np.max(np.abs(p.T @ g @ p - g)) < 1e-7 * np.max(g)
+        assert np.array_equal(p[:, 0], [1.0, 0.0, 0.0])
+
+    def test_work_on_acceptance_curves(self, model, monkeypatch):
+        # (attempted steps, lanes) of each curve at the acceptance suite's
+        # tolerance; with the z cuts alone the lanes were 24, 24, 24, 16, 24
+        runs = []
+        original = transport._integrate
+
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            runs.append((out[3].attempted, kwargs["lanes"]))
+            return out
+
+        monkeypatch.setattr(transport, "_integrate", recorded)
+        for curve in acceptance_style_curves(5, seed=0):
+            hc.transport_matrix(model, curve, TIGHT)
+        assert runs == [(7, 80), (7, 42), (7, 36), (7, 20), (7, 35)]
 
 
 def sheared_metric(exponent=4.0, eps=0.01):
@@ -600,6 +741,41 @@ class TestStepBits:
             assert np.array_equal(k[12], rhs(1e-3, y_new))
 
 
+class TestConnectionBits:
+    """The linear field's coefficients give the einsum form's bits, signed zeros too.
+
+    A = -Gamma(c)[delta, .] was np.einsum("...kij,...i->...kj", Gamma, -delta),
+    whose sum starts from +0; the three broadcast products keep its bits.
+    """
+
+    METRICS = {
+        "warped-4": lambda: hc.warped_metric(),
+        "warped-3": lambda: hc.warped_metric(3.0),
+        "conformal": lambda: hc.quotient_conformal_metric(hc.warped_metric()),
+        "sheared": lambda: sheared_metric(),
+    }
+
+    @pytest.mark.parametrize("lanes", (1, 5, 300))
+    @pytest.mark.parametrize("name", list(METRICS))
+    def test_same_bits_as_einsum(self, name, lanes):
+        m = self.METRICS[name]()
+        rng = np.random.default_rng(lanes)
+        c0 = rng.uniform(-3.0, 3.0, (lanes, 3))
+        c0[:, 2] = rng.uniform(0.5, 5.0, lanes)
+        delta = rng.uniform(-2.0, 2.0, (lanes, 3))
+        delta[:, 2] *= 0.1  # z stays above 0.3
+        # zero components of both signs: +0 and -0 products in the sums
+        delta[rng.random((lanes, 3)) < 0.3] = 0.0
+        delta[rng.random((lanes, 3)) < 0.2] *= -0.0
+        field = transport._LinearField(m, c0, delta, 3)
+        s = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 9)])
+        got = field.matrices(s)
+        want = np.einsum("...kij,...i->...kj",
+                         tensor_core._christoffel(m, c0 + s[:, None, None] * delta), -delta)
+        assert same_bits(got, want)
+        assert (got == 0.0).any()  # the zeros were compared by sign too
+
+
 class TestTableau:
     """The hard-coded DOP853 constants: order conditions and Hairer's table."""
 
@@ -662,6 +838,13 @@ class TestEscapeEvents:
             _, _, term, exact = straight_escape(model, z0, vx, vz)
             assert term.escaped
             assert abs(term.t_escape - exact) <= 1e-9
+
+    def test_escape_parameter_is_a_python_float(self, model):
+        # the crossing is located in Python floats, not numpy scalars
+        p0 = ChartPoint(0.0, 0.0, 1.0)
+        traj = hc.integrate_geodesic(model, p0, TangentVector(p0, [0.0, 0.0, -1.0]), 2.0)
+        assert traj.termination.escaped
+        assert type(traj.termination.t_escape) is float
 
     @pytest.mark.parametrize("z0", HEIGHTS)
     def test_state_brackets_the_floor(self, model, cfg, z0):
@@ -842,11 +1025,12 @@ class TestIntegrationStats:
         hc.transport_matrix(model, curve, cfg)
         [stats] = runs
         # DP5 took 370 steps (365 accepted), DOP853 41 with one lane per
-        # segment; a linear step is one batch at 11 abscissae for each of the
-        # 24 lanes, eight pieces per segment
-        assert stats.rhs == 24 * (2 + 11 * stats.attempted)
-        self.assert_stats(stats, 5.209725217868461e-04, 0.1800642096094952, attempted=9,
-                          accepted=9, rejected=0, refinement=0, rhs=2424)
+        # segment, and 9 with the 24 z-ratio pieces, eight per segment; the
+        # fast-turning pieces of the outer segments are split, 14 + 8 + 14
+        # lanes.  A linear step is one batch at 11 abscissae for each lane.
+        assert stats.rhs == 36 * (2 + 11 * stats.attempted)
+        self.assert_stats(stats, 9.560562641126031e-04, 0.34290751079727055, attempted=6,
+                          accepted=6, rejected=0, refinement=0, rhs=2448)
 
     def test_deck_loop_at_trace_1001(self, model, cfg, monkeypatch):
         runs = self.record(monkeypatch)
