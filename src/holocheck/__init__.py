@@ -12,14 +12,12 @@ from .tensor_core import (
     ChartDomainError,
     ChartPoint,
     DegeneratePlaneError,
-    MetricError,
     MetricField,
     TangentVector,
     Z_FLOOR,
     christoffel_at,
     conformal_deviation_at,
     covariant_metric_derivative_at,
-    metric_at,
     riemann_at,
     sectional_curvature,
     warped_metric,

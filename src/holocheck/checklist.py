@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +61,8 @@ from .transport import (
     CurveSpec,
     DEFAULT_CONFIG,
     IntegrationError,
+    Termination,
+    Trajectory,
     _transport_curves,
     coordinate_rectangle,
     integrate_geodesic,
@@ -117,53 +120,6 @@ class ChecklistConfig:
             raise ConfigError("metric_exponent must be finite")
 
 
-_DESCRIPTIONS = {
-    "C1": "gluing matrix is hyperbolic in SL(2,Z)",
-    "C2": "deck homothety f*g = lambda^2 g",
-    "C3": "metric compatibility grad g = 0",
-    "C4": "nonflat curvature profile",
-    "C5": "parallel frame field v1",
-    "C6": "holonomy reducibility (invariant line)",
-    "C7": "deck-loop similarity with scale 1/lambda",
-    "C8": "geodesic incompleteness at the chart floor",
-    "C9": "conformal class of z^-2 g preserved",
-    "C10": "line leaf flat and long-horizon complete",
-    "C11": "half-plane leaf curved and incomplete",
-    "C12": "orthogonal product splitting",
-}
-
-_CLAIMS = {
-    "C1": "the gluing matrix lies in SL(2,Z) with real positive eigenvalues "
-          "lambda > 1 > 1/lambda",
-    "C2": "the deck map rescales the metric by the constant factor lambda^2 "
-          "(a homothety), so connection and conformal class descend to the quotient",
-    "C3": "the connection is the Levi-Civita connection of the chart metric: "
-          "grad g = 0 identically (locally metric)",
-    "C4": "the metric is not flat: scalar curvature equals -4/z^2 and the "
-          "(v2, v3) plane has sectional curvature -2/z^2, while planes "
-          "containing v1 are flat",
-    "C5": "the coordinate field v1 is parallel: transport along arbitrary "
-          "curves fixes it",
-    "C6": "every holonomy element maps the line spanned by v1 to itself "
-          "(the holonomy group is reducible)",
-    "C7": "the deck-loop holonomy is the strict similarity (1/lambda) I while "
-          "torus and contractible loops are isometric, so the holonomy lies in "
-          "no orthogonal group and the connection is not globally metric",
-    "C8": "the chart metric is geodesically incomplete: a downward vertical "
-          "geodesic ends at affine parameter equal to its starting height, "
-          "while the upward one continues",
-    "C9": "the connection preserves the conformal class of g' = z^-2 g: "
-          "grad_V g' = mu(V) g' with mu(V) = -2 V_z / z, and g' is invariant "
-          "under the deck map",
-    "C10": "the v1 line leaf carries a constant flat induced metric and its "
-           "geodesics run to a long horizon without escape",
-    "C11": "the (v2, v3) half-plane leaf has Gaussian curvature -2/z^2 and a "
-           "geodesic that leaves it in finite affine time",
-    "C12": "the chart metric is the orthogonal product of the flat line leaf "
-           "and the curved half-plane leaf",
-}
-
-
 class _Context:
     """Shared artifacts for one run; all randomness is drawn up front."""
 
@@ -191,44 +147,48 @@ class _Context:
             self.curves.append(CurveSpec.from_points(nodes))
         self.mixed_planes = rng.uniform(0.0, 2.0 * np.pi, n)
         self.split_planes = _split_planes(n, config.seed)
-        self._holonomies = None
-        self._swept = None
 
-    def holonomies(self):
+    @cached_property
+    def holonomies(self) -> dict:
         """Generator-loop and contractible-loop holonomy elements at (0,0,1)."""
-        if self._holonomies is None:
-            base = ChartPoint(0.0, 0.0, 1.0)
-            elems = {}
-            for gen in ("gx", "gy", "gz"):
-                elems[gen] = holonomy_of_loop(
-                    self.matrix, self.metric, LoopClass([gen], base), self.cfg)
-            rect = coordinate_rectangle(base, 1, 2, 0.4)
-            elems["contractible"] = holonomy_element(
-                transport_matrix(self.metric, rect, self.cfg),
-                _metric(self.metric, base.coords))
-            self._holonomies = elems
-        return self._holonomies
+        base = ChartPoint(0.0, 0.0, 1.0)
+        elems = {gen: holonomy_of_loop(self.matrix, self.metric, LoopClass([gen], base),
+                                       self.cfg)
+                 for gen in ("gx", "gy", "gz")}
+        rect = coordinate_rectangle(base, 1, 2, 0.4)
+        elems["contractible"] = holonomy_element(
+            transport_matrix(self.metric, rect, self.cfg), _metric(self.metric, base.coords))
+        return elems
+
+    @cached_property
+    def descent(self) -> Trajectory:
+        """The unit-speed geodesic falling from (0, 0, 1): C8's probe and the
+        escape trace."""
+        p0 = ChartPoint(0.0, 0.0, 1.0)
+        return integrate_geodesic(self.metric, p0, TangentVector(p0, [0.0, 0.0, -1.0]),
+                                  _DOWN_T_MAX, self.cfg)
 
     def swept(self, check_id: str) -> _Maxima:
         """The maxima a sampled check folded over the sweep; re-raises its fault."""
-        if self._swept is None:
-            self._swept = self._sweep()
-        result = self._swept[check_id]
+        result = self.sweep[check_id]
         if isinstance(result, Exception):
             raise result
         return result
 
-    def _sweep(self) -> dict:
+    @cached_property
+    def sweep(self) -> dict:
         """Walk the samples once, in chunks; every sampled check folds each one.
 
         A check whose fold raises stops folding and keeps the exception, so
         only that check fails.  The shared geometry raises in every fold
         that reads it (see :class:`tensor_core._Geometry`).
         """
-        results = {check_id: _Maxima() for check_id, _ in _SWEEP}
+        folds = [(check_id, check.fold) for check_id, check in _CHECKS.items()
+                 if check.fold is not None]
+        results = {check_id: _Maxima() for check_id, _ in folds}
         for sl in chunks(len(self.points)):
             geo = _Geometry(self.metric, self.points[sl])
-            for check_id, fold in _SWEEP:
+            for check_id, fold in folds:
                 out = results[check_id]
                 if isinstance(out, Exception):
                     continue
@@ -241,8 +201,9 @@ class _Context:
 
 def _result(check_id: str, residual: float, tolerance: float, note: str = "",
             worst_part: str = "") -> CheckResult:
-    return CheckResult(check_id, _DESCRIPTIONS[check_id], _CLAIMS[check_id],
-                       residual, tolerance, note, worst_part)
+    check = _CHECKS[check_id]
+    return CheckResult(check_id, check.description, check.claim, residual, tolerance,
+                       note, worst_part)
 
 
 def _failed(check_id: str, note: str) -> CheckResult:
@@ -344,15 +305,8 @@ def _fold_split(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
              np.abs(sectional_curvature(g, geo.curvature[0], _E1, ctx.split_planes[sl])))
 
 
-# The sampled checks, in the order they fold each chunk of the one sweep.
-_SWEEP = (
-    ("C2", _fold_homothety),
-    ("C3", _fold_compatibility),
-    ("C4", _fold_nonflat),
-    ("C9", _fold_conformal),
-    ("C11", _fold_halfplane_leaf),
-    ("C12", _fold_split),
-)
+def _check_gluing(ctx: _Context) -> CheckResult:
+    return _result("C1", 0.0, 0.0, f"trace={ctx.matrix.trace}, det=1")
 
 
 def _check_homothety(ctx: _Context) -> CheckResult:
@@ -387,12 +341,12 @@ def _check_parallel_field(ctx: _Context) -> CheckResult:
 
 def _check_reducibility(ctx: _Context) -> CheckResult:
     parts = [(name, elem.invariant_line_residual, 1e-7)
-             for name, elem in ctx.holonomies().items()]
+             for name, elem in ctx.holonomies.items()]
     return _composite("C6", parts)
 
 
 def _check_similarity(ctx: _Context) -> CheckResult:
-    elems = ctx.holonomies()
+    elems = ctx.holonomies
     lam = ctx.frame.lam
     gz_matrix_res = float(np.max(np.abs(elems["gz"].matrix - np.eye(3) / lam)))
     parts = [("gz_matrix_is_inverse_lambda_identity", gz_matrix_res, 1e-6)]
@@ -401,19 +355,22 @@ def _check_similarity(ctx: _Context) -> CheckResult:
     return _composite("C7", parts)
 
 
+def _escape_parts(term: Termination, at_t1: str, at_crossing: str) -> list:
+    """The parts of a unit-speed geodesic falling from z = 1: it escapes at
+    t = 1, within 1e-8 of where the line z = 1 - t meets the floor, 1 - Z_FLOOR."""
+    t_escape = term.t_escape if term.escaped else math.inf
+    return [(at_t1, abs(t_escape - 1.0), 1e-6),
+            (at_crossing, abs(t_escape - (1.0 - Z_FLOOR)), 1e-8)]
+
+
 def _check_incompleteness(ctx: _Context) -> CheckResult:
+    parts = _escape_parts(ctx.descent.termination, "downward_escape_at_t=1",
+                          "downward_escape_at_crossing")
     p0 = ChartPoint(0.0, 0.0, 1.0)
-    down = integrate_geodesic(ctx.metric, p0, TangentVector(p0, [0.0, 0.0, -1.0]),
-                              _DOWN_T_MAX, ctx.cfg)
-    t_escape = down.termination.t_escape if down.termination.escaped else math.inf
     up = integrate_geodesic(ctx.metric, p0, TangentVector(p0, [0.0, 0.0, 1.0]),
                             ctx.config.t_max, ctx.cfg)
-    up_res = 0.0 if up.termination.completed else math.inf
-    # the unit-speed vertical line from z = 1 meets the floor at 1 - Z_FLOOR
-    return _composite("C8", [("downward_escape_at_t=1", abs(t_escape - 1.0), 1e-6),
-                             ("downward_escape_at_crossing",
-                              abs(t_escape - (1.0 - Z_FLOOR)), 1e-8),
-                             ("upward_completes", up_res, 0.0)])
+    return _composite("C8", parts + [("upward_completes",
+                                      0.0 if up.termination.completed else math.inf, 0.0)])
 
 
 def _check_conformal(ctx: _Context) -> CheckResult:
@@ -434,13 +391,8 @@ def _check_halfplane_leaf(ctx: _Context) -> CheckResult:
     curvature = ctx.swept("C11")[_LEAF_CURVATURE]
     *_, term = integrate_geodesic_coords(
         ctx.leaf, np.array([0.0, 1.0]), np.array([0.0, -1.0]), _DOWN_T_MAX, ctx.cfg)
-    t_escape = term.t_escape if term.escaped else math.inf
-    return _composite("C11", [
-        (_LEAF_CURVATURE, curvature, 1e-6),
-        ("downward_geodesic_escapes_at_t1", abs(t_escape - 1.0), 1e-6),
-        # the unit-speed line z = 1 - t meets the floor at 1 - Z_FLOOR
-        ("downward_geodesic_escapes_at_crossing", abs(t_escape - (1.0 - Z_FLOOR)), 1e-8),
-    ])
+    return _composite("C11", [(_LEAF_CURVATURE, curvature, 1e-6)] + _escape_parts(
+        term, "downward_geodesic_escapes_at_t1", "downward_geodesic_escapes_at_crossing"))
 
 
 _SPLIT_TOLERANCES = (
@@ -457,19 +409,72 @@ def _check_product_split(ctx: _Context) -> CheckResult:
     return _composite("C12", [(name, out[name], tol) for name, tol in _SPLIT_TOLERANCES])
 
 
-_CHECKS = [
-    ("C2", _check_homothety),
-    ("C3", _check_compatibility),
-    ("C4", _check_nonflat),
-    ("C5", _check_parallel_field),
-    ("C6", _check_reducibility),
-    ("C7", _check_similarity),
-    ("C8", _check_incompleteness),
-    ("C9", _check_conformal),
-    ("C10", _check_line_leaf),
-    ("C11", _check_halfplane_leaf),
-    ("C12", _check_product_split),
-]
+class _Check(NamedTuple):
+    """One check: its report text, its check function and, for a sampled
+    check, the fold it runs on each chunk of the sweep."""
+
+    description: str
+    claim: str
+    run: Callable[[_Context], CheckResult]
+    fold: Optional[Callable[[_Context, _Geometry, slice, _Maxima], None]] = None
+
+
+# Every check, one row each, in report order; the sampled checks fold each
+# chunk of the one sweep in this order too.
+_CHECKS = {
+    "C1": _Check("gluing matrix is hyperbolic in SL(2,Z)",
+                 "the gluing matrix lies in SL(2,Z) with real positive eigenvalues "
+                 "lambda > 1 > 1/lambda",
+                 _check_gluing),
+    "C2": _Check("deck homothety f*g = lambda^2 g",
+                 "the deck map rescales the metric by the constant factor lambda^2 "
+                 "(a homothety), so connection and conformal class descend to the quotient",
+                 _check_homothety, _fold_homothety),
+    "C3": _Check("metric compatibility grad g = 0",
+                 "the connection is the Levi-Civita connection of the chart metric: "
+                 "grad g = 0 identically (locally metric)",
+                 _check_compatibility, _fold_compatibility),
+    "C4": _Check("nonflat curvature profile",
+                 "the metric is not flat: scalar curvature equals -4/z^2 and the "
+                 "(v2, v3) plane has sectional curvature -2/z^2, while planes "
+                 "containing v1 are flat",
+                 _check_nonflat, _fold_nonflat),
+    "C5": _Check("parallel frame field v1",
+                 "the coordinate field v1 is parallel: transport along arbitrary "
+                 "curves fixes it",
+                 _check_parallel_field),
+    "C6": _Check("holonomy reducibility (invariant line)",
+                 "every holonomy element maps the line spanned by v1 to itself "
+                 "(the holonomy group is reducible)",
+                 _check_reducibility),
+    "C7": _Check("deck-loop similarity with scale 1/lambda",
+                 "the deck-loop holonomy is the strict similarity (1/lambda) I while "
+                 "torus and contractible loops are isometric, so the holonomy lies in "
+                 "no orthogonal group and the connection is not globally metric",
+                 _check_similarity),
+    "C8": _Check("geodesic incompleteness at the chart floor",
+                 "the chart metric is geodesically incomplete: a downward vertical "
+                 "geodesic ends at affine parameter equal to its starting height, "
+                 "while the upward one continues",
+                 _check_incompleteness),
+    "C9": _Check("conformal class of z^-2 g preserved",
+                 "the connection preserves the conformal class of g' = z^-2 g: "
+                 "grad_V g' = mu(V) g' with mu(V) = -2 V_z / z, and g' is invariant "
+                 "under the deck map",
+                 _check_conformal, _fold_conformal),
+    "C10": _Check("line leaf flat and long-horizon complete",
+                  "the v1 line leaf carries a constant flat induced metric and its "
+                  "geodesics run to a long horizon without escape",
+                  _check_line_leaf),
+    "C11": _Check("half-plane leaf curved and incomplete",
+                  "the (v2, v3) half-plane leaf has Gaussian curvature -2/z^2 and a "
+                  "geodesic that leaves it in finite affine time",
+                  _check_halfplane_leaf, _fold_halfplane_leaf),
+    "C12": _Check("orthogonal product splitting",
+                  "the chart metric is the orthogonal product of the flat line leaf "
+                  "and the curved half-plane leaf",
+                  _check_product_split, _fold_split),
+}
 
 
 def _config_echo(config: ChecklistConfig) -> dict:
@@ -498,15 +503,14 @@ def run_checklist(config: ChecklistConfig = ChecklistConfig()) -> VerificationRe
     try:
         matrix = validate_toral_matrix(config.matrix)
     except ToralMatrixError as exc:
-        checks = [_failed("C1", str(exc))]
-        checks += [_failed(check_id, "not run: invalid gluing matrix")
-                   for check_id, _ in _CHECKS]
+        checks = [_failed(check_id, str(exc) if check_id == "C1"
+                          else "not run: invalid gluing matrix") for check_id in _CHECKS]
         return VerificationReport(config_echo=_config_echo(config), checks=tuple(checks))
-    checks = [_result("C1", 0.0, 0.0, f"trace={matrix.trace}, det=1")]
     ctx = _Context(config, matrix)
-    for check_id, fn in _CHECKS:
+    checks = []
+    for check_id, check in _CHECKS.items():
         try:
-            checks.append(fn(ctx))
+            checks.append(check.run(ctx))
         except Exception as exc:
             checks.append(_failed(check_id, f"{type(exc).__name__}: {exc}"))
     traces: Tuple[str, ...] = ()
@@ -514,13 +518,6 @@ def run_checklist(config: ChecklistConfig = ChecklistConfig()) -> VerificationRe
         traces = _write_traces(ctx, config.emit_traces_dir)
     return VerificationReport(config_echo=_config_echo(config),
                               checks=tuple(checks), traces_emitted=traces)
-
-
-def _escape_trace(ctx: _Context) -> str:
-    """The downward escape geodesic from (0, 0, 1): t, xt, yt, z, v1, v2, v3."""
-    p0 = ChartPoint(0.0, 0.0, 1.0)
-    return trajectory_to_csv(integrate_geodesic(
-        ctx.metric, p0, TangentVector(p0, [0.0, 0.0, -1.0]), _DOWN_T_MAX, ctx.cfg))
 
 
 def _gz_trace(ctx: _Context) -> str:
@@ -534,7 +531,9 @@ def _gz_trace(ctx: _Context) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TRACES = (("escape_geodesic.csv", _escape_trace), ("gz_transport.csv", _gz_trace))
+# The escape trace is C8's downward probe: t, xt, yt, z, v1, v2, v3 per step.
+_TRACES = (("escape_geodesic.csv", lambda ctx: trajectory_to_csv(ctx.descent)),
+           ("gz_transport.csv", _gz_trace))
 
 
 def _write_traces(ctx: _Context, out_dir: str) -> Tuple[str, ...]:

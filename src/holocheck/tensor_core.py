@@ -83,10 +83,6 @@ class DegeneratePlaneError(ValueError):
     """Sectional curvature requested for linearly dependent directions."""
 
 
-class MetricError(ValueError):
-    """A metric component matrix is not symmetric positive definite."""
-
-
 @dataclass(frozen=True)
 class ChartPoint:
     """A point (xt, yt, z) of the chart, with z > 0."""
@@ -432,13 +428,6 @@ def _nabla(gamma: np.ndarray, g: np.ndarray, d: np.ndarray) -> np.ndarray:
     return d - (p + p.swapaxes(-1, -2))
 
 
-def _covariant_metric_derivative(m_conn: MetricField, m_target: MetricField,
-                                 c: np.ndarray, method: str = "auto",
-                                 h: Optional[float] = None) -> np.ndarray:
-    return _nabla(_christoffel(m_conn, c, method, h), _metric(m_target, c),
-                  _partials(m_target, c, method, h))
-
-
 def _conformal_fit(nabla: np.ndarray, g: np.ndarray, v: np.ndarray):
     """``(mu, |nabla_v g - mu g|_F)`` per point, mu the least-squares factor."""
     if np.any(np.all(v == 0.0, axis=-1)):
@@ -447,13 +436,6 @@ def _conformal_fit(nabla: np.ndarray, g: np.ndarray, v: np.ndarray):
     mu = np.sum(t * g, axis=(-2, -1)) / np.sum(g * g, axis=(-2, -1))
     r = t - mu[..., None, None] * g
     return mu, np.sqrt(np.sum(r * r, axis=(-2, -1)))
-
-
-def _conformal_deviation(m_conn: MetricField, m_target: MetricField,
-                         c: np.ndarray, v: np.ndarray):
-    """``(mu, residual)`` per point; see :func:`conformal_deviation_at`."""
-    return _conformal_fit(_covariant_metric_derivative(m_conn, m_target, c),
-                          _metric(m_target, c), v)
 
 
 def _worst(values) -> float:
@@ -516,23 +498,6 @@ class _Geometry:
     @cached_property
     def curvature(self):
         return _curvature(self.m, self.c, "exact", gamma=self.gamma, ginv=self.ginv)
-
-
-def metric_at(m: MetricField, p: PointLike) -> np.ndarray:
-    """Metric components at ``p``, validated symmetric positive definite."""
-    c = _coords(m, p)
-    g = _metric(m, c)
-    if g.shape != (m.dim, m.dim):
-        raise MetricError(f"metric returned shape {g.shape}, expected {(m.dim, m.dim)}")
-    if not np.all(np.isfinite(g)):
-        raise MetricError("metric components are not finite")
-    if np.max(np.abs(g - g.T)) > 1e-12 * (1.0 + np.max(np.abs(g))):
-        raise MetricError("metric components are not symmetric")
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise MetricError("metric components are not positive definite") from None
-    return g
 
 
 def christoffel_at(m: MetricField, p: PointLike, method: str = "auto",
@@ -600,8 +565,9 @@ def covariant_metric_derivative_at(m_conn: MetricField, m_target: MetricField,
     up to roundoff.  ``method`` applies to both the connection and the
     target partials.
     """
-    return _covariant_metric_derivative(m_conn, m_target, _coords(m_conn, p),
-                                        method, h)
+    c = _coords(m_conn, p)
+    return _nabla(_christoffel(m_conn, c, method, h), _metric(m_target, c),
+                  _partials(m_target, c, method, h))
 
 
 def conformal_deviation_at(m_conn: MetricField, m_target: MetricField,
@@ -615,5 +581,7 @@ def conformal_deviation_at(m_conn: MetricField, m_target: MetricField,
     """
     c = _coords(m_conn, p)
     vc = _vector(direction, m_conn.dim, base=c)
-    mu, residual = _conformal_deviation(m_conn, m_target, c, vc)
+    g = _metric(m_target, c)
+    nabla = _nabla(_christoffel(m_conn, c), g, _partials(m_target, c))
+    mu, residual = _conformal_fit(nabla, g, vc)
     return float(mu), float(residual)

@@ -386,7 +386,7 @@ def _refine_escape(f, t, y, k1, h, y_new, k_new, fi, stats):
     return t + hi, y_hi
 
 
-def _integrate(f, y0, t_end, cfg, floor_index=None, lanes=1, record=True):
+def _integrate(f, y0, t_end, cfg, floor_index=None, record=True):
     """Adaptive integration of y' = f(t, y) on [0, t_end].
 
     Returns ``(samples, status, t_event, stats)`` where samples is a list of
@@ -404,8 +404,8 @@ def _integrate(f, y0, t_end, cfg, floor_index=None, lanes=1, record=True):
     still reaches it through retries.  ``stats`` is the run's
     :class:`_IntegrationStats`.
 
-    The state may hold ``lanes`` independent systems of equal size side by
-    side (segments of one curve); they share the step, whose error is the
+    A :class:`_LinearField` holds one system per lane (pieces of curves),
+    side by side in the state; they share the step, whose error is the
     worst lane's, so each lane is held to the tolerance on its own.  The
     step after a rejected one does not grow (Hairer-Norsett-Wanner, Solving
     ODEs I, II.4).
@@ -413,6 +413,7 @@ def _integrate(f, y0, t_end, cfg, floor_index=None, lanes=1, record=True):
     y = np.asarray(y0, dtype=float)
     t = 0.0
     samples = [(0.0, y.copy())]
+    lanes = f.shape[0] if isinstance(f, _LinearField) else 1
     stats = _IntegrationStats()
     if t_end <= 0.0:
         return samples, COMPLETED, None, stats
@@ -533,10 +534,6 @@ class Trajectory:
             out.append(TrajectorySample(float(t), pt, TangentVector(pt, v)))
         return tuple(out)
 
-    @property
-    def final(self) -> TrajectorySample:
-        return self.samples[-1]
-
 
 def _geodesic_rhs(m: MetricField, fi: Optional[int]):
     dim = m.dim
@@ -632,9 +629,6 @@ class StraightSegment:
     def point(self, s) -> np.ndarray:
         return self._c0 + np.multiply.outer(s, self._delta)
 
-    def reversed(self) -> "StraightSegment":
-        return StraightSegment(self.end, self.start)
-
 
 @dataclass(frozen=True)
 class CurveSpec:
@@ -671,9 +665,6 @@ class CurveSpec:
     @property
     def end(self) -> ChartPoint:
         return ChartPoint.from_coords(self.segments[-1].point(1.0))
-
-    def reversed(self) -> "CurveSpec":
-        return CurveSpec([seg.reversed() for seg in reversed(self.segments)])
 
 
 def coordinate_rectangle(p: ChartPoint, i: int, j: int, eps: float) -> CurveSpec:
@@ -715,8 +706,7 @@ def _transport_lanes(m: MetricField, c0: np.ndarray, delta: np.ndarray,
     """
     lanes, _, width = w0.shape
     field = _LinearField(m, c0, delta, width)
-    samples, status, _, _ = _integrate(field, w0.ravel(), 1.0, cfg, lanes=lanes,
-                                    record=record)
+    samples, status, _, _ = _integrate(field, w0.ravel(), 1.0, cfg, record=record)
     if status != COMPLETED:
         raise IntegrationError(f"transport ran out of steps ({status})")
     return [(s, y.reshape(lanes, 3, width)) for s, y in samples]

@@ -49,7 +49,7 @@ class TestBatchMatchesSinglePoints:
         gamma = tc._christoffel(m, c)
         riemann, ricci, scalar = tc._curvature(m, c)
         sectional = hc.sectional_curvature(tc._metric(m, c), riemann, u, v)
-        nabla = tc._covariant_metric_derivative(m, target, c)
+        nabla = tc._nabla(gamma, tc._metric(target, c), tc._partials(target, c))
         assert gamma.shape == (n,) + (m.dim,) * 3
         assert riemann.shape == (n,) + (m.dim,) * 4
         assert scalar.shape == sectional.shape == (n,)
@@ -59,14 +59,15 @@ class TestBatchMatchesSinglePoints:
             assert np.array_equal(curv.riemann, riemann[i])
             assert np.array_equal(curv.ricci, ricci[i])
             assert curv.scalar == scalar[i]
-            assert hc.sectional_curvature(hc.metric_at(m, c[i]), curv.riemann,
+            assert hc.sectional_curvature(m.components(c[i]), curv.riemann,
                                           u, v[i]) == sectional[i]
             assert np.array_equal(
                 hc.covariant_metric_derivative_at(m, target, c[i]), nabla[i])
 
     def test_numeric_partials_path(self, model):
         c = sample_coords(CHUNK + 1)
-        batch = tc._covariant_metric_derivative(model, model, c, "numeric", 1e-5)
+        batch = tc._nabla(tc._christoffel(model, c, "numeric", 1e-5), tc._metric(model, c),
+                          tc._partials(model, c, "numeric", 1e-5))
         for i in range(len(c)):
             single = hc.covariant_metric_derivative_at(model, model, c[i],
                                                        method="numeric", h=1e-5)
@@ -145,19 +146,19 @@ def test_checklist_residuals_are_single_point_maxima(cat):
 
     lam2 = ctx.frame.lam ** 2
     assert by_id["C2"] == max(
-        hc.pullback_metric_residual(cat, m, p) / (lam2 * np.max(np.abs(hc.metric_at(m, p))))
+        hc.pullback_metric_residual(cat, m, p) / (lam2 * np.max(np.abs(m.components(p.coords))))
         for p in pts)
 
     exact = max(np.max(np.abs(hc.covariant_metric_derivative_at(m, m, p, method="exact")))
                 for p in pts)
     # the closed-form connection against g's central differences
     numeric = max(np.max(np.abs(tc._nabla(
-        hc.christoffel_at(m, p).gamma, hc.metric_at(m, p),
+        hc.christoffel_at(m, p).gamma, m.components(p.coords),
         tc._partials(m, p.coords, "numeric", 1e-5)))) for p in pts)
     assert by_id["C3"] == max(exact / cfg.tol_abs, numeric / 1e-5)
 
     curv = [hc.riemann_at(m, p) for p in pts]
-    gs = [hc.metric_at(m, p) for p in pts]
+    gs = [m.components(p.coords) for p in pts]
     scalar = np.array([k.scalar for k in curv])
     k23 = np.array([hc.sectional_curvature(g, k.riemann, e2, e3) for g, k in zip(gs, curv)])
     flat = [hc.sectional_curvature(g, k.riemann, e1,
@@ -248,7 +249,8 @@ class TestBatchSafetyChecks:
         d = np.random.default_rng(7).uniform(-1.0, 1.0, c.shape)
         d[BAD] = 0.0
         with pytest.raises(ValueError, match="zero"):
-            tc._conformal_deviation(model, model, c, d)
+            tc._conformal_fit(tc._nabla(tc._christoffel(model, c), tc._metric(model, c),
+                                        tc._partials(model, c)), tc._metric(model, c), d)
 
     def test_checks_reject_floor_point(self, cat, model):
         c = self.batch([0.0, 0.0, 1e-7])

@@ -133,7 +133,7 @@ class TestProductSplit:
 
     def test_distributions_orthogonal(self, model, points100):
         for p in points100[:25]:
-            g = hc.metric_at(model, p)
+            g = model.components(p.coords)
             assert g[0, 1] == 0.0 and g[0, 2] == 0.0
 
     def test_leaves_totally_geodesic(self, model, cfg):

@@ -8,10 +8,10 @@ import holocheck as hc
 
 PUBLIC = {
     # tensor_core
-    "ChartDomainError", "ChartPoint", "DegeneratePlaneError", "MetricError",
-    "MetricField", "TangentVector", "Z_FLOOR", "christoffel_at",
-    "conformal_deviation_at", "covariant_metric_derivative_at", "metric_at",
-    "riemann_at", "sectional_curvature", "warped_metric",
+    "ChartDomainError", "ChartPoint", "DegeneratePlaneError", "MetricField",
+    "TangentVector", "Z_FLOOR", "christoffel_at", "conformal_deviation_at",
+    "covariant_metric_derivative_at", "riemann_at", "sectional_curvature",
+    "warped_metric",
     # transport
     "BOUNDARY_ESCAPE", "COMPLETED", "STEP_LIMIT", "CurveError", "CurveSpec",
     "IntegrationError", "IntegratorConfig", "StraightSegment", "Termination",
@@ -40,7 +40,7 @@ def test_public_surface():
     exported = {name for name, obj in vars(hc).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)}
     assert exported == PUBLIC
-    assert len(PUBLIC) == 61
+    assert len(PUBLIC) == 59
 
 
 def test_config_fields():

@@ -129,9 +129,9 @@ class TestPullbackResidual:
 class TestConformalMetric:
     def test_values(self, model):
         gprime = hc.quotient_conformal_metric(model)
-        np.testing.assert_allclose(hc.metric_at(gprime, ChartPoint(0, 0, 1)),
+        np.testing.assert_allclose(gprime.components(ChartPoint(0, 0, 1).coords),
                                    np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(hc.metric_at(gprime, ChartPoint(0, 0, 2)),
+        np.testing.assert_allclose(gprime.components(ChartPoint(0, 0, 2).coords),
                                    np.diag([0.25, 4.0, 0.25]), atol=1e-15)
 
     def test_exact_partials_match_numeric(self, model):

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import holocheck as hc
+from holocheck import checklist
 from holocheck.checklist import _composite
 from holocheck.cli import main
 from holocheck.report import Part, passes
@@ -116,6 +117,29 @@ class TestRunChecklist:
         r1 = hc.emit_report(hc.run_checklist(hc.ChecklistConfig(**QUICK)), "json")
         r2 = hc.emit_report(hc.run_checklist(hc.ChecklistConfig(**QUICK)), "json")
         assert r1 == r2
+
+    @pytest.mark.parametrize("matrix", [((2, 1), (1, 1)), ((1, 1), (0, 1))],
+                             ids=["certified", "invalid"])
+    def test_report_text_is_the_registry_row(self, matrix):
+        doc = json.loads(hc.emit_report(
+            hc.run_checklist(hc.ChecklistConfig(matrix=matrix, samples=10)), "json"))
+        assert [c["id"] for c in doc["checks"]] == list(checklist._CHECKS)
+        assert [f"C{i}" for i in range(1, 13)] == list(checklist._CHECKS)
+        for c in doc["checks"]:
+            row = checklist._CHECKS[c["id"]]
+            assert (c["description"], c["claim"]) == (row.description, row.claim)
+
+    def test_sweep_folds_are_the_registry_rows(self, cat):
+        ctx = checklist._Context(hc.ChecklistConfig(samples=10), cat)
+        assert list(ctx.sweep) == [cid for cid, row in checklist._CHECKS.items()
+                                   if row.fold is not None]
+        assert list(ctx.sweep) == ["C2", "C3", "C4", "C9", "C11", "C12"]
+
+    def test_readme_table_lists_the_registry(self):
+        readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+        with open(readme) as fh:
+            ids = re.findall(r"^\| (C\d+) +\|", fh.read(), re.M)
+        assert ids == list(checklist._CHECKS)
 
     def test_parabolic_matrix_fails_c1(self):
         rep = hc.run_checklist(hc.ChecklistConfig(matrix=((1, 1), (0, 1)), samples=10))

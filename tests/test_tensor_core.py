@@ -7,13 +7,17 @@ For the model metric dx^2 + z^4 dy^2 + dz^2 the Koszul formula gives, in
 numeric-partials path is the independent oracle for the exact one.
 
 The model ships those symbols in closed form; they are the Levi-Civita
-connection of g bit for bit, and a sympy derivation pins them.
+connection of g bit for bit, and a sympy derivation pins them.  The same
+derivation pins the Riemann tensor, the scalar and sectional curvature and
+the Lee form theta = -2 dz/z of g' = z^-2 g.
 """
 
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -23,7 +27,6 @@ from holocheck import (
     ChartDomainError,
     ChartPoint,
     DegeneratePlaneError,
-    MetricError,
     MetricField,
     TangentVector,
     checklist,
@@ -65,31 +68,19 @@ class TestChartTypes:
 
 
 class TestMetricAt:
+    """The model's components at chart points."""
+
     def test_model_at_z2(self, model):
-        g = hc.metric_at(model, ChartPoint(0, 0, 2))
+        g = model.components(ChartPoint(0, 0, 2).coords)
         np.testing.assert_allclose(g, np.diag([1.0, 16.0, 1.0]), atol=0)
 
     def test_model_at_z1_is_identity(self, model):
-        g = hc.metric_at(model, ChartPoint(5, -3, 1))
+        g = model.components(ChartPoint(5, -3, 1).coords)
         np.testing.assert_allclose(g, np.eye(3), atol=0)
 
     def test_euclidean_anywhere(self, euclid):
-        g = hc.metric_at(euclid, ChartPoint(9.0, -7.0, 0.3))
+        g = euclid.components(ChartPoint(9.0, -7.0, 0.3).coords)
         np.testing.assert_allclose(g, np.eye(3), atol=0)
-
-    def test_rejects_floor(self, model):
-        with pytest.raises(ChartDomainError):
-            hc.metric_at(model, ChartPoint(0, 0, 1e-7))
-
-    def test_rejects_bad_metric(self):
-        lopsided = MetricField(lambda c: np.array([[1.0, 0.5, 0.0],
-                                                   [0.0, 1.0, 0.0],
-                                                   [0.0, 0.0, 1.0]]))
-        with pytest.raises(MetricError):
-            hc.metric_at(lopsided, ChartPoint(0, 0, 1))
-        indefinite = MetricField(lambda c: np.diag([1.0, -1.0, 1.0]))
-        with pytest.raises(MetricError):
-            hc.metric_at(indefinite, ChartPoint(0, 0, 1))
 
 
 class TestMetricPartials:
@@ -191,7 +182,8 @@ class TestCurvature:
 
 def sectional_at(m, p, u, v):
     """Sectional curvature of span(u, v) at ``p`` from the public single-point calls."""
-    return hc.sectional_curvature(hc.metric_at(m, p), hc.riemann_at(m, p).riemann,
+    c = p.coords if isinstance(p, ChartPoint) else np.asarray(p, dtype=float)
+    return hc.sectional_curvature(m.components(c), hc.riemann_at(m, p).riemann,
                                   np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
 
@@ -285,6 +277,49 @@ def boom(c):
     raise RuntimeError("closed form read")
 
 
+@functools.cache
+def symbolic_model():
+    """The model dx^2 + z^e dy^2 + dz^2 derived in sympy, for every exponent e.
+
+    ``gamma[k][i][j]`` is Gamma^k_ij of the Levi-Civita connection (Koszul
+    formula), ``riemann[i, j, k, l]`` is R^i_jkl in the package's convention,
+    ``ricci`` and ``scalar`` are its contractions, ``k23`` is the sectional
+    curvature of the (e2, e3) plane, and ``theta`` is the Lee form of
+    g' = z^-2 g, read off nabla g' = theta (x) g'.  Only tests import sympy.
+    """
+    sp = pytest.importorskip("sympy")
+    x, y, z, e = sp.symbols("x y z e", positive=True)
+    coords = (x, y, z)
+    g = sp.diag(1, z ** e, 1)
+    ginv = g.inv()
+    gamma = [[[sp.simplify(sum(ginv[k, l] * (sp.diff(g[j, l], coords[i])
+                                             + sp.diff(g[i, l], coords[j])
+                                             - sp.diff(g[i, j], coords[l]))
+                               for l in range(3)) / 2)
+               for j in range(3)] for i in range(3)] for k in range(3)]
+    riemann = sp.MutableDenseNDimArray.zeros(3, 3, 3, 3)
+    for i, j, k, l in np.ndindex(3, 3, 3, 3):
+        riemann[i, j, k, l] = sp.simplify(
+            sp.diff(gamma[i][l][j], coords[k]) - sp.diff(gamma[i][k][j], coords[l])
+            + sum(gamma[i][k][p] * gamma[p][l][j] - gamma[i][l][p] * gamma[p][k][j]
+                  for p in range(3)))
+    ricci = sp.Matrix(3, 3, lambda j, l: sp.simplify(sum(riemann[i, j, i, l]
+                                                         for i in range(3))))
+    scalar = sp.simplify(sum(ginv[j, l] * ricci[j, l] for j in range(3) for l in range(3)))
+    # K(u, v) = g(R(u, v) v, u) / (g(u, u) g(v, v) - g(u, v)^2) with u = e2, v = e3
+    k23 = sp.simplify(g[1, 1] * riemann[1, 2, 1, 2] / (g[1, 1] * g[2, 2]))
+    gp = g / z ** 2
+    nabla = [[[sp.simplify(sp.diff(gp[i, j], coords[k])
+                           - sum(gamma[l][k][i] * gp[l, j] + gamma[l][k][j] * gp[i, l]
+                                 for l in range(3)))
+               for j in range(3)] for i in range(3)] for k in range(3)]
+    # theta_k = nabla_k g' / g' read off the (x, x) entry, where g' = z^-2
+    theta = [sp.simplify(nabla[k][0][0] / gp[0, 0]) for k in range(3)]
+    return types.SimpleNamespace(sp=sp, z=z, e=e, gamma=gamma, riemann=riemann,
+                                 ricci=ricci, scalar=scalar, k23=k23, nabla=nabla,
+                                 gprime=gp, theta=theta)
+
+
 class TestClosedFormConnection:
     # heights from just above the chart floor to 1e6; beyond that z^e
     # under- or overflows and both paths give non-finite symbols
@@ -316,16 +351,8 @@ class TestClosedFormConnection:
 
     @pytest.mark.parametrize("exponent", (4.0, 3.0))
     def test_sympy_oracle(self, exponent):
-        sp = pytest.importorskip("sympy")
-        x, y, z, e = sp.symbols("x y z e", positive=True)
-        coords = (x, y, z)
-        g = sp.diag(1, z ** e, 1)
-        ginv = g.inv()
-        gamma = [[[sp.simplify(sum(ginv[k, l] * (sp.diff(g[j, l], coords[i])
-                                                 + sp.diff(g[i, l], coords[j])
-                                                 - sp.diff(g[i, j], coords[l]))
-                                   for l in range(3)) / 2)
-                   for j in range(3)] for i in range(3)] for k in range(3)]
+        oracle = symbolic_model()
+        sp, z, e, gamma = oracle.sp, oracle.z, oracle.e, oracle.gamma
         expected = {(1, 1, 2): e / (2 * z), (1, 2, 1): e / (2 * z),
                     (2, 1, 1): -e / 2 * z ** (e - 1)}
         for k in range(3):
@@ -346,6 +373,58 @@ class TestClosedFormConnection:
                             assert got[k, i, j] == 0.0
                         else:
                             assert abs(got[k, i, j] - want) <= 4 * np.spacing(abs(want))
+
+    def test_sympy_curvature(self):
+        oracle = symbolic_model()
+        sp, z, e = oracle.sp, oracle.z, oracle.e
+        assert sp.simplify(oracle.scalar - e * (2 - e) / (2 * z ** 2)) == 0
+        assert sp.simplify(oracle.scalar.subs(e, 4) + 4 / z ** 2) == 0
+        assert sp.simplify(oracle.k23.subs(e, 4) + 2 / z ** 2) == 0
+        # planes containing e1 are flat: no component of R has an index along x
+        for i, j, k, l in np.ndindex(3, 3, 3, 3):
+            if 0 in (i, j, k, l):
+                assert oracle.riemann[i, j, k, l] == 0
+
+    # The Riemann tensor takes central differences of the closed-form symbols
+    # at h = 1e-5 max(1, z), whose relative truncation error is about (h/z)^2:
+    # from z = 0.5 up it stays under the Christoffel oracle's bound for
+    # central differences, 1e-9 relative.
+    HEIGHTS = (0.5, 1.0, 2.0, 7.5, 30.0, 100.0)
+
+    @pytest.mark.parametrize("exponent", (4.0, 3.0))
+    def test_sympy_riemann_oracle(self, exponent):
+        oracle = symbolic_model()
+        sp, z, e = oracle.sp, oracle.z, oracle.e
+        at = sp.lambdify(z, sp.Array(oracle.riemann).subs(e, sp.Integer(int(exponent))))
+        m = hc.warped_metric(exponent)
+        ex, ey, ez = np.eye(3)
+        for zv in self.HEIGHTS:
+            want = np.array(at(zv), dtype=float)
+            curv = hc.riemann_at(m, ChartPoint(0.3, -1.2, zv))
+            np.testing.assert_allclose(curv.riemann, want, rtol=1e-9, atol=0)
+            scalar = float(oracle.scalar.subs({e: exponent, z: zv}))
+            assert curv.scalar == pytest.approx(scalar, rel=1e-9)
+            g = m.components(np.array([0.3, -1.2, zv]))
+            k23 = float(oracle.k23.subs({e: exponent, z: zv}))
+            assert hc.sectional_curvature(g, curv.riemann, ey, ez) == \
+                pytest.approx(k23, rel=1e-9)
+            assert hc.sectional_curvature(g, curv.riemann, ex, ez) == 0.0
+
+    def test_sympy_lee_form(self, model):
+        oracle = symbolic_model()
+        sp, z, e = oracle.sp, oracle.z, oracle.e
+        assert [sp.simplify(t) for t in oracle.theta] == [0, 0, -2 / z]
+        # nabla g' = theta (x) g' holds in every entry, at every exponent
+        for k, i, j in np.ndindex(3, 3, 3):
+            assert sp.simplify(oracle.nabla[k][i][j]
+                               - oracle.theta[k] * oracle.gprime[i, j]) == 0
+        gprime = hc.quotient_conformal_metric(model)
+        for zv in self.HEIGHTS:
+            p = ChartPoint(0.3, -1.2, zv)
+            theta = np.array([float(t.subs({e: 4, z: zv})) for t in oracle.theta])
+            want = theta[:, None, None] * gprime.components(p.coords)
+            got = hc.covariant_metric_derivative_at(model, gprime, p)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
     def test_import_leaves_sympy_out(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(hc.__file__)))
@@ -407,7 +486,7 @@ class TestLeviCivitaWork:
 
     def test_sweep(self, cat, monkeypatch):
         inner = self.count(monkeypatch, tensor_core)
-        checklist._Context(hc.ChecklistConfig(samples=CHUNK + 1), cat)._sweep()
+        checklist._Context(hc.ChecklistConfig(samples=CHUNK + 1), cat).sweep
         # the 3-D Gamma and its six stencil points read the closed form (24
         # inner calls without it), and C11's cross-check takes the leaf's
         # curvature by Brioschi's formula (10 calls through the 2-D Riemann
