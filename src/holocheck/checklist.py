@@ -80,9 +80,38 @@ class ConfigError(ValueError):
 # The horizon of the downward probes from height 1 (C8, C11 and the escape
 # trace), twice the affine parameter at which they meet the floor.
 _DOWN_T_MAX = 2.0
-# The largest t_max: the upward probe climbs from z = 1 to z = 1 + t_max, and
-# above that the model's Gamma^z_{yt yt} = -2 z^3 overflows a float.
-_T_MAX_LIMIT = float((np.finfo(float).max / 4.0) ** (1.0 / 3.0)) - 1.0
+# The upward probe's default horizon.
+_UP_T_MAX = 100.0
+
+
+def _t_max_limit(exponent: float) -> Tuple[float, str]:
+    """The largest t_max for the model of this exponent, and what overflows.
+
+    The upward probe climbs from z = 1 to z = 1 + t_max.  For e > 1 the
+    model's Gamma^z_{yt yt} = -(e/2) z^(e-1) overflows a float above
+    z = (max/e)^(1/(e-1)) (3.555e102 at e = 4); for e < 0 the 1/z^e of
+    Gamma^yt_{yt z} overflows above z = max^(1/-e).  Past that height the
+    probe's right-hand side is NaN, and C8 would fail from a step size
+    underflow rather than for a geometric reason.  The height is cut by
+    1e-12 relative, so the rounding of the powers cannot reach the overflow.
+    There is no limit (inf) when nothing overflows, or when the default
+    probe already overflows (|e| of 154 and more): such a model fails C8 and
+    most sampled checks from overflow at any t_max, and says so.
+    """
+    big = float(np.finfo(float).max)
+    try:
+        if exponent > 1.0:
+            z = (big / exponent) ** (1.0 / (exponent - 1.0))
+            what = f"Gamma^z_(yt yt) = -{exponent / 2:g} z^{exponent - 1:g}"
+        elif exponent < 0.0:
+            z = big ** (1.0 / -exponent)
+            what = f"the 1/z^{exponent:g} of Gamma^yt_(yt z)"
+        else:
+            return math.inf, ""
+    except OverflowError:
+        return math.inf, ""
+    limit = z * (1.0 - 1e-12) - 1.0
+    return (limit, what) if limit >= _UP_T_MAX else (math.inf, "")
 
 
 @dataclass(frozen=True)
@@ -96,7 +125,7 @@ class ChecklistConfig:
     tol_abs: float = 1e-8
     tol_rel: float = 1e-6
     seed: int = 0
-    t_max: float = 100.0
+    t_max: float = _UP_T_MAX
     # Test hook: any exponent other than 4 breaks the deck homothety (C2).
     metric_exponent: float = 4.0
     emit_traces_dir: Optional[str] = None
@@ -110,10 +139,11 @@ class ChecklistConfig:
             raise ConfigError(
                 f"t_max must be finite and at least {_DOWN_T_MAX:g}, the downward "
                 f"probe's horizon: a shorter upward probe shows nothing about completeness")
-        if self.t_max > _T_MAX_LIMIT:
+        limit, what = _t_max_limit(self.metric_exponent)
+        if self.t_max > limit:
             raise ConfigError(
-                f"t_max must be at most {_T_MAX_LIMIT:.4g}: the upward probe climbs to "
-                f"z = 1 + t_max, and above that Gamma^z_(yt yt) = -2 z^3 overflows a float")
+                f"t_max must be at most {limit:.4g}: the upward probe climbs to "
+                f"z = 1 + t_max, and above that {what} overflows a float")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if not math.isfinite(self.metric_exponent):
@@ -199,19 +229,22 @@ class _Context:
         return results
 
 
-def _result(check_id: str, residual: float, tolerance: float, note: str = "",
-            worst_part: str = "") -> CheckResult:
-    check = _CHECKS[check_id]
-    return CheckResult(check_id, check.description, check.claim, residual, tolerance,
-                       note, worst_part)
+class _Verdict(NamedTuple):
+    """What a check function returns; :func:`_run` adds the registry row's
+    id, description and claim."""
+
+    residual: float
+    tolerance: float
+    note: str = ""
+    worst_part: str = ""
 
 
-def _failed(check_id: str, note: str) -> CheckResult:
+def _failed(note: str) -> _Verdict:
     """A check that could not produce a residual: residual inf, tolerance 0."""
-    return _result(check_id, math.inf, 0.0, note)
+    return _Verdict(math.inf, 0.0, note)
 
 
-def _composite(check_id: str, parts) -> CheckResult:
+def _composite(parts) -> _Verdict:
     """Fold named (residual, tolerance) parts into one normalized check.
 
     The check's residual is the largest residual/tolerance ratio; the first
@@ -229,7 +262,7 @@ def _composite(check_id: str, parts) -> CheckResult:
         if ratio > worst:
             worst, worst_part = ratio, name
         details.append(f"{name}: residual={residual:.3e} tol={tolerance:.1e}")
-    return _result(check_id, max(0.0, worst), 1.0, "; ".join(details), worst_part)
+    return _Verdict(max(0.0, worst), 1.0, "; ".join(details), worst_part)
 
 
 _E1, _E2, _E3 = np.eye(3)
@@ -305,54 +338,50 @@ def _fold_split(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
              np.abs(sectional_curvature(g, geo.curvature[0], _E1, ctx.split_planes[sl])))
 
 
-def _check_gluing(ctx: _Context) -> CheckResult:
-    return _result("C1", 0.0, 0.0, f"trace={ctx.matrix.trace}, det=1")
+def _check_gluing(ctx: _Context) -> _Verdict:
+    return _Verdict(0.0, 0.0, f"trace={ctx.matrix.trace}, det=1")
 
 
-def _check_homothety(ctx: _Context) -> CheckResult:
-    out = ctx.swept("C2")
-    return _result("C2", out["relative"], 1e-10,
+def _check_homothety(ctx: _Context, out: _Maxima) -> _Verdict:
+    return _Verdict(out["relative"], 1e-10,
                    f"max over {len(ctx.points)} points of |f*g - lambda^2 g| / "
                    f"max|lambda^2 g|; absolute max {out['absolute']:.3e}")
 
 
-def _check_compatibility(ctx: _Context) -> CheckResult:
-    out = ctx.swept("C3")
-    return _composite("C3", [("exact_partials_path", out["exact"], ctx.config.tol_abs),
+def _check_compatibility(ctx: _Context, out: _Maxima) -> _Verdict:
+    return _composite([("exact_partials_path", out["exact"], ctx.config.tol_abs),
                              ("numeric_partials_path_h=1e-5", out["numeric"], 1e-5)])
 
 
-def _check_nonflat(ctx: _Context) -> CheckResult:
-    out = ctx.swept("C4")
-    return _composite("C4", [
+def _check_nonflat(ctx: _Context, out: _Maxima) -> _Verdict:
+    return _composite([
         ("scalar_times_z2_is_minus_4", out["scalar"], ctx.config.tol_rel),
         ("halfplane_sectional_times_z2_is_minus_2", out["halfplane"], ctx.config.tol_rel),
         ("planes_containing_v1_flat", out["flat_planes"], ctx.config.tol_abs),
     ])
 
 
-def _check_parallel_field(ctx: _Context) -> CheckResult:
+def _check_parallel_field(ctx: _Context) -> _Verdict:
     # one run per segment index: the curves' k-th segments are its lanes
     w0 = np.broadcast_to(_E1[:, None], (len(ctx.curves), 3, 1))
     w = _transport_curves(ctx.metric, ctx.curves, w0, ctx.cfg)
     residual = float(np.max(np.abs(w[..., 0] - _E1)))
-    return _result("C5", residual, 1e-8, f"max over {len(ctx.curves)} random polylines")
+    return _Verdict(residual, 1e-8, f"max over {len(ctx.curves)} random polylines")
 
 
-def _check_reducibility(ctx: _Context) -> CheckResult:
-    parts = [(name, elem.invariant_line_residual, 1e-7)
-             for name, elem in ctx.holonomies.items()]
-    return _composite("C6", parts)
+def _check_reducibility(ctx: _Context) -> _Verdict:
+    return _composite([(name, elem.invariant_line_residual, 1e-7)
+                       for name, elem in ctx.holonomies.items()])
 
 
-def _check_similarity(ctx: _Context) -> CheckResult:
+def _check_similarity(ctx: _Context) -> _Verdict:
     elems = ctx.holonomies
     lam = ctx.frame.lam
     gz_matrix_res = float(np.max(np.abs(elems["gz"].matrix - np.eye(3) / lam)))
     parts = [("gz_matrix_is_inverse_lambda_identity", gz_matrix_res, 1e-6)]
     for name in ("gx", "gy", "contractible"):
         parts.append((f"{name}_scale_is_1", abs(elems[name].scale - 1.0), 1e-7))
-    return _composite("C7", parts)
+    return _composite(parts)
 
 
 def _escape_parts(term: Termination, at_t1: str, at_crossing: str) -> list:
@@ -363,35 +392,32 @@ def _escape_parts(term: Termination, at_t1: str, at_crossing: str) -> list:
             (at_crossing, abs(t_escape - (1.0 - Z_FLOOR)), 1e-8)]
 
 
-def _check_incompleteness(ctx: _Context) -> CheckResult:
+def _check_incompleteness(ctx: _Context) -> _Verdict:
     parts = _escape_parts(ctx.descent.termination, "downward_escape_at_t=1",
                           "downward_escape_at_crossing")
     p0 = ChartPoint(0.0, 0.0, 1.0)
     up = integrate_geodesic(ctx.metric, p0, TangentVector(p0, [0.0, 0.0, 1.0]),
                             ctx.config.t_max, ctx.cfg)
-    return _composite("C8", parts + [("upward_completes",
-                                      0.0 if up.termination.completed else math.inf, 0.0)])
+    return _composite(parts + [("upward_completes",
+                                0.0 if up.termination.completed else math.inf, 0.0)])
 
 
-def _check_conformal(ctx: _Context) -> CheckResult:
-    out = ctx.swept("C9")
-    return _composite("C9", [
+def _check_conformal(ctx: _Context, out: _Maxima) -> _Verdict:
+    return _composite([
         ("conformal_residual", out["residual"], ctx.config.tol_abs),
         ("mu_matches_-2Vz_over_z", out["mu_err"], 1e-8),
         ("deck_invariance_of_gprime", out["invariance"], 1e-10),
     ])
 
 
-def _check_line_leaf(ctx: _Context) -> CheckResult:
-    report = leaf_first_check(ctx.metric, t_max=1e3, cfg=ctx.cfg)
-    return _composite("C10", report.items)
+def _check_line_leaf(ctx: _Context) -> _Verdict:
+    return _composite(leaf_first_check(ctx.metric, t_max=1e3, cfg=ctx.cfg).items)
 
 
-def _check_halfplane_leaf(ctx: _Context) -> CheckResult:
-    curvature = ctx.swept("C11")[_LEAF_CURVATURE]
+def _check_halfplane_leaf(ctx: _Context, out: _Maxima) -> _Verdict:
     *_, term = integrate_geodesic_coords(
         ctx.leaf, np.array([0.0, 1.0]), np.array([0.0, -1.0]), _DOWN_T_MAX, ctx.cfg)
-    return _composite("C11", [(_LEAF_CURVATURE, curvature, 1e-6)] + _escape_parts(
+    return _composite([(_LEAF_CURVATURE, out[_LEAF_CURVATURE], 1e-6)] + _escape_parts(
         term, "downward_geodesic_escapes_at_t1", "downward_geodesic_escapes_at_crossing"))
 
 
@@ -404,18 +430,18 @@ _SPLIT_TOLERANCES = (
 )
 
 
-def _check_product_split(ctx: _Context) -> CheckResult:
-    out = ctx.swept("C12")
-    return _composite("C12", [(name, out[name], tol) for name, tol in _SPLIT_TOLERANCES])
+def _check_product_split(ctx: _Context, out: _Maxima) -> _Verdict:
+    return _composite([(name, out[name], tol) for name, tol in _SPLIT_TOLERANCES])
 
 
 class _Check(NamedTuple):
     """One check: its report text, its check function and, for a sampled
-    check, the fold it runs on each chunk of the sweep."""
+    check, the fold it runs on each chunk of the sweep; a sampled check's
+    function also gets the maxima its fold kept."""
 
     description: str
     claim: str
-    run: Callable[[_Context], CheckResult]
+    run: Callable[..., _Verdict]
     fold: Optional[Callable[[_Context, _Geometry, slice, _Maxima], None]] = None
 
 
@@ -492,6 +518,21 @@ def _config_echo(config: ChecklistConfig) -> dict:
     }
 
 
+def _run(ctx: _Context, check_id: str) -> CheckResult:
+    """One registry row's check, reported under the row's id, description and
+    claim; a fault inside it, or in its fold, becomes a failed check with the
+    exception as its note."""
+    check = _CHECKS[check_id]
+    try:
+        if check.fold is None:
+            verdict = check.run(ctx)
+        else:
+            verdict = check.run(ctx, ctx.swept(check_id))
+    except Exception as exc:
+        verdict = _failed(f"{type(exc).__name__}: {exc}")
+    return CheckResult(check_id, check.description, check.claim, *verdict)
+
+
 def run_checklist(config: ChecklistConfig = ChecklistConfig()) -> VerificationReport:
     """Run all twelve checks and assemble the verification report.
 
@@ -503,16 +544,13 @@ def run_checklist(config: ChecklistConfig = ChecklistConfig()) -> VerificationRe
     try:
         matrix = validate_toral_matrix(config.matrix)
     except ToralMatrixError as exc:
-        checks = [_failed(check_id, str(exc) if check_id == "C1"
-                          else "not run: invalid gluing matrix") for check_id in _CHECKS]
+        checks = [CheckResult(check_id, check.description, check.claim,
+                              *_failed(str(exc) if check_id == "C1"
+                                       else "not run: invalid gluing matrix"))
+                  for check_id, check in _CHECKS.items()]
         return VerificationReport(config_echo=_config_echo(config), checks=tuple(checks))
     ctx = _Context(config, matrix)
-    checks = []
-    for check_id, check in _CHECKS.items():
-        try:
-            checks.append(check.run(ctx))
-        except Exception as exc:
-            checks.append(_failed(check_id, f"{type(exc).__name__}: {exc}"))
+    checks = [_run(ctx, check_id) for check_id in _CHECKS]
     traces: Tuple[str, ...] = ()
     if config.emit_traces_dir is not None:
         traces = _write_traces(ctx, config.emit_traces_dir)

@@ -12,7 +12,9 @@ for every exponent); otherwise it is built as the Levi-Civita connection of
 g from g^-1 and the partials.  The "numeric" method always builds it, from
 central-difference partials, so it stays the independent path.  Geodesics,
 transport, curvature and the sampled checks all read Gamma through
-:func:`_christoffel` or :class:`_Geometry` and need no code of their own.
+:func:`_christoffel` or :class:`_Geometry` and need no code of their own;
+the model's closed form also contracts itself for one geodesic state
+(``christoffel.acceleration``), with the bits of that einsum.
 
 The core functions take coordinates of shape ``(..., dim)`` and return
 arrays with the same leading shape, so one call evaluates a whole batch of
@@ -151,7 +153,11 @@ class MetricField:
     derived model (a rescaling, a leaf, a mutant) must not inherit the
     symbols of its base: ``dataclasses.replace`` on ``components`` or
     ``exact_partials`` must also set ``christoffel=None`` unless the new
-    symbols are given.
+    symbols are given.  The callable may also carry an ``acceleration(x,
+    v)`` method, -Gamma(v, v) for one state with the bits of the einsum
+    contraction of its symbols, which geodesics use in place of that
+    einsum; it belongs to the callable, so a model whose ``christoffel`` is
+    replaced or set to None loses the contraction with the symbols.
     """
 
     components: Callable[[np.ndarray], np.ndarray]
@@ -210,6 +216,35 @@ def warped_metric(exponent: float = 4.0) -> MetricField:
         out[..., 2, 1, 1] = 0.5 * -dz
         return out
 
+    # One state's -Gamma(v, v), for geodesics, with the bits of
+    # -np.einsum("kij,i,j->k", christoffel(x), v, v): the symbols as above,
+    # einsum's products (Gamma^k_ij v^i) v^j in i-major order summed from +0,
+    # and its all-NaN result when a zero symbol meets a non-finite v.  Python
+    # floats round as float64 does; the reciprocal stays a numpy division,
+    # which gives inf where z^e underflows to 0.  numpy's power loop takes a
+    # scalar exponent of 2, -1 or 0.5 as a square, reciprocal or square root,
+    # which its pow over an array of exponents does not match, so only other
+    # exponent pairs share one np.power call.
+    powers = np.array([e - 1.0, e])
+    paired = not {e - 1.0, e} & {2.0, -1.0, 0.5}
+    one = np.float64(1.0)
+
+    def acceleration(x, v):
+        """-Gamma(v, v) at the point x, both sequences of floats, as a list."""
+        vx, vy, vz = v
+        if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
+            return [math.nan] * 3
+        z = x[2]
+        if paired:
+            zm, ze = np.power(z, powers).tolist()
+        else:
+            zm, ze = float(np.power(z, e - 1.0)), float(np.power(z, e))
+        dz = e * zm
+        g1 = 0.5 * (float(one / ze) * dz)
+        g2 = 0.5 * -dz
+        return [-0.0, -((0.0 + (g1 * vy) * vz) + (g1 * vz) * vy), -(0.0 + (g2 * vy) * vy)]
+
+    christoffel.acceleration = acceleration
     return MetricField(components, partials, label=f"warped z^{e:g}", dim=3,
                        christoffel=christoffel)
 

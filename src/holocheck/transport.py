@@ -537,10 +537,15 @@ class Trajectory:
 
 def _geodesic_rhs(m: MetricField, fi: Optional[int]):
     dim = m.dim
+    # the model's closed form contracts itself for one state, with einsum's bits
+    acceleration = getattr(m.christoffel, "acceleration", None)
 
     def rhs(t, y):
         if fi is not None and y[fi] <= 0.0:
             return np.full(2 * dim, np.nan)
+        if acceleration is not None:
+            state = y.tolist()
+            return np.array(state[dim:] + acceleration(state[:dim], state[dim:]))
         v = y[dim:]
         out = np.empty(2 * dim)
         out[:dim] = v

@@ -113,7 +113,7 @@ class TestHalfplaneLeaf:
         assert np.all(np.abs(k * z * z + 0.75) <= 1e-7)
 
     def test_report_passes(self, sweep):
-        c11 = checklist._check_halfplane_leaf(sweep)
+        c11 = checklist._run(sweep, "C11")
         assert c11.passed
         assert "downward_geodesic_escapes_at_t1: residual=" in c11.note
         assert sweep.swept("C11")["gaussian_curvature_times_z2_is_minus_2"] <= 1e-6
@@ -125,7 +125,7 @@ class TestHalfplaneLeaf:
 
 class TestProductSplit:
     def test_report_passes(self, sweep):
-        assert checklist._check_product_split(sweep).passed
+        assert checklist._run(sweep, "C12").passed
         out = sweep.swept("C12")
         assert out["metric_block_diagonal"] == 0.0
         assert out["mixed_christoffel_vanish"] <= 1e-10

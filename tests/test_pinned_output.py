@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+import holocheck as hc
 from holocheck.cli import main
 
 REPORT_DIGESTS = [
@@ -22,6 +23,24 @@ REPORT_DIGESTS = [
     (["--matrix", "1 1 1 1"],
      "a6b302fd753f52f093251ad5727d5c2297af8768c1f9f910399c26c60e602223"),
 ]
+
+# Geodesics whose acceleration is not zero, so a last-bit change in the
+# right-hand side shows in their bytes: every geodesic behind the reports
+# and traces above has v_y = 0 and runs on -Gamma(v, v) = 0.  Per exponent,
+# two turning geodesics, an escape with v_y = 1e-14 (its turning height lies
+# below the floor, so it bends hard on the way down) and a straight escape;
+# (exponent, start, velocity, t_max).
+GEODESICS = [
+    (4.0, (0.3, -1.2, 1.5), (0.2, 0.25, -0.6), 5.0),
+    (4.0, (-2.0, 0.7, 2.5), (-0.4, -0.1, 0.3), 5.0),
+    (4.0, (0.0, 0.0, 1.0), (0.1, 1e-14, -1.0), 3.0),
+    (4.0, (1.0, 2.0, 3.0), (0.3, 0.0, -1.2), 4.0),
+    (3.0, (0.5, 0.5, 2.0), (0.1, 0.3, -0.8), 5.0),
+    (3.0, (0.0, -1.0, 1.2), (0.0, -0.5, 0.2), 5.0),
+    (3.0, (0.0, 0.0, 1.0), (-0.2, 1e-14, -1.0), 3.0),
+    (3.0, (2.0, 1.0, 0.8), (-0.1, 0.0, -0.9), 3.0),
+]
+GEODESIC_DIGEST = "82dc0b6a22543a7f49115495b304813e778e65b7703ad361e5e60c9b3d69d5e7"
 
 TRACE_DIGESTS = {
     "escape_geodesic.csv": "28ca1aeab5aea7bcab0dd9d28189e688fc12954ce9cf3df23f992458b66528b1",
@@ -46,3 +65,14 @@ def test_trace_bytes(tmp_path, capsys):
     capsys.readouterr()
     for name, digest in TRACE_DIGESTS.items():
         assert sha256((tmp_path / name).read_bytes()) == digest, name
+
+
+def test_geodesic_bytes():
+    h = hashlib.sha256()
+    for exponent, x0, v0, t_max in GEODESICS:
+        ts, xs, vs, term = hc.integrate_geodesic_coords(hc.warped_metric(exponent), x0, v0,
+                                                        t_max)
+        for a in (ts, xs, vs):
+            h.update(a.tobytes())
+        h.update(repr((term.status, term.t_escape)).encode())
+    assert h.hexdigest() == GEODESIC_DIGEST

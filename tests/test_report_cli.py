@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import holocheck as hc
@@ -61,7 +62,8 @@ def test_one_pass_rule(residual, tolerance, verdict):
     assert passes(residual, tolerance) is verdict
     assert (hc.CheckResult("X", "d", "c", residual, tolerance).status == "pass") is verdict
     assert hc.FoliationReport((Part("p", residual, tolerance),)).passed is verdict
-    assert _composite("C3", [Part("p", residual, tolerance)]).passed is verdict
+    assert hc.CheckResult("C3", "d", "c", *_composite([Part("p", residual, tolerance)])).passed \
+        is verdict
 
 
 class TestEmitReport:
@@ -89,10 +91,9 @@ class TestEmitReport:
         assert b"worst" not in hc.emit_report(default_report, "json")
 
     def test_worst_part_is_first_with_largest_ratio(self):
-        check = _composite("C6", [Part("a", 0.0, 1.0), Part("b", 2e-7, 1e-6),
-                                  Part("c", 0.2, 1.0)])
+        check = _composite([Part("a", 0.0, 1.0), Part("b", 2e-7, 1e-6), Part("c", 0.2, 1.0)])
         assert check.worst_part == "b" and check.residual == pytest.approx(0.2)
-        assert _composite("C6", [Part("a", 0.0, 1.0), Part("b", 0.0, 0.0)]).worst_part == "a"
+        assert _composite([Part("a", 0.0, 1.0), Part("b", 0.0, 0.0)]).worst_part == "a"
 
     def test_unknown_format(self, default_report):
         with pytest.raises(ValueError):
@@ -228,6 +229,40 @@ class TestRunChecklist:
                 hc.ChecklistConfig(t_max=t_max)
         assert hc.ChecklistConfig(t_max=3.555e102).t_max == 3.555e102
 
+    @pytest.mark.parametrize("exponent,limit", [
+        (4.0, 3.5554e102), (5.0, 7.7435e76), (2.0, 8.9885e307), (10.0, 1.3785e34),
+        (-2.0, 1.3408e154), (-3.0, 5.6438e102)])
+    def test_t_max_limit_follows_the_exponent(self, exponent, limit):
+        # above e = 1 Gamma^z_{yt yt} = -(e/2) z^(e-1) overflows, below e = 0
+        # the 1/z^e of Gamma^yt_{yt z} does; the probe completes at the limit
+        # and not past it
+        exact, what = checklist._t_max_limit(exponent)
+        assert exact == pytest.approx(limit, rel=1e-4)
+        assert ("Gamma^z_(yt yt)" if exponent > 1 else "Gamma^yt_(yt z)") in what
+        hc.ChecklistConfig(metric_exponent=exponent, t_max=exact)
+        with pytest.raises(hc.ConfigError, match="overflows a float"):
+            hc.ChecklistConfig(metric_exponent=exponent, t_max=exact * (1.0 + 1e-9))
+        m, p0 = hc.warped_metric(exponent), hc.ChartPoint(0.0, 0.0, 1.0)
+        up = hc.TangentVector(p0, [0.0, 0.0, 1.0])
+        with np.errstate(all="ignore"):
+            assert hc.integrate_geodesic(m, p0, up, exact).termination.completed
+            with pytest.raises(hc.IntegrationError, match="step size underflow"):
+                hc.integrate_geodesic(m, p0, up, exact * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0, 1.5, -0.5, 154.0, 400.0, -154.0])
+    def test_no_t_max_limit(self, exponent):
+        # nothing overflows for 0 <= e <= 1, nor below z = max for e = 1.5;
+        # from |e| = 154 on, the default probe overflows already
+        assert checklist._t_max_limit(exponent) == (math.inf, "")
+        hc.ChecklistConfig(metric_exponent=exponent, t_max=1e300)
+
+    @pytest.mark.parametrize("exponent,t_max", [(5.0, 1e70), (2.0, 1e150), (-2.0, 1e154)])
+    def test_c8_passes_below_the_exponents_limit(self, cat, exponent, t_max):
+        # e = 2 at 1e150 was refused by the e = 4 limit
+        config = hc.ChecklistConfig(samples=10, metric_exponent=exponent, t_max=t_max)
+        with np.errstate(all="ignore"):  # z^e overflows on the way; dz does not
+            assert checklist._run(checklist._Context(config, cat), "C8").passed
+
 
 class TestTraces:
     def test_files_written(self, tmp_path):
@@ -299,6 +334,15 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("holocheck: configuration error: t_max must be at most")
+
+    def test_t_max_above_the_exponents_limit_exit_two(self, capsys):
+        # this failed C8 with a step size underflow: the e = 4 limit let it through
+        assert main(["--metric-exponent", "5", "--t-max", "1e80"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("holocheck: configuration error: t_max must be at most "
+                              "7.743e+76")
+        assert "Gamma^z_(yt yt) = -2.5 z^4 overflows a float" in err
 
     def test_largest_t_max_passes(self, capsys):
         assert main(["--t-max", "1e102"]) == 0

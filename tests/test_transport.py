@@ -6,6 +6,7 @@ z = 1 hits the floor at affine parameter 1 - Z_FLOOR.  Transport of the
 dy frame vector along a z-line scales it by (z_start / z_end)^2.
 """
 
+import dataclasses
 import math
 import re
 
@@ -16,6 +17,7 @@ import holocheck as hc
 from holocheck import ChartDomainError, ChartPoint, CurveSpec, TangentVector
 from holocheck import checklist, tensor_core, transport
 from holocheck.tensor_core import _metric
+from test_tensor_core import boom, perturbed_connection
 
 LAM = (3.0 + math.sqrt(5.0)) / 2.0
 TIGHT = hc.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
@@ -493,14 +495,14 @@ class TestParallelField:
         ctx = checklist._Context(hc.ChecklistConfig(samples=10, seed=seed), cat)
         runs = count_calls(monkeypatch, "_integrate")
         steps = count_calls(monkeypatch, "_rk_step")
-        assert checklist._check_parallel_field(ctx).passed
+        assert checklist._run(ctx, "C5").passed
         assert runs[0] == 2  # one per segment index; 40 curve by curve
         assert steps[0] <= 20
 
     def test_sheared_metric_fails(self, cat, monkeypatch):
         monkeypatch.setattr(checklist, "warped_metric", sheared_metric)
         ctx = checklist._Context(hc.ChecklistConfig(samples=10), cat)
-        check = checklist._check_parallel_field(ctx)
+        check = checklist._run(ctx, "C5")
         assert not check.passed
         assert check.residual == pytest.approx(0.0207445690, rel=1e-6)
 
@@ -734,6 +736,76 @@ class TestStepBits:
                                           transport._IntegrationStats())
             assert np.array_equal(k[12], rhs(1e-3, y_new))
 
+    @staticmethod
+    def states(rng, n):
+        """Random (x, v) states, z from near the floor to 1e6, with zeros of
+        both signs in v, v_y = 0 on a third, and a few non-finite entries."""
+        y = rng.normal(size=(n, 6))
+        y[:, 2] = np.geomspace(1.01 * hc.Z_FLOOR, 1e6, n)
+        y[:, 3:][rng.random((n, 3)) < 0.1] = 0.0
+        y[:, 3:][rng.random((n, 3)) < 0.1] = -0.0
+        y[rng.random(n) < 1 / 3, 4] = 0.0
+        bad = rng.random((n, 6)) < 0.01
+        y[bad] = rng.choice([np.nan, np.inf, -np.inf], bad.sum())
+        return y
+
+    @staticmethod
+    def same_bits_nan_where_einsum_nan(a, b):
+        nan = np.isnan(a)
+        return (np.array_equal(nan, np.isnan(b))
+                and same_bits(np.where(nan, 0.0, a), np.where(nan, 0.0, b)))
+
+    # 400: z^e underflows below z ~ 0.17 and overflows above ~ 5.9; 3, 0.5, 2,
+    # 1.5, 0 and -1 put 2, -1 or 0.5 among the two powers e - 1 and e
+    @pytest.mark.parametrize("exponent", (4.0, 3.0, 5.5, 0.5, -2.0, 400.0, 2.0, 1.5, 0.0,
+                                          -1.0))
+    def test_closed_form_contraction(self, exponent):
+        # the model's -Gamma(v, v) for one state gives the textbook einsum's
+        # bits, signed zeros included, and NaN exactly where einsum does
+        m = hc.warped_metric(exponent)
+        assert m.christoffel.acceleration is not None
+        rhs = transport._geodesic_rhs(m, tensor_core.fiber_index(m))
+        textbook = textbook_geodesic_rhs(m)
+        ys = self.states(np.random.default_rng(int(exponent * 10) % 997), 2000)
+        with np.errstate(all="ignore"):
+            got = np.array([rhs(0.0, y) for y in ys])
+            want = np.array([textbook(0.0, y) for y in ys])
+        assert self.same_bits_nan_where_einsum_nan(got, want)
+        finite = np.isfinite(ys).all(axis=1)
+        if exponent == 400.0:  # z^e under- or overflows: NaN symbols
+            assert np.isnan(want[finite]).any()
+        else:
+            assert np.isfinite(want[finite]).all()
+        assert np.isnan(want[~finite]).any()
+        assert (want[finite, 3:] == 0.0).any()  # the zeros were compared by sign too
+
+    def test_replaced_and_derived_connections_take_einsum(self, model):
+        y = np.array([0.3, -1.0, 1.7, 0.2, 0.6, -0.4])
+        perturbed = perturbed_connection()
+        rhs = transport._geodesic_rhs(perturbed, 2)(0.0, y)
+        assert same_bits(rhs, textbook_geodesic_rhs(perturbed)(0.0, y))
+        assert not same_bits(rhs, transport._geodesic_rhs(model, 2)(0.0, y))
+        with pytest.raises(RuntimeError, match="closed form read"):
+            transport._geodesic_rhs(dataclasses.replace(model, christoffel=boom), 2)(0.0, y)
+        leaf = hc.induced_halfplane_metric(model)
+        assert getattr(leaf.christoffel, "acceleration", None) is None
+
+    def test_model_geodesic_builds_no_gamma(self, model, monkeypatch):
+        christoffel = count_calls(monkeypatch, "_christoffel")
+        einsums = [0]
+        original = np.einsum
+
+        def counted(*args, **kwargs):
+            einsums[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        p0 = ChartPoint(0.3, -1.2, 1.5)
+        traj = hc.integrate_geodesic(model, p0, TangentVector(p0, [0.2, 0.25, -0.6]), 5.0)
+        assert traj.termination.completed and len(traj.ts) > 10
+        # 2 per stage, one Gamma array and one einsum, before the contraction
+        assert christoffel[0] == einsums[0] == 0
+
 
 class TestConnectionBits:
     """The linear field's coefficients give the einsum form's bits, signed zeros too.
@@ -903,9 +975,9 @@ class TestEscapeEvents:
         # within 1e-6 of t = 1, but 1e-7 past the exact crossing.
         monkeypatch.setattr(transport, "Z_FLOOR", hc.Z_FLOOR - 1e-7)
         ctx = checklist._Context(hc.ChecklistConfig(samples=10), cat)
-        c8 = checklist._check_incompleteness(ctx)
+        c8 = checklist._run(ctx, "C8")
         assert not c8.passed and c8.worst_part == "downward_escape_at_crossing"
-        c11 = checklist._check_halfplane_leaf(ctx)
+        c11 = checklist._run(ctx, "C11")
         assert not c11.passed
         assert c11.worst_part == "downward_geodesic_escapes_at_crossing"
         c8_parts, c11_parts = ({name: (float(res), float(tol)) for name, res, tol
@@ -993,9 +1065,9 @@ class TestIntegrationStats:
         runs, current = self.record(monkeypatch), []
 
         def tagged(check_id, fn):
-            def run(ctx):
+            def run(ctx, *swept):
                 current.append((check_id, len(runs)))
-                return fn(ctx)
+                return fn(ctx, *swept)
             return run
 
         monkeypatch.setattr(checklist, "_CHECKS",
