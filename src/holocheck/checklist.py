@@ -384,17 +384,22 @@ def _check_similarity(ctx: _Context) -> _Verdict:
     return _composite(parts)
 
 
-def _escape_parts(term: Termination, at_t1: str, at_crossing: str) -> list:
-    """The parts of a unit-speed geodesic falling from z = 1: it escapes at
-    t = 1, within 1e-8 of where the line z = 1 - t meets the floor, 1 - Z_FLOOR."""
-    t_escape = term.t_escape if term.escaped else math.inf
-    return [(at_t1, abs(t_escape - 1.0), 1e-6),
-            (at_crossing, abs(t_escape - (1.0 - Z_FLOOR)), 1e-8)]
+def _escape_parts(term: Termination, z: float, v_z: float, at_t1: str,
+                  at_crossing: str) -> list:
+    """The parts of a unit-speed geodesic falling from z = 1, read off its
+    escape row (t_escape, z, v_z): continued straight from there it reaches
+    z = 0 at t_escape + z / |v_z| = 1, and it escapes within 1e-8 of where
+    the line z = 1 - t meets the floor, 1 - Z_FLOOR."""
+    if not term.escaped:
+        return [(at_t1, math.inf, 1e-8), (at_crossing, math.inf, 1e-8)]
+    return [(at_t1, abs(term.t_escape + float(z) / abs(float(v_z)) - 1.0), 1e-8),
+            (at_crossing, abs(term.t_escape - (1.0 - Z_FLOOR)), 1e-8)]
 
 
 def _check_incompleteness(ctx: _Context) -> _Verdict:
-    parts = _escape_parts(ctx.descent.termination, "downward_escape_at_t=1",
-                          "downward_escape_at_crossing")
+    down = ctx.descent
+    parts = _escape_parts(down.termination, down.xs[-1, 2], down.vs[-1, 2],
+                          "downward_escape_at_t=1", "downward_escape_at_crossing")
     p0 = ChartPoint(0.0, 0.0, 1.0)
     up = integrate_geodesic(ctx.metric, p0, TangentVector(p0, [0.0, 0.0, 1.0]),
                             ctx.config.t_max, ctx.cfg)
@@ -415,10 +420,11 @@ def _check_line_leaf(ctx: _Context) -> _Verdict:
 
 
 def _check_halfplane_leaf(ctx: _Context, out: _Maxima) -> _Verdict:
-    *_, term = integrate_geodesic_coords(
+    _, xs, vs, term = integrate_geodesic_coords(
         ctx.leaf, np.array([0.0, 1.0]), np.array([0.0, -1.0]), _DOWN_T_MAX, ctx.cfg)
     return _composite([(_LEAF_CURVATURE, out[_LEAF_CURVATURE], 1e-6)] + _escape_parts(
-        term, "downward_geodesic_escapes_at_t1", "downward_geodesic_escapes_at_crossing"))
+        term, xs[-1, 1], vs[-1, 1], "downward_geodesic_escapes_at_t1",
+        "downward_geodesic_escapes_at_crossing"))
 
 
 _SPLIT_TOLERANCES = (

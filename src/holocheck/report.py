@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
@@ -93,6 +92,8 @@ def _json_echo(value):
 def emit_report(report: VerificationReport, format: str = "text") -> bytes:
     """Serialize a report; JSON output has stable key order byte for byte."""
     if format == "json":
+        import json  # here, so that importing holocheck does not load it
+
         doc = {
             "schema_version": report.schema_version,
             "config": _json_echo(report.config_echo),

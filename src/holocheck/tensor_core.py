@@ -220,14 +220,13 @@ def warped_metric(exponent: float = 4.0) -> MetricField:
     # -np.einsum("kij,i,j->k", christoffel(x), v, v): the symbols as above,
     # einsum's products (Gamma^k_ij v^i) v^j in i-major order summed from +0,
     # and its all-NaN result when a zero symbol meets a non-finite v.  Python
-    # floats round as float64 does; the reciprocal stays a numpy division,
-    # which gives inf where z^e underflows to 0.  numpy's power loop takes a
+    # floats round as float64 does; the reciprocal is inf where z^e underflows
+    # to 0, as numpy's division gives.  numpy's power loop takes a
     # scalar exponent of 2, -1 or 0.5 as a square, reciprocal or square root,
     # which its pow over an array of exponents does not match, so only other
     # exponent pairs share one np.power call.
     powers = np.array([e - 1.0, e])
     paired = not {e - 1.0, e} & {2.0, -1.0, 0.5}
-    one = np.float64(1.0)
 
     def acceleration(x, v):
         """-Gamma(v, v) at the point x, both sequences of floats, as a list."""
@@ -240,7 +239,7 @@ def warped_metric(exponent: float = 4.0) -> MetricField:
         else:
             zm, ze = float(np.power(z, e - 1.0)), float(np.power(z, e))
         dz = e * zm
-        g1 = 0.5 * (float(one / ze) * dz)
+        g1 = 0.5 * ((1.0 / ze if ze else math.inf) * dz)
         g2 = 0.5 * -dz
         return [-0.0, -((0.0 + (g1 * vy) * vz) + (g1 * vz) * vy), -(0.0 + (g2 * vy) * vy)]
 

@@ -160,6 +160,10 @@ _ERR = np.array([_E5, _E3])
 # Stage s (1 to 12) evaluates the slope at y + h * (_STAGE[s] @ k[:s]); the
 # last row is _B's, so stage 12's point is the step's new state.
 _STAGE = (None, *(_A[s, :s] for s in range(1, 12)), _B)
+# The stage sums and error estimates through the rows' bound ndarray.dot: the
+# BLAS call of ``@``, with its bits, at about half its dispatch cost.
+_STAGE_DOT = (None, *(row.dot for row in _STAGE[1:]))
+_ERR_DOT = _ERR.dot
 # For a linear field, the index of stage s's abscissa among the eleven
 # distinct new ones: stage 12 shares t + h with stage 11.
 _ROW = (None, *range(11), 10)
@@ -247,13 +251,16 @@ class _IntegrationStats:
 def _rk_step(f, t, y, h, k1, stats):
     """One DOP853 step; returns (y_new, k) with k the (13, size) stage slopes.
 
-    Row 12 of ``k`` is the slope at y_new.  ``f`` is a callable f(t, y),
-    evaluated once per stage, or a :class:`_LinearField`, whose coefficients
-    at the eleven distinct new stage abscissae come from one batch; each of
-    its stages is then one matmul written into that stage's row of ``k``.
-    A callable marks a point off the chart by NaN slopes (the geodesic
-    right-hand side at or below z = 0): the step ends at that stage and
-    returns a NaN state, which the integrator rejects.
+    Row 12 of ``k`` is the slope at y_new.  ``f`` is a :class:`_LinearField`,
+    whose coefficients at the eleven distinct new stage abscissae come from
+    one batch, each of its stages then one matmul written into that stage's
+    row of ``k``; or a callable f(t, state), evaluated once per stage on the
+    stage state as a list of floats, which it returns as a sequence of
+    floats.  Each stage sum is one BLAS product; a callable's stage states
+    are formed from it in Python floats, which round as numpy's float64
+    arithmetic does.  A callable marks a point off the chart by NaN slopes
+    (the geodesic right-hand side at or below z = 0): the step ends at that
+    stage and returns a NaN state, which the integrator rejects.
     """
     k = np.empty((13, y.size))
     k[0] = k1
@@ -261,19 +268,23 @@ def _rk_step(f, t, y, h, k1, stats):
         a = f.matrices(t + _C[1:12] * h)
         stats.rhs += 11 * f.shape[0]
         rows = k.reshape((13,) + f.shape)
+        y_s = np.empty(y.size)
         for s in range(1, 13):
-            y_s = y + h * (_STAGE[s] @ k[:s])
+            _STAGE_DOT[s](k[:s], out=y_s)
+            y_s *= h
+            y_s += y
             np.matmul(a[_ROW[s]], y_s.reshape(f.shape), out=rows[s])
         return y_s, k
+    y0 = y.tolist()
     for s in range(1, 13):
-        y_s = y + h * (_STAGE[s] @ k[:s])
-        k[s] = f(t + _C_FLOAT[s] * h, y_s)
-        if math.isnan(k[s, 0]):
+        y_s = [a + h * b for a, b in zip(y0, _STAGE_DOT[s](k[:s]).tolist())]
+        k[s, :] = k_s = f(t + _C_FLOAT[s] * h, y_s)  # [s, :] fills from a list faster
+        if math.isnan(k_s[0]):
             stats.rhs += s
             k[s + 1:] = np.nan
             return np.full(y.size, np.nan), k
     stats.rhs += 12
-    return y_s, k
+    return np.array(y_s), k
 
 
 def _error_norm(k, h, abs_y0, abs_y1, cfg, lanes):
@@ -283,24 +294,62 @@ def _error_norm(k, h, abs_y0, abs_y1, cfg, lanes):
     |y| at both step ends, combine as h |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2))
     over the n components of a lane.
     """
-    e = _ERR @ k[:12]
-    e /= cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y0, abs_y1)
-    e *= e
-    if lanes == 1:  # the same arithmetic, finished in Python floats
-        e5, e3 = e.sum(axis=1).tolist()
+    e = _ERR_DOT(k[:12])
+    n = e.shape[1] // lanes
+    if lanes == 1 and n < 8:
+        # numpy sums fewer than 8 terms left to right, so Python floats give
+        # its bits
+        e5 = e3 = 0.0
+        for a5, a3, y_max in zip(*e.tolist(), np.maximum(abs_y0, abs_y1).tolist()):
+            scale = cfg.abs_tol + cfg.rel_tol * y_max
+            a5 /= scale
+            a3 /= scale
+            e5 += a5 * a5
+            e3 += a3 * a3
         den = e5 + 0.01 * e3
         if den <= 0.0:
             den = 1.0
-        return h * (e5 / math.sqrt(den)) / math.sqrt(e.shape[1])
-    e5, e3 = e.reshape(2, lanes, -1).sum(axis=2)
+        return h * (e5 / math.sqrt(den)) / math.sqrt(n)
+    e /= cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y0, abs_y1)
+    e *= e
+    e5, e3 = e.reshape(2, lanes, n).sum(axis=2)
     den = e5 + 0.01 * e3
     den[den <= 0.0] = 1.0  # both estimates are zero
-    return h * float((e5 / np.sqrt(den)).max()) / math.sqrt(e.shape[1] // lanes)
+    return h * float((e5 / np.sqrt(den)).max()) / math.sqrt(n)
 
 
 def _initial_step(f, y0, f0, t_end, cfg, lanes):
     """Hairer's starting step per lane; the smallest wins, and a lane whose
-    slope is exactly zero at t = 0 and at the probe bounds nothing (t_end)."""
+    slope is exactly zero at t = 0 and at the probe bounds nothing (t_end).
+
+    One lane of fewer than 8 components is computed in Python floats, with
+    the bits of the array form; the power stays numpy's, whose loop rounds
+    differently from Python's.
+    """
+    n = y0.size // lanes
+    if lanes == 1 and n < 8:
+        # sums of squares in explicit loops: sum() may compensate
+        y0, f0 = y0.tolist(), f0.tolist()
+        scale = [cfg.abs_tol + cfg.rel_tol * abs(a) for a in y0]
+        s0 = s1 = s2 = 0.0
+        for a, b, c in zip(y0, f0, scale):
+            s0 += (a / c) * (a / c)
+            s1 += (b / c) * (b / c)
+        d0, d1 = math.sqrt(s0 / n), math.sqrt(s1 / n)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / max(d1, 1e-5)
+        moving = any(a != 0.0 for a in f0)
+        h0 = min(h0 if moving else 1e-6, t_end)
+        f1 = f(h0, np.array([a + h0 * b for a, b in zip(y0, f0)])).tolist()
+        if not all(map(math.isfinite, f1)):
+            return max(1e-8 * t_end, 1e-12)
+        for a, b, c in zip(f1, f0, scale):
+            s2 += ((a - b) / c) * ((a - b) / c)
+        d = max(d1, math.sqrt(s2 / n) / h0)
+        h1 = (max(1e-6, h0 * 1e-3) if d <= 1e-15 else
+              float(np.power([0.01 / d], _EXPONENT)[0]))
+        if not (moving or any(a != 0.0 for a in f1)):
+            return t_end
+        return min(100 * h0, h1, t_end)
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
 
     def rms(x):
@@ -466,7 +515,10 @@ def _integrate(f, y0, t_end, cfg, floor_index=None, record=True):
             return samples, BOUNDARY_ESCAPE, t_cross, stats
         # the next step is aimed at the floor when every slope of this one
         # has the floor component of its first: the path is straight in it
-        aim = floor_index is not None and bool((k[:, floor_index] == k1[floor_index]).all())
+        # (an accepted step's first slope is finite)
+        if floor_index is not None:
+            column = k[:, floor_index].tolist()
+            aim = column.count(column[0]) == 13
         t_new = t + h
         if record:
             samples.append((t_new, y_new))
@@ -536,22 +588,26 @@ class Trajectory:
 
 
 def _geodesic_rhs(m: MetricField, fi: Optional[int]):
+    """The geodesic equation's right-hand side (v, -Gamma(v, v)) for y = (x, v).
+
+    ``rhs(t, y)`` takes the state as a list of floats and returns a list, as
+    the step calls it at each stage, or as an array and returns an array.  A
+    state at or below z = 0 gets NaN slopes.
+    """
     dim = m.dim
     # the model's closed form contracts itself for one state, with einsum's bits
     acceleration = getattr(m.christoffel, "acceleration", None)
 
     def rhs(t, y):
+        if isinstance(y, np.ndarray):
+            return np.array(rhs(t, y.tolist()))
         if fi is not None and y[fi] <= 0.0:
-            return np.full(2 * dim, np.nan)
+            return [math.nan] * (2 * dim)
         if acceleration is not None:
-            state = y.tolist()
-            return np.array(state[dim:] + acceleration(state[:dim], state[dim:]))
-        v = y[dim:]
-        out = np.empty(2 * dim)
-        out[:dim] = v
-        np.negative(np.einsum("kij,i,j->k", _christoffel(m, y[:dim]), v, v),
-                    out=out[dim:])
-        return out
+            return y[dim:] + acceleration(y[:dim], y[dim:])
+        v = np.array(y[dim:])
+        return y[dim:] + np.negative(
+            np.einsum("kij,i,j->k", _christoffel(m, np.array(y[:dim])), v, v)).tolist()
 
     return rhs
 

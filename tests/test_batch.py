@@ -181,8 +181,10 @@ def test_checklist_residuals_are_single_point_maxima(cat):
     leaf = hc.induced_halfplane_metric(m)
     curv_res = max(abs(hc.gaussian_curvature(leaf, np.array([0.0, p.z])) * p.z * p.z
                        / -2.0 - 1.0) for p in pts)
-    *_, term = hc.integrate_geodesic_coords(leaf, [0.0, 1.0], [0.0, -1.0], 2.0, ctx.cfg)
-    assert by_id["C11"] == max(curv_res / 1e-6, abs(term.t_escape - 1.0) / 1e-6,
+    _, xs, vs, term = hc.integrate_geodesic_coords(leaf, [0.0, 1.0], [0.0, -1.0], 2.0,
+                                                   ctx.cfg)
+    assert by_id["C11"] == max(curv_res / 1e-6,
+                               abs(term.t_escape + xs[-1, 1] / abs(vs[-1, 1]) - 1.0) / 1e-8,
                                abs(term.t_escape - (1.0 - hc.Z_FLOOR)) / 1e-8)
 
     rng = np.random.default_rng(cfg.seed)

@@ -8,6 +8,7 @@ says why and pins the new digest.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 import holocheck as hc
@@ -15,11 +16,11 @@ from holocheck.cli import main
 
 REPORT_DIGESTS = [
     (["--samples", "200"],
-     "b858059f11440279f4784f49ed90094eb740bec343e77ad3044e728cc14058f7"),
+     "89b2c5a1097b6015d9d828ed1bde0dc69a0412dd0c7cc8e6f9ebcb05698ec683"),
     (["--metric-exponent", "3"],
-     "06339252bca7d6bf08586b6dbb2f7c31d8a75ed73d4f250b3ef86ac933fab986"),
+     "7da29eb7dc2181a55a6df6be6105120fcae17d5b27ab43a3b4182d1040001fed"),
     (["--matrix", "9007199254740993 9007199254740992 1 1", "--samples", "200"],
-     "48d6ea2e3841531976973b4aac3ebc81865b5fa0973f3310df27e89a156590ed"),
+     "9543581fbefb05b82603db6cefe1cfb43259ad8526cef82af1d6fa4c5b4c7791"),
     (["--matrix", "1 1 1 1"],
      "a6b302fd753f52f093251ad5727d5c2297af8768c1f9f910399c26c60e602223"),
 ]
@@ -41,6 +42,32 @@ GEODESICS = [
     (3.0, (2.0, 1.0, 0.8), (-0.1, 0.0, -0.9), 3.0),
 ]
 GEODESIC_DIGEST = "82dc0b6a22543a7f49115495b304813e778e65b7703ad361e5e60c9b3d69d5e7"
+
+
+def many_geodesic_starts():
+    """36 fixed starts, (start, velocity, t_max), drawn from a fixed rng.
+
+    24 escapes in a vertical plane (v_y = 0, v_z < 0) that leave through the
+    floor, and 12 geodesics with v_y != 0 that turn above it and run to
+    t_max: a last-bit change anywhere in the step, its norm or its first
+    step moves some of their bytes.
+    """
+    rng = np.random.default_rng(0)
+    out = []
+    for _ in range(24):
+        z0 = rng.uniform(0.5, 5.0)
+        vx, vz = rng.uniform(-0.5, 0.5), -rng.uniform(0.5, 1.5)
+        out.append(((*rng.uniform(-3.0, 3.0, 2), z0), (vx, 0.0, vz), 2.0 * z0 / -vz + 1.0))
+    for _ in range(12):
+        z0 = rng.uniform(1.0, 3.0)
+        # z0^2 |v_y| >= 0.2 with |v_z| <= 1 keeps the turning height above 0.44
+        q = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
+        vx, vz = rng.uniform(-0.5, 0.5), rng.uniform(-1.0, 0.5)
+        out.append(((*rng.uniform(-3.0, 3.0, 2), z0), (vx, q / z0 ** 2, vz), 5.0))
+    return out
+
+
+MANY_GEODESICS_DIGEST = "0400118f8060c773febb07375333d50192bfc15472ae2dd23cce85eac2f3ff7d"
 
 TRACE_DIGESTS = {
     "escape_geodesic.csv": "28ca1aeab5aea7bcab0dd9d28189e688fc12954ce9cf3df23f992458b66528b1",
@@ -67,12 +94,21 @@ def test_trace_bytes(tmp_path, capsys):
         assert sha256((tmp_path / name).read_bytes()) == digest, name
 
 
-def test_geodesic_bytes():
+def geodesics_digest(runs):
     h = hashlib.sha256()
-    for exponent, x0, v0, t_max in GEODESICS:
+    for exponent, x0, v0, t_max in runs:
         ts, xs, vs, term = hc.integrate_geodesic_coords(hc.warped_metric(exponent), x0, v0,
                                                         t_max)
         for a in (ts, xs, vs):
             h.update(a.tobytes())
         h.update(repr((term.status, term.t_escape)).encode())
-    assert h.hexdigest() == GEODESIC_DIGEST
+    return h.hexdigest()
+
+
+def test_geodesic_bytes():
+    assert geodesics_digest(GEODESICS) == GEODESIC_DIGEST
+
+
+def test_many_geodesic_bytes():
+    runs = [(e, *start) for e in (4.0, 3.0) for start in many_geodesic_starts()]
+    assert geodesics_digest(runs) == MANY_GEODESICS_DIGEST

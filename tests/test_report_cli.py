@@ -86,7 +86,7 @@ class TestEmitReport:
     def test_composite_lines_name_their_worst_part(self, default_report):
         lines = hc.emit_report(default_report, "text").decode().splitlines()
         by_id = {ln.split()[0]: ln for ln in lines if re.match(r"^C\d+\s", ln)}
-        assert by_id["C8"].endswith("worst=downward_escape_at_t=1 (0.9999 of tol)")
+        assert by_id["C8"].endswith("worst=downward_escape_at_crossing (0.00625 of tol)")
         assert "worst=" not in by_id["C5"]  # a single-quantity check
         assert b"worst" not in hc.emit_report(default_report, "json")
 
@@ -94,6 +94,15 @@ class TestEmitReport:
         check = _composite([Part("a", 0.0, 1.0), Part("b", 2e-7, 1e-6), Part("c", 0.2, 1.0)])
         assert check.worst_part == "b" and check.residual == pytest.approx(0.2)
         assert _composite([Part("a", 0.0, 1.0), Part("b", 0.0, 0.0)]).worst_part == "a"
+
+    def test_import_leaves_json_out(self):
+        # only the JSON report needs json, so importing holocheck does not load it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hc.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, holocheck, holocheck.cli; sys.exit('json' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
 
     def test_unknown_format(self, default_report):
         with pytest.raises(ValueError):

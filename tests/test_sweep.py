@@ -133,6 +133,20 @@ def test_curved_line_leaf_fails_c10(monkeypatch):
     assert "induced_metric_constant: residual=6.400e-01" in c10.note
 
 
+def test_stretched_z_fails_the_escape_time(cat, monkeypatch):
+    # g_zz = (1 + z)^2: the unit-speed descent from z = 1 keeps
+    # (1 + z) dz/dt = -2, so it meets z = 0 at t = 3/4, not at t = 1
+    monkeypatch.setattr(checklist, "warped_metric", warped_plus(
+        lambda c: c[..., 2] * (2.0 + c[..., 2]), (2, 2), [(2, lambda c: 2.0 + 2.0 * c[..., 2])]))
+    cfg = hc.ChecklistConfig(samples=10, seed=0)
+    assert failing(hc.run_checklist(cfg)) == ["C2", "C4", "C7", "C8", "C9", "C11"]
+    ctx = checklist._Context(cfg, cat)
+    assert "downward_escape_at_t=1: residual=2.500e-01 tol=1.0e-08" in \
+        checklist._run(ctx, "C8").note
+    assert "downward_geodesic_escapes_at_t1: residual=2.500e-01 tol=1.0e-08" in \
+        checklist._run(ctx, "C11").note
+
+
 def test_nan_fold_is_worst():
     out = tensor_core._Maxima()
     out.fold("a", [1.0, 2.0])
