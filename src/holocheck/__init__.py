@@ -61,15 +61,13 @@ from .quotient import (
     validate_toral_matrix,
 )
 from .foliation import (
-    FoliationReport,
     LeafModel,
     gaussian_curvature,
     halfplane_leaf,
     induced_halfplane_metric,
     induced_line_metric,
-    leaf_first_check,
 )
 from .report import CheckResult, VerificationReport, emit_report
-from .checklist import ChecklistConfig, ConfigError, run_checklist
+from .checklist import ChecklistConfig, ConfigError, leaf_first_check, run_checklist
 
 __version__ = "0.1.0"

@@ -23,6 +23,8 @@ Brioschi's formula, the independent cross-check of C4's Riemann tensor.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +32,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .foliation import gaussian_curvature, induced_halfplane_metric, leaf_first_check
+from .foliation import gaussian_curvature, induced_halfplane_metric, induced_line_metric
 from .quotient import (
     LoopClass,
     ToralMatrixError,
@@ -42,9 +44,10 @@ from .quotient import (
     quotient_conformal_metric,
     validate_toral_matrix,
 )
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, passes
 from .tensor_core import (
     ChartPoint,
+    MetricField,
     TangentVector,
     Z_FLOOR,
     _conformal_fit,
@@ -53,6 +56,7 @@ from .tensor_core import (
     _metric,
     _nabla,
     _partials,
+    _worst,
     chunks,
     sectional_curvature,
     warped_metric,
@@ -61,12 +65,15 @@ from .transport import (
     CurveSpec,
     DEFAULT_CONFIG,
     IntegrationError,
+    IntegratorConfig,
+    StraightSegment,
     Termination,
     Trajectory,
     _transport_curves,
     coordinate_rectangle,
     integrate_geodesic,
     integrate_geodesic_coords,
+    parallel_transport,
     trajectory_to_csv,
     transport_frame_trace,
     transport_matrix,
@@ -131,6 +138,17 @@ class ChecklistConfig:
     emit_traces_dir: Optional[str] = None
 
     def __post_init__(self):
+        # Python ints and floats only: a bool, a float count or a numpy
+        # scalar would crash the run or its JSON echo.
+        for name in ("samples", "seed", "tol_abs", "tol_rel", "t_max", "metric_exponent"):
+            value, whole = getattr(self, name), name in ("samples", "seed")
+            try:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value) if whole else float(value))
+            except (TypeError, OverflowError):
+                kind = "an integer" if whole else "a real number"
+                raise ConfigError(f"{name} must be {kind}, got {value!r}") from None
         if self.samples <= 0:
             raise ConfigError("samples must be positive")
         if not (0 < self.tol_abs < math.inf and 0 < self.tol_rel < math.inf):
@@ -161,7 +179,6 @@ class _Context:
         self.metric = warped_metric(config.metric_exponent)
         self.gprime = quotient_conformal_metric(self.metric)
         self.leaf = induced_halfplane_metric(self.metric)
-        self.cfg = DEFAULT_CONFIG
         rng = np.random.default_rng(config.seed)
         n = config.samples
         xs = rng.uniform(-5.0, 5.0, n)
@@ -176,18 +193,19 @@ class _Context:
                                 rng.uniform(0.5, 5.0)) for _ in range(3)]
             self.curves.append(CurveSpec.from_points(nodes))
         self.mixed_planes = rng.uniform(0.0, 2.0 * np.pi, n)
-        self.split_planes = _split_planes(n, config.seed)
+        # C12's mixed planes (x, cos theta, sin theta)
+        theta, x = rng.uniform([0.0, -1.0], [2.0 * np.pi, 1.0], (n, 2)).T
+        self.split_planes = np.stack([x, np.cos(theta), np.sin(theta)], axis=-1)
 
     @cached_property
     def holonomies(self) -> dict:
         """Generator-loop and contractible-loop holonomy elements at (0,0,1)."""
         base = ChartPoint(0.0, 0.0, 1.0)
-        elems = {gen: holonomy_of_loop(self.matrix, self.metric, LoopClass([gen], base),
-                                       self.cfg)
+        elems = {gen: holonomy_of_loop(self.matrix, self.metric, LoopClass([gen], base))
                  for gen in ("gx", "gy", "gz")}
         rect = coordinate_rectangle(base, 1, 2, 0.4)
         elems["contractible"] = holonomy_element(
-            transport_matrix(self.metric, rect, self.cfg), _metric(self.metric, base.coords))
+            transport_matrix(self.metric, rect), _metric(self.metric, base.coords))
         return elems
 
     @cached_property
@@ -196,7 +214,7 @@ class _Context:
         escape trace."""
         p0 = ChartPoint(0.0, 0.0, 1.0)
         return integrate_geodesic(self.metric, p0, TangentVector(p0, [0.0, 0.0, -1.0]),
-                                  _DOWN_T_MAX, self.cfg)
+                                  _DOWN_T_MAX)
 
     def swept(self, check_id: str) -> _Maxima:
         """The maxima a sampled check folded over the sweep; re-raises its fault."""
@@ -237,6 +255,10 @@ class _Verdict(NamedTuple):
     tolerance: float
     note: str = ""
     worst_part: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return passes(self.residual, self.tolerance)
 
 
 def _failed(note: str) -> _Verdict:
@@ -322,12 +344,6 @@ _MIXED[0, :, :] = _MIXED[:, 0, :] = _MIXED[:, :, 0] = True
 _SHIFT = np.array([1.3, -0.7, 0.0])
 
 
-def _split_planes(n: int, seed: int) -> np.ndarray:
-    """C12's (n, 3) mixed planes: per point a theta, then an x for (x, cos, sin)."""
-    draws = np.random.default_rng(seed).uniform([0.0, -1.0], [2 * np.pi, 1.0], (n, 2))
-    return np.stack([draws[:, 1], np.cos(draws[:, 0]), np.sin(draws[:, 0])], axis=-1)
-
-
 def _fold_split(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
     g = geo.g
     out.fold("metric_block_diagonal", np.abs(g[:, 0, 1:]))
@@ -364,7 +380,7 @@ def _check_nonflat(ctx: _Context, out: _Maxima) -> _Verdict:
 def _check_parallel_field(ctx: _Context) -> _Verdict:
     # one run per segment index: the curves' k-th segments are its lanes
     w0 = np.broadcast_to(_E1[:, None], (len(ctx.curves), 3, 1))
-    w = _transport_curves(ctx.metric, ctx.curves, w0, ctx.cfg)
+    w = _transport_curves(ctx.metric, ctx.curves, w0, DEFAULT_CONFIG)
     residual = float(np.max(np.abs(w[..., 0] - _E1)))
     return _Verdict(residual, 1e-8, f"max over {len(ctx.curves)} random polylines")
 
@@ -402,7 +418,7 @@ def _check_incompleteness(ctx: _Context) -> _Verdict:
                           "downward_escape_at_t=1", "downward_escape_at_crossing")
     p0 = ChartPoint(0.0, 0.0, 1.0)
     up = integrate_geodesic(ctx.metric, p0, TangentVector(p0, [0.0, 0.0, 1.0]),
-                            ctx.config.t_max, ctx.cfg)
+                            ctx.config.t_max)
     return _composite(parts + [("upward_completes",
                                 0.0 if up.termination.completed else math.inf, 0.0)])
 
@@ -415,13 +431,36 @@ def _check_conformal(ctx: _Context, out: _Maxima) -> _Verdict:
     ])
 
 
-def _check_line_leaf(ctx: _Context) -> _Verdict:
-    return _composite(leaf_first_check(ctx.metric, t_max=1e3, cfg=ctx.cfg).items)
+def leaf_first_check(m: MetricField, t_max: float = 1e3,
+                     cfg: IntegratorConfig = DEFAULT_CONFIG) -> _Verdict:
+    """C10, the line leaf: constant (flat) induced metric, long-horizon completeness.
+
+    Completeness is numerical evidence only: a geodesic integrated to
+    ``t_max`` without escape, not a proof for all time.
+    """
+    line = induced_line_metric(m)
+    samples = np.linspace(-8.0, 8.0, 9)
+    g_ref = _metric(line, samples[:1])
+    const_res = _worst([np.abs(_metric(line, np.array([x])) - g_ref) for x in samples])
+    p0 = ChartPoint(0.0, 0.0, 1.0)
+    traj = integrate_geodesic(m, p0, TangentVector(p0, [1.0, 0.0, 0.0]), t_max, cfg)
+    horizon_res = 0.0 if traj.termination.completed else math.inf
+    _, yt, z = traj.xs[-1]
+    drift_res = _worst([abs(yt), abs(z - 1.0)])
+    curve = CurveSpec([StraightSegment(p0, ChartPoint(7.0, 0.0, 1.0))])
+    w = parallel_transport(m, curve, TangentVector(p0, [1.0, 0.0, 0.0]), cfg)
+    fix_res = float(np.max(np.abs(w.comp - _E1)))
+    return _composite([
+        ("induced_metric_constant", const_res, 1e-12),
+        ("long_horizon_geodesic_completes", horizon_res, 0.0),
+        ("geodesic_stays_in_leaf", drift_res, 1e-7),
+        ("transport_fixes_leaf_tangent", fix_res, 1e-8),
+    ])
 
 
 def _check_halfplane_leaf(ctx: _Context, out: _Maxima) -> _Verdict:
     _, xs, vs, term = integrate_geodesic_coords(
-        ctx.leaf, np.array([0.0, 1.0]), np.array([0.0, -1.0]), _DOWN_T_MAX, ctx.cfg)
+        ctx.leaf, np.array([0.0, 1.0]), np.array([0.0, -1.0]), _DOWN_T_MAX)
     return _composite([(_LEAF_CURVATURE, out[_LEAF_CURVATURE], 1e-6)] + _escape_parts(
         term, xs[-1, 1], vs[-1, 1], "downward_geodesic_escapes_at_t1",
         "downward_geodesic_escapes_at_crossing"))
@@ -497,7 +536,7 @@ _CHECKS = {
     "C10": _Check("line leaf flat and long-horizon complete",
                   "the v1 line leaf carries a constant flat induced metric and its "
                   "geodesics run to a long horizon without escape",
-                  _check_line_leaf),
+                  lambda ctx: leaf_first_check(ctx.metric)),
     "C11": _Check("half-plane leaf curved and incomplete",
                   "the (v2, v3) half-plane leaf has Gaussian curvature -2/z^2 and a "
                   "geodesic that leaves it in finite affine time",
@@ -570,7 +609,7 @@ def _gz_trace(ctx: _Context) -> str:
     lift = CurveSpec.from_points([ChartPoint(0.0, 0.0, 1.0),
                                   ChartPoint(0.0, 0.0, ctx.frame.lam)])
     lines = ["t,xt,yt,z," + ",".join(f"p{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3))]
-    for t, coords, frame in transport_frame_trace(ctx.metric, lift, ctx.cfg):
+    for t, coords, frame in transport_frame_trace(ctx.metric, lift):
         lines.append(",".join(f"{x:.17g}" for x in [t, *coords, *frame.ravel()]))
     return "\n".join(lines) + "\n"
 

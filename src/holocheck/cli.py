@@ -18,22 +18,25 @@ from .transport import IntegrationError
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's flags; their defaults are those of :class:`ChecklistConfig`."""
+    d = ChecklistConfig()
     parser = argparse.ArgumentParser(
         prog="holocheck",
         description="Verify the closed-manifold similarity-holonomy geometry: "
                     "curvature, transport, holonomy and completeness checks "
                     "for a hyperbolic gluing matrix.")
-    parser.add_argument("--matrix", default="2 1 1 1", metavar='"a11 a12 a21 a22"',
-                        help="gluing matrix entries, four integers (default: 2 1 1 1)")
-    parser.add_argument("--samples", type=int, default=1000,
-                        help="random sample points per check (default: 1000)")
-    parser.add_argument("--tol-abs", type=float, default=1e-8,
+    parser.add_argument("--matrix", default=" ".join(str(a) for row in d.matrix for a in row),
+                        metavar='"a11 a12 a21 a22"',
+                        help="gluing matrix entries, four integers (default: %(default)s)")
+    parser.add_argument("--samples", type=int, default=d.samples,
+                        help="random sample points per check (default: %(default)s)")
+    parser.add_argument("--tol-abs", type=float, default=d.tol_abs,
                         help="absolute tolerance for exactly-zero residuals")
-    parser.add_argument("--tol-rel", type=float, default=1e-6,
+    parser.add_argument("--tol-rel", type=float, default=d.tol_rel,
                         help="relative tolerance for derived nonzero constants")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the sample-point generator (default: 0)")
-    parser.add_argument("--t-max", type=float, default=100.0,
+    parser.add_argument("--seed", type=int, default=d.seed,
+                        help="seed for the sample-point generator (default: %(default)s)")
+    parser.add_argument("--t-max", type=float, default=d.t_max,
                         help="horizon for the upward completeness probe")
     parser.add_argument("--report", choices=("json", "text"), default="text",
                         help="report format written to stdout (default: text)")
@@ -41,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write CSV traces (escape geodesic, deck-lift "
                              "transport) into DIR")
     # Test hook, deliberately undocumented: exponents other than 4 break C2.
-    parser.add_argument("--metric-exponent", type=float, default=4.0,
+    parser.add_argument("--metric-exponent", type=float, default=d.metric_exponent,
                         help=argparse.SUPPRESS)
     return parser
 
@@ -57,20 +60,24 @@ def _parse_matrix(text: str):
     return ((a11, a12), (a21, a22))
 
 
+def _config(args: argparse.Namespace) -> ChecklistConfig:
+    return ChecklistConfig(
+        matrix=_parse_matrix(args.matrix),
+        samples=args.samples,
+        tol_abs=args.tol_abs,
+        tol_rel=args.tol_rel,
+        seed=args.seed,
+        t_max=args.t_max,
+        metric_exponent=args.metric_exponent,
+        emit_traces_dir=args.emit_traces,
+    )
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = ChecklistConfig(
-            matrix=_parse_matrix(args.matrix),
-            samples=args.samples,
-            tol_abs=args.tol_abs,
-            tol_rel=args.tol_rel,
-            seed=args.seed,
-            t_max=args.t_max,
-            metric_exponent=args.metric_exponent,
-            emit_traces_dir=args.emit_traces,
-        )
+        config = _config(args)
     except ConfigError as exc:
         print(f"holocheck: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""The two holonomy foliations of the chart: leaf metrics and the line-leaf check.
+"""The two holonomy foliations of the chart: their leaf metrics and curvature.
 
 The reducible holonomy splits the tangent space into the parallel line
 spanned by d/dxt and its g-orthogonal complement span(d/dyt, d/dz).  The
@@ -12,46 +12,17 @@ orthogonal product of the two.
 Leaf metrics are genuine coordinate restrictions of the 3D model; nothing
 here is special-cased to closed forms.  The half-plane curvature comes from
 Brioschi's formula with no connection built, so it shares no Christoffel or
-Riemann code with the ambient curvature it cross-checks.  It and the product
-splitting are sampled checks, folded in the checklist's one sweep.
+Riemann code with the ambient curvature it cross-checks.  The checks built on
+these leaves (C10-C12) live in the checklist.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from .report import Part, passes
-from .tensor_core import (
-    ChartPoint,
-    MetricField,
-    TangentVector,
-    _central_difference,
-    _coords,
-    _metric,
-    _partials,
-    _worst,
-)
-from .transport import (
-    CurveSpec,
-    DEFAULT_CONFIG,
-    IntegratorConfig,
-    StraightSegment,
-    integrate_geodesic,
-    parallel_transport,
-)
-
-@dataclass(frozen=True)
-class FoliationReport:
-    """Bundle of check parts for one leaf or splitting property."""
-
-    items: Tuple[Part, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(passes(item.residual, item.tolerance) for item in self.items)
+from .tensor_core import MetricField, _central_difference, _coords, _metric, _partials
 
 
 @dataclass(frozen=True)
@@ -129,29 +100,3 @@ def gaussian_curvature(m2: MetricField, coords):
     k = (det_a - det_b) / (det * det)
     return float(k) if k.ndim == 0 else k
 
-
-def leaf_first_check(m: MetricField, t_max: float = 1e3,
-                     cfg: IntegratorConfig = DEFAULT_CONFIG) -> FoliationReport:
-    """Line leaf: constant (flat) induced metric, long-horizon completeness.
-
-    Completeness is numerical evidence only: a geodesic integrated to
-    ``t_max`` without escape, not a proof for all time.
-    """
-    line = induced_line_metric(m)
-    samples = np.linspace(-8.0, 8.0, 9)
-    g_ref = _metric(line, samples[:1])
-    const_res = _worst([np.abs(_metric(line, np.array([x])) - g_ref) for x in samples])
-    p0 = ChartPoint(0.0, 0.0, 1.0)
-    traj = integrate_geodesic(m, p0, TangentVector(p0, [1.0, 0.0, 0.0]), t_max, cfg)
-    horizon_res = 0.0 if traj.termination.completed else np.inf
-    _, yt, z = traj.xs[-1]
-    drift_res = _worst([abs(yt), abs(z - 1.0)])
-    curve = CurveSpec([StraightSegment(p0, ChartPoint(7.0, 0.0, 1.0))])
-    w = parallel_transport(m, curve, TangentVector(p0, [1.0, 0.0, 0.0]), cfg)
-    fix_res = float(np.max(np.abs(w.comp - np.array([1.0, 0.0, 0.0]))))
-    return FoliationReport((
-        Part("induced_metric_constant", const_res, 1e-12),
-        Part("long_horizon_geodesic_completes", horizon_res, 0.0),
-        Part("geodesic_stays_in_leaf", drift_res, 1e-7),
-        Part("transport_fixes_leaf_tangent", fix_res, 1e-8),
-    ))

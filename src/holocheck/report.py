@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 SCHEMA_VERSION = 1
 
@@ -12,14 +12,6 @@ SCHEMA_VERSION = 1
 def passes(residual: float, tolerance: float) -> bool:
     """The one pass rule: the residual is finite and at most the tolerance."""
     return math.isfinite(residual) and residual <= tolerance
-
-
-class Part(NamedTuple):
-    """One named residual of a composite check, with its tolerance."""
-
-    name: str
-    residual: float
-    tolerance: float
 
 
 @dataclass(frozen=True)

@@ -483,13 +483,11 @@ def _worst(values) -> float:
 
 
 class _Maxima(dict):
-    """Running maxima of named residuals, folded in one chunk at a time."""
-
-    def __missing__(self, name):
-        return 0.0
+    """Running maxima of named residuals, folded in one chunk at a time; a
+    part that no fold wrote raises KeyError, so its check fails."""
 
     def fold(self, name: str, values) -> None:
-        self[name] = max(self[name], _worst(values))
+        self[name] = max(self.get(name, 0.0), _worst(values))
 
 
 class _Geometry:

@@ -14,6 +14,7 @@ import holocheck as hc
 from holocheck import ChartDomainError, ChartPoint, DegeneratePlaneError, checklist
 from holocheck import tensor_core as tc
 from holocheck.tensor_core import CHUNK
+from holocheck.transport import DEFAULT_CONFIG
 
 SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1)
 BAD = CHUNK // 2  # row of the bad point inside a batch
@@ -182,19 +183,16 @@ def test_checklist_residuals_are_single_point_maxima(cat):
     curv_res = max(abs(hc.gaussian_curvature(leaf, np.array([0.0, p.z])) * p.z * p.z
                        / -2.0 - 1.0) for p in pts)
     _, xs, vs, term = hc.integrate_geodesic_coords(leaf, [0.0, 1.0], [0.0, -1.0], 2.0,
-                                                   ctx.cfg)
+                                                   DEFAULT_CONFIG)
     assert by_id["C11"] == max(curv_res / 1e-6,
                                abs(term.t_escape + xs[-1, 1] / abs(vs[-1, 1]) - 1.0) / 1e-8,
                                abs(term.t_escape - (1.0 - hc.Z_FLOOR)) / 1e-8)
 
-    rng = np.random.default_rng(cfg.seed)
     mixed_gamma = mixed_plane = 0.0
-    for p, g, k in zip(pts, gs, curv):
+    for p, g, k, v in zip(pts, gs, curv, ctx.split_planes):
         gamma = hc.christoffel_at(m, p).gamma
         mixed_gamma = max(mixed_gamma, np.max(np.abs(gamma[0])), np.max(np.abs(gamma[:, 0])),
                           np.max(np.abs(gamma[:, :, 0])))
-        theta = rng.uniform(0.0, 2 * np.pi)
-        v = np.array([rng.uniform(-1.0, 1.0), np.cos(theta), np.sin(theta)])
         mixed_plane = max(mixed_plane, abs(hc.sectional_curvature(g, k.riemann, e1, v)))
     # the block, constancy and z-dependence parts are exactly 0 for the model
     assert by_id["C12"] == max(mixed_gamma / 1e-10, mixed_plane / 1e-8)

@@ -25,11 +25,11 @@ PUBLIC = {
     "eigen_basis", "holonomy_element", "holonomy_of_loop", "pullback_metric_residual",
     "quotient_conformal_metric", "validate_toral_matrix",
     # foliation
-    "FoliationReport", "LeafModel", "gaussian_curvature", "halfplane_leaf",
-    "induced_halfplane_metric", "induced_line_metric", "leaf_first_check",
+    "LeafModel", "gaussian_curvature", "halfplane_leaf",
+    "induced_halfplane_metric", "induced_line_metric",
     # report and checklist
     "CheckResult", "VerificationReport", "emit_report", "ChecklistConfig",
-    "ConfigError", "run_checklist",
+    "ConfigError", "leaf_first_check", "run_checklist",
 }
 
 CONFIG_FIELDS = ("matrix", "samples", "tol_abs", "tol_rel", "seed", "t_max",
@@ -40,7 +40,7 @@ def test_public_surface():
     exported = {name for name, obj in vars(hc).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)}
     assert exported == PUBLIC
-    assert len(PUBLIC) == 59
+    assert len(PUBLIC) == 58
 
 
 def test_config_fields():

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import holocheck as hc
-from holocheck import checklist
+from holocheck import checklist, cli
 from holocheck.checklist import _composite
 from holocheck.cli import main
-from holocheck.report import Part, passes
+from holocheck.report import passes
 
 QUICK = dict(samples=60)
 
@@ -58,11 +58,11 @@ class TestCheckResult:
     (1e-300, 0.0, False),
 ], ids=["nan", "inf", "equal", "just_above", "zero_zero", "tiny_over_zero"])
 def test_one_pass_rule(residual, tolerance, verdict):
-    # check results, foliation reports and composite checks all decide by passes()
+    # check results and composite checks all decide by passes()
     assert passes(residual, tolerance) is verdict
     assert (hc.CheckResult("X", "d", "c", residual, tolerance).status == "pass") is verdict
-    assert hc.FoliationReport((Part("p", residual, tolerance),)).passed is verdict
-    assert hc.CheckResult("C3", "d", "c", *_composite([Part("p", residual, tolerance)])).passed \
+    assert _composite([("p", residual, tolerance)]).passed is verdict
+    assert hc.CheckResult("C3", "d", "c", *_composite([("p", residual, tolerance)])).passed \
         is verdict
 
 
@@ -91,9 +91,9 @@ class TestEmitReport:
         assert b"worst" not in hc.emit_report(default_report, "json")
 
     def test_worst_part_is_first_with_largest_ratio(self):
-        check = _composite([Part("a", 0.0, 1.0), Part("b", 2e-7, 1e-6), Part("c", 0.2, 1.0)])
+        check = _composite([("a", 0.0, 1.0), ("b", 2e-7, 1e-6), ("c", 0.2, 1.0)])
         assert check.worst_part == "b" and check.residual == pytest.approx(0.2)
-        assert _composite([Part("a", 0.0, 1.0), Part("b", 0.0, 0.0)]).worst_part == "a"
+        assert _composite([("a", 0.0, 1.0), ("b", 0.0, 0.0)]).worst_part == "a"
 
     def test_import_leaves_json_out(self):
         # only the JSON report needs json, so importing holocheck does not load it
@@ -222,6 +222,27 @@ class TestRunChecklist:
             with pytest.raises(hc.ConfigError):
                 hc.ChecklistConfig(**bad)
 
+    @pytest.mark.parametrize("bad", [
+        dict(samples=1e3), dict(samples=True), dict(samples="10"), dict(seed=1.5),
+        dict(seed=True), dict(seed=np.bool_(True)), dict(tol_abs=True), dict(t_max="100"),
+        dict(t_max=10 ** 400), dict(metric_exponent=1j)],
+        ids=["samples-float", "samples-bool", "samples-str", "seed-float", "seed-bool",
+             "seed-numpy-bool", "tol-bool", "t_max-str", "t_max-huge-int", "exponent-complex"])
+    def test_config_rejects_values_that_crash_the_run(self, bad):
+        # each used to be accepted, then crashed the run or echoed a bool
+        with pytest.raises(hc.ConfigError, match=next(iter(bad))):
+            hc.ChecklistConfig(**bad)
+
+    def test_config_numbers_become_python_numbers(self):
+        # numpy scalars used to reach the echo, and json.dumps refused them
+        config = hc.ChecklistConfig(samples=np.int64(5), seed=np.uint8(3),
+                                    t_max=np.float32(100), tol_abs=1, tol_rel=np.float64(1e-6))
+        echo = json.loads(hc.emit_report(hc.run_checklist(config), "json"))["config"]
+        assert (echo["samples"], echo["seed"], echo["t_max"], echo["tol_abs"]) == (5, 3, 100.0, 1.0)
+        for name, kind in (("samples", int), ("seed", int), ("t_max", float),
+                           ("tol_abs", float), ("tol_rel", float), ("metric_exponent", float)):
+            assert type(getattr(config, name)) is kind
+
     def test_t_max_below_the_downward_horizon_rejected(self):
         # an upward probe shorter than the downward one (2) shows nothing
         # about completeness: --t-max 1e-9 used to certify 12/12
@@ -314,6 +335,10 @@ class TestCli:
     def test_failing_matrix_exit_one(self, capsys):
         assert main(["--matrix", "1 1 0 1", "--samples", "10"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_cli_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args([])
+        assert cli._config(args) == hc.ChecklistConfig()
 
     def test_bad_matrix_exit_two(self, capsys):
         assert main(["--matrix", "1 2 3"]) == 2

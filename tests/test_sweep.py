@@ -9,6 +9,7 @@ NaN residual fails its check instead of being skipped by the fold.
 """
 
 import numpy as np
+import pytest
 
 import holocheck as hc
 from holocheck import checklist, foliation, tensor_core
@@ -145,6 +146,22 @@ def test_stretched_z_fails_the_escape_time(cat, monkeypatch):
         checklist._run(ctx, "C8").note
     assert "downward_geodesic_escapes_at_t1: residual=2.500e-01 tol=1.0e-08" in \
         checklist._run(ctx, "C11").note
+
+
+# The part each sampled check reads first.
+FIRST_PART = {"C2": "relative", "C3": "exact", "C4": "scalar", "C9": "residual",
+              "C11": checklist._LEAF_CURVATURE, "C12": "metric_block_diagonal"}
+
+
+@pytest.mark.parametrize("check_id", SAMPLED)
+def test_unmeasured_part_fails(cat, monkeypatch, check_id):
+    # a fold that writes nothing leaves every part unmeasured: the check
+    # fails on the part it reads, instead of passing on a residual of 0
+    row = checklist._CHECKS[check_id]
+    monkeypatch.setitem(checklist._CHECKS, check_id, row._replace(fold=lambda *args: None))
+    result = checklist._run(checklist._Context(hc.ChecklistConfig(samples=10), cat), check_id)
+    assert not result.passed
+    assert result.note == f"KeyError: {FIRST_PART[check_id]!r}"
 
 
 def test_nan_fold_is_worst():
