@@ -87,52 +87,25 @@ class ConfigError(ValueError):
 # The horizon of the downward probes from height 1 (C8, C11 and the escape
 # trace), twice the affine parameter at which they meet the floor.
 _DOWN_T_MAX = 2.0
-# The upward probe's default horizon.
+# The upward probe's horizon (C8).
 _UP_T_MAX = 100.0
-
-
-def _t_max_limit(exponent: float) -> Tuple[float, str]:
-    """The largest t_max for the model of this exponent, and what overflows.
-
-    The upward probe climbs from z = 1 to z = 1 + t_max.  For e > 1 the
-    model's Gamma^z_{yt yt} = -(e/2) z^(e-1) overflows a float above
-    z = (max/e)^(1/(e-1)) (3.555e102 at e = 4); for e < 0 the 1/z^e of
-    Gamma^yt_{yt z} overflows above z = max^(1/-e).  Past that height the
-    probe's right-hand side is NaN, and C8 would fail from a step size
-    underflow rather than for a geometric reason.  The height is cut by
-    1e-12 relative, so the rounding of the powers cannot reach the overflow.
-    There is no limit (inf) when nothing overflows, or when the default
-    probe already overflows (|e| of 154 and more): such a model fails C8 and
-    most sampled checks from overflow at any t_max, and says so.
-    """
-    big = float(np.finfo(float).max)
-    try:
-        if exponent > 1.0:
-            z = (big / exponent) ** (1.0 / (exponent - 1.0))
-            what = f"Gamma^z_(yt yt) = -{exponent / 2:g} z^{exponent - 1:g}"
-        elif exponent < 0.0:
-            z = big ** (1.0 / -exponent)
-            what = f"the 1/z^{exponent:g} of Gamma^yt_(yt z)"
-        else:
-            return math.inf, ""
-    except OverflowError:
-        return math.inf, ""
-    limit = z * (1.0 - 1e-12) - 1.0
-    return (limit, what) if limit >= _UP_T_MAX else (math.inf, "")
+# The pinned tolerances of exactly-zero residuals (C3, C4, C9) and of the
+# curvature constants (C4).
+_TOL_ABS = 1e-8
+_TOL_REL = 1e-6
 
 
 @dataclass(frozen=True)
 class ChecklistConfig:
     """Inputs of a verification run; defaults reproduce the certified case.
 
-    Every run integrates with the integrator defaults, ``DEFAULT_CONFIG``."""
+    The tolerances and the upward horizon are pinned (``_TOL_ABS``,
+    ``_TOL_REL``, ``_UP_T_MAX``) and echoed in the report; every run
+    integrates with the integrator defaults, ``DEFAULT_CONFIG``."""
 
     matrix: Tuple[Tuple[int, int], Tuple[int, int]] = ((2, 1), (1, 1))
     samples: int = 1000
-    tol_abs: float = 1e-8
-    tol_rel: float = 1e-6
     seed: int = 0
-    t_max: float = _UP_T_MAX
     # Test hook: any exponent other than 4 breaks the deck homothety (C2).
     metric_exponent: float = 4.0
     emit_traces_dir: Optional[str] = None
@@ -140,8 +113,8 @@ class ChecklistConfig:
     def __post_init__(self):
         # Python ints and floats only: a bool, a float count or a numpy
         # scalar would crash the run or its JSON echo.
-        for name in ("samples", "seed", "tol_abs", "tol_rel", "t_max", "metric_exponent"):
-            value, whole = getattr(self, name), name in ("samples", "seed")
+        for name in ("samples", "seed", "metric_exponent"):
+            value, whole = getattr(self, name), name != "metric_exponent"
             try:
                 if isinstance(value, bool) or not isinstance(value, numbers.Real):
                     raise TypeError
@@ -151,17 +124,6 @@ class ChecklistConfig:
                 raise ConfigError(f"{name} must be {kind}, got {value!r}") from None
         if self.samples <= 0:
             raise ConfigError("samples must be positive")
-        if not (0 < self.tol_abs < math.inf and 0 < self.tol_rel < math.inf):
-            raise ConfigError("tolerances must be positive and finite")
-        if not _DOWN_T_MAX <= self.t_max < math.inf:
-            raise ConfigError(
-                f"t_max must be finite and at least {_DOWN_T_MAX:g}, the downward "
-                f"probe's horizon: a shorter upward probe shows nothing about completeness")
-        limit, what = _t_max_limit(self.metric_exponent)
-        if self.t_max > limit:
-            raise ConfigError(
-                f"t_max must be at most {limit:.4g}: the upward probe climbs to "
-                f"z = 1 + t_max, and above that {what} overflows a float")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if not math.isfinite(self.metric_exponent):
@@ -365,15 +327,15 @@ def _check_homothety(ctx: _Context, out: _Maxima) -> _Verdict:
 
 
 def _check_compatibility(ctx: _Context, out: _Maxima) -> _Verdict:
-    return _composite([("exact_partials_path", out["exact"], ctx.config.tol_abs),
+    return _composite([("exact_partials_path", out["exact"], _TOL_ABS),
                              ("numeric_partials_path_h=1e-5", out["numeric"], 1e-5)])
 
 
 def _check_nonflat(ctx: _Context, out: _Maxima) -> _Verdict:
     return _composite([
-        ("scalar_times_z2_is_minus_4", out["scalar"], ctx.config.tol_rel),
-        ("halfplane_sectional_times_z2_is_minus_2", out["halfplane"], ctx.config.tol_rel),
-        ("planes_containing_v1_flat", out["flat_planes"], ctx.config.tol_abs),
+        ("scalar_times_z2_is_minus_4", out["scalar"], _TOL_REL),
+        ("halfplane_sectional_times_z2_is_minus_2", out["halfplane"], _TOL_REL),
+        ("planes_containing_v1_flat", out["flat_planes"], _TOL_ABS),
     ])
 
 
@@ -418,14 +380,14 @@ def _check_incompleteness(ctx: _Context) -> _Verdict:
                           "downward_escape_at_t=1", "downward_escape_at_crossing")
     p0 = ChartPoint(0.0, 0.0, 1.0)
     up = integrate_geodesic(ctx.metric, p0, TangentVector(p0, [0.0, 0.0, 1.0]),
-                            ctx.config.t_max)
+                            _UP_T_MAX)
     return _composite(parts + [("upward_completes",
                                 0.0 if up.termination.completed else math.inf, 0.0)])
 
 
 def _check_conformal(ctx: _Context, out: _Maxima) -> _Verdict:
     return _composite([
-        ("conformal_residual", out["residual"], ctx.config.tol_abs),
+        ("conformal_residual", out["residual"], _TOL_ABS),
         ("mu_matches_-2Vz_over_z", out["mu_err"], 1e-8),
         ("deck_invariance_of_gprime", out["invariance"], 1e-10),
     ])
@@ -552,10 +514,10 @@ def _config_echo(config: ChecklistConfig) -> dict:
     return {
         "matrix": [list(row) for row in config.matrix],
         "samples": config.samples,
-        "tol_abs": config.tol_abs,
-        "tol_rel": config.tol_rel,
+        "tol_abs": _TOL_ABS,
+        "tol_rel": _TOL_REL,
         "seed": config.seed,
-        "t_max": config.t_max,
+        "t_max": _UP_T_MAX,
         "integrator_rel_tol": DEFAULT_CONFIG.rel_tol,
         "integrator_abs_tol": DEFAULT_CONFIG.abs_tol,
         "metric_exponent": config.metric_exponent,

@@ -30,14 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="gluing matrix entries, four integers (default: %(default)s)")
     parser.add_argument("--samples", type=int, default=d.samples,
                         help="random sample points per check (default: %(default)s)")
-    parser.add_argument("--tol-abs", type=float, default=d.tol_abs,
-                        help="absolute tolerance for exactly-zero residuals")
-    parser.add_argument("--tol-rel", type=float, default=d.tol_rel,
-                        help="relative tolerance for derived nonzero constants")
     parser.add_argument("--seed", type=int, default=d.seed,
                         help="seed for the sample-point generator (default: %(default)s)")
-    parser.add_argument("--t-max", type=float, default=d.t_max,
-                        help="horizon for the upward completeness probe")
     parser.add_argument("--report", choices=("json", "text"), default="text",
                         help="report format written to stdout (default: text)")
     parser.add_argument("--emit-traces", metavar="DIR", default=None,
@@ -64,10 +58,7 @@ def _config(args: argparse.Namespace) -> ChecklistConfig:
     return ChecklistConfig(
         matrix=_parse_matrix(args.matrix),
         samples=args.samples,
-        tol_abs=args.tol_abs,
-        tol_rel=args.tol_rel,
         seed=args.seed,
-        t_max=args.t_max,
         metric_exponent=args.metric_exponent,
         emit_traces_dir=args.emit_traces,
     )

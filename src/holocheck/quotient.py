@@ -127,7 +127,9 @@ def eigen_basis(a: ToralMatrix) -> EigenBasis:
     tr = float(a.trace)
     lam = (tr + math.sqrt(tr * tr - 4.0)) / 2.0
     lam2 = 1.0 / lam
-    v1 = np.array([a.a12 / (lam - a.a11), 1.0])
+    # lam - a11 = a22 - 1/lam, and only the second form cannot cancel: 1/lam
+    # lies in (0, 1) and a22 is an integer.
+    v1 = np.array([a.a12 / (a.a22 - lam2), 1.0])
     v2 = np.array([a.a12 / (lam2 - a.a11), 1.0])
     e2t = np.eye(3)
     e2t[:2, 0] = v1

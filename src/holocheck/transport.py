@@ -33,6 +33,8 @@ STEP_LIMIT = "step_limit"
 
 # Width of the final bracket around a floor crossing, in the affine parameter.
 EVENT_T_TOL = 1e-9
+# Attempted steps one integration may take before it ends with STEP_LIMIT.
+_MAX_STEPS = 1_000_000
 
 
 class CurveError(ValueError):
@@ -49,15 +51,14 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         if not (np.isfinite(self.rel_tol) and np.isfinite(self.abs_tol)):
             raise ValueError("integrator tolerances must be finite")
         if self.rel_tol < 1e-14:
             raise ValueError("rel_tol below 1e-14 is not resolvable in double precision")
-        if self.abs_tol <= 0 or self.max_steps <= 0:
-            raise ValueError("integrator settings must be positive")
+        if self.abs_tol <= 0:
+            raise ValueError("abs_tol must be positive")
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -475,7 +476,7 @@ def _integrate(f, y0, t_end, cfg, floor_index=None, record=True):
     rejected = False
     aim = False
     while t < t_end:
-        if stats.attempted >= cfg.max_steps:
+        if stats.attempted >= _MAX_STEPS:
             return samples, STEP_LIMIT, None, stats
         h = min(h, t_end - t)
         if aim and k1[floor_index] < 0.0:

@@ -156,7 +156,7 @@ def test_checklist_residuals_are_single_point_maxima(cat):
     numeric = max(np.max(np.abs(tc._nabla(
         hc.christoffel_at(m, p).gamma, m.components(p.coords),
         tc._partials(m, p.coords, "numeric", 1e-5)))) for p in pts)
-    assert by_id["C3"] == max(exact / cfg.tol_abs, numeric / 1e-5)
+    assert by_id["C3"] == max(exact / checklist._TOL_ABS, numeric / 1e-5)
 
     curv = [hc.riemann_at(m, p) for p in pts]
     gs = [m.components(p.coords) for p in pts]
@@ -166,9 +166,9 @@ def test_checklist_residuals_are_single_point_maxima(cat):
                                    np.array([0.3, np.cos(theta), np.sin(theta)]))
             for g, k, theta in zip(gs, curv, ctx.mixed_planes)]
     assert by_id["C4"] == max(
-        np.max(np.abs(scalar * z ** 2 / -4.0 - 1.0)) / cfg.tol_rel,
-        np.max(np.abs(k23 * z ** 2 / -2.0 - 1.0)) / cfg.tol_rel,
-        max(abs(k) for k in flat) / cfg.tol_abs)
+        np.max(np.abs(scalar * z ** 2 / -4.0 - 1.0)) / checklist._TOL_REL,
+        np.max(np.abs(k23 * z ** 2 / -2.0 - 1.0)) / checklist._TOL_REL,
+        max(abs(k) for k in flat) / checklist._TOL_ABS)
 
     deviations = [hc.conformal_deviation_at(m, gprime, p, d)
                   for p, d in zip(pts, ctx.directions)]
@@ -176,7 +176,7 @@ def test_checklist_residuals_are_single_point_maxima(cat):
                  for (mu, _), p, d in zip(deviations, pts, ctx.directions))
     invariance = max(hc.pullback_metric_residual(cat, gprime, p, expected_factor=1.0)
                      for p in pts)
-    assert by_id["C9"] == max(max(res for _, res in deviations) / cfg.tol_abs,
+    assert by_id["C9"] == max(max(res for _, res in deviations) / checklist._TOL_ABS,
                               mu_err / 1e-8, invariance / 1e-10)
 
     leaf = hc.induced_halfplane_metric(m)

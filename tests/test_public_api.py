@@ -1,10 +1,13 @@
-"""The names ``import holocheck`` exports and the run's configuration
-fields, pinned so that a change shows."""
+"""The names ``import holocheck`` exports, the run's configuration fields
+and the CLI's options, pinned so that a change shows."""
 
 import dataclasses
 import inspect
 
+import pytest
+
 import holocheck as hc
+from holocheck import cli
 
 PUBLIC = {
     # tensor_core
@@ -32,8 +35,10 @@ PUBLIC = {
     "ConfigError", "leaf_first_check", "run_checklist",
 }
 
-CONFIG_FIELDS = ("matrix", "samples", "tol_abs", "tol_rel", "seed", "t_max",
-                 "metric_exponent", "emit_traces_dir")
+CONFIG_FIELDS = ("matrix", "samples", "seed", "metric_exponent", "emit_traces_dir")
+
+CLI_OPTIONS = ("-h", "--help", "--matrix", "--samples", "--seed", "--report",
+               "--emit-traces", "--metric-exponent")
 
 
 def test_public_surface():
@@ -45,3 +50,17 @@ def test_public_surface():
 
 def test_config_fields():
     assert tuple(f.name for f in dataclasses.fields(hc.ChecklistConfig)) == CONFIG_FIELDS
+
+
+def test_cli_options():
+    parser = cli.build_parser()
+    assert tuple(s for action in parser._actions for s in action.option_strings) == CLI_OPTIONS
+
+
+@pytest.mark.parametrize("flag", ["--t-max", "--tol-abs", "--tol-rel"])
+def test_pinned_values_are_not_options(capsys, flag):
+    # the tolerances and the upward horizon are part of the certificate
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag, "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

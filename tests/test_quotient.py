@@ -7,6 +7,7 @@ composed with the inverse deck differential gives the strict similarity
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,6 +95,20 @@ class TestEigenBasis:
             assert f.lam > 1.0
             m = a.matrix.astype(float)
             assert np.max(np.abs(m @ f.v1 - f.lam * f.v1)) < 1e-11 * f.lam
+
+    @pytest.mark.parametrize("trace", [2 ** 53 + 2, 2 ** 54 + 2, 2 ** 60 + 2])
+    def test_expanding_eigenvector_of_large_traces(self, trace):
+        # lam - a11 cancels for a11 near lam: at trace 2^53 + 2 it gave
+        # v1x = 2^52 for about 2^53 + 1, and from 2^54 + 2 a division by 0
+        a = hc.validate_toral_matrix([[trace - 1, trace - 2], [1, 1]])
+        f = hc.eigen_basis(a)
+        v1x, lam = Fraction(f.v1[0]), Fraction(f.lam)
+        assert f.v1[1] == 1.0
+        # each entry of A v1 - lam v1, in exact rational arithmetic, against
+        # lam times that entry of v1: the second entry (1) shows v1x's error
+        res = (a.a11 * v1x + a.a12 - lam * v1x, a.a21 * v1x + a.a22 - lam)
+        for r, v in zip(res, f.v1):
+            assert abs(r) <= 1e-15 * lam * abs(Fraction(v))
 
 
 class TestDeckDifferential:

@@ -70,15 +70,14 @@ class TestIntegratorConfig:
     def test_defaults(self):
         c = hc.IntegratorConfig()
         assert c.rel_tol == 1e-10 and c.abs_tol == 1e-12
-        assert c.max_steps == 1_000_000
+        assert [f.name for f in dataclasses.fields(c)] == ["rel_tol", "abs_tol"]
+        assert transport._MAX_STEPS == 1_000_000
 
     def test_validation(self):
         with pytest.raises(ValueError):
             hc.IntegratorConfig(rel_tol=1e-15)
         with pytest.raises(ValueError):
             hc.IntegratorConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            hc.IntegratorConfig(max_steps=0)
         for bad in ("rel_tol", "abs_tol"):
             with pytest.raises(ValueError):
                 hc.IntegratorConfig(**{bad: float("nan")})
@@ -129,11 +128,10 @@ class TestGeodesics:
         assert traj.termination.completed
         assert hc.geodesic_energy_drift(model, traj) < 1e-8
 
-    def test_step_limit_reported(self, model):
-        tight = hc.IntegratorConfig(max_steps=3)
+    def test_step_limit_reported(self, model, monkeypatch):
+        monkeypatch.setattr(transport, "_MAX_STEPS", 3)
         p0 = ChartPoint(0, 0, 1)
-        traj = hc.integrate_geodesic(model, p0, TangentVector(p0, [0.3, 0.5, -0.2]),
-                                     5.0, tight)
+        traj = hc.integrate_geodesic(model, p0, TangentVector(p0, [0.3, 0.5, -0.2]), 5.0)
         assert traj.termination.status == hc.STEP_LIMIT
 
     def test_preconditions(self, model, cfg):
