@@ -295,7 +295,9 @@ class TestCli:
         assert main(["--samples", "0"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--metric-exponent", "nan"],
+    @pytest.mark.parametrize("args", [["--samples", "0"], ["--samples", "-3"],
+                                      ["--matrix", "1 2 x 4"], ["--metric-exponent=-inf"],
+                                      ["--seed", "-1"], ["--metric-exponent", "nan"],
                                       ["--metric-exponent", "inf"]])
     def test_bad_config_exit_two(self, capsys, args):
         assert main(args) == 2
