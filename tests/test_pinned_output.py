@@ -69,6 +69,19 @@ def many_geodesic_starts():
 
 MANY_GEODESICS_DIGEST = "0400118f8060c773febb07375333d50192bfc15472ae2dd23cce85eac2f3ff7d"
 
+# Frame transport of its own: acceptance-style polylines, vertical segments
+# up and down, one polyline's frame trace, and the gx, gy and gz holonomies
+# (matrix, scale and defects) of four gluing matrices, at the default and the
+# tight integrator tolerances.  The reports see transport only through C6's
+# and C7's residuals and the gz trace.
+HOLONOMY_MATRICES = ("2 1 1 1", "1 1 1 2", "5 4 1 1", "1000 999 1 1")
+TRANSPORT_DIGESTS = {
+    "default": (hc.IntegratorConfig(),
+                "17c4c646793453d8058aa1ec5470955d9fb6539f9c22d480508391dc654690f7"),
+    "tight": (hc.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12),
+              "28a0eaadc18d3183747dd1ad284998904d8bd65deef6e080db441c644160925c"),
+}
+
 TRACE_DIGESTS = {
     "escape_geodesic.csv": "28ca1aeab5aea7bcab0dd9d28189e688fc12954ce9cf3df23f992458b66528b1",
     "gz_transport.csv": "ad3a0377b10c9a7c1dc18bef876269d8e0da3347ce3eb05f09119fef100159a1",
@@ -112,3 +125,40 @@ def test_geodesic_bytes():
 def test_many_geodesic_bytes():
     runs = [(e, *start) for e in (4.0, 3.0) for start in many_geodesic_starts()]
     assert geodesics_digest(runs) == MANY_GEODESICS_DIGEST
+
+
+def transport_curves():
+    """Three polylines drawn as the acceptance suite draws them, and two
+    vertical segments, one up and one down."""
+    rng = np.random.default_rng(0)
+    curves = []
+    for _ in range(3):
+        n = rng.integers(2, 4)
+        curves.append(hc.CurveSpec.from_points([
+            hc.ChartPoint(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.5, 5.0))
+            for _ in range(n + 1)]))
+    for z0, z1 in ((0.7, 4.2), (3.0, 0.6)):
+        curves.append(hc.CurveSpec.from_points([hc.ChartPoint(0.4, -1.1, z0),
+                                                hc.ChartPoint(0.4, -1.1, z1)]))
+    return curves
+
+
+@pytest.mark.parametrize("name", list(TRANSPORT_DIGESTS))
+def test_transport_bytes(name):
+    cfg, digest = TRANSPORT_DIGESTS[name]
+    model = hc.warped_metric()
+    h = hashlib.sha256()
+    curves = transport_curves()
+    for curve in curves:
+        h.update(hc.transport_matrix(model, curve, cfg).tobytes())
+    for t, c, p in hc.transport_frame_trace(model, curves[0], cfg):
+        h.update(np.array([t, *c]).tobytes() + p.tobytes())
+    base = hc.ChartPoint(0.0, 0.0, 1.0)
+    for text in HOLONOMY_MATRICES:
+        a = hc.validate_toral_matrix(np.array(text.split(), dtype=int).reshape(2, 2))
+        for gen in ("gx", "gy", "gz"):
+            elem = hc.holonomy_of_loop(a, model, hc.LoopClass([gen], base), cfg)
+            h.update(elem.matrix.tobytes())
+            h.update(repr((elem.scale, elem.ortho_defect,
+                           elem.invariant_line_residual)).encode())
+    assert h.hexdigest() == digest
