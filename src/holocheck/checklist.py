@@ -543,19 +543,21 @@ def _run(ctx: _Context, check_id: str) -> CheckResult:
 def run_checklist(config: ChecklistConfig = ChecklistConfig()) -> VerificationReport:
     """Run all twelve checks and assemble the verification report.
 
-    An invalid gluing matrix fails C1 and marks the dependent checks as
-    not run; any exception inside a check is converted into a failed check
+    An invalid gluing matrix, or one whose eigenvalue lambda is beyond the
+    float range, fails C1 and marks the dependent checks as not run; any
+    exception inside a check is converted into a failed check
     with the exception text as its note.  A trace that cannot be computed
     raises :class:`IntegrationError`, one that cannot be written OSError.
     """
     try:
         matrix = validate_toral_matrix(config.matrix)
     except ToralMatrixError as exc:
-        checks = [CheckResult(check_id, check.description, check.claim,
-                              *_failed(str(exc) if check_id == "C1"
-                                       else "not run: invalid gluing matrix"))
-                  for check_id, check in _CHECKS.items()]
-        return VerificationReport(config_echo=_config_echo(config), checks=tuple(checks))
+        return _refused(config, str(exc), "invalid gluing matrix")
+    try:
+        eigen_basis(matrix)  # cached for the run's context
+    except OverflowError:
+        return _refused(config, "lambda cannot be represented as a float: the matrix "
+                                "entries are beyond the float range", "lambda is not a float")
     ctx = _Context(config, matrix)
     checks = [_run(ctx, check_id) for check_id in _CHECKS]
     traces: Tuple[str, ...] = ()
@@ -563,6 +565,15 @@ def run_checklist(config: ChecklistConfig = ChecklistConfig()) -> VerificationRe
         traces = _write_traces(ctx, config.emit_traces_dir)
     return VerificationReport(config_echo=_config_echo(config),
                               checks=tuple(checks), traces_emitted=traces)
+
+
+def _refused(config: ChecklistConfig, note: str, reason: str) -> VerificationReport:
+    """The report of a matrix the run cannot take: C1 fails with ``note``, and
+    every other check is not run."""
+    checks = [CheckResult(check_id, check.description, check.claim,
+                          *_failed(note if check_id == "C1" else f"not run: {reason}"))
+              for check_id, check in _CHECKS.items()]
+    return VerificationReport(config_echo=_config_echo(config), checks=tuple(checks))
 
 
 def _gz_trace(ctx: _Context) -> str:

@@ -18,6 +18,7 @@ taken right to left.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .transport import (
 )
 
 GENERATORS = ("gx", "gy", "gz", "gz^-1")
+_E1 = np.array([1.0, 0.0, 0.0])
 
 
 class ToralMatrixError(ValueError):
@@ -117,12 +119,15 @@ class EigenBasis:
     torus_to_eigen: np.ndarray
 
 
+@functools.lru_cache(maxsize=64)
 def eigen_basis(a: ToralMatrix) -> EigenBasis:
     """Closed-form eigenvalues and eigenvectors of a validated matrix.
 
     lam = (trace + sqrt(trace^2 - 4)) / 2; trace^2 - 4 is never a perfect
     square for trace > 2, so lam is irrational and a12 != 0 for every
     validated matrix, making the second-component-1 normalization valid.
+    The result is cached per matrix, its arrays read-only.  Entries beyond
+    the float range raise OverflowError.
     """
     tr = float(a.trace)
     lam = (tr + math.sqrt(tr * tr - 4.0)) / 2.0
@@ -134,8 +139,10 @@ def eigen_basis(a: ToralMatrix) -> EigenBasis:
     e2t = np.eye(3)
     e2t[:2, 0] = v1
     e2t[:2, 1] = v2
-    return EigenBasis(lam=lam, v1=v1, v2=v2, eigen_to_torus=e2t,
-                      torus_to_eigen=np.linalg.inv(e2t))
+    t2e = np.linalg.inv(e2t)
+    for arr in (v1, v2, e2t, t2e):
+        arr.setflags(write=False)
+    return EigenBasis(lam=lam, v1=v1, v2=v2, eigen_to_torus=e2t, torus_to_eigen=t2e)
 
 
 def deck_differential(a: ToralMatrix, frame: Optional[EigenBasis] = None) -> np.ndarray:
@@ -264,16 +271,20 @@ def holonomy_element(matrix: np.ndarray, g_at_base: np.ndarray) -> HolonomyEleme
     g = np.asarray(g_at_base, dtype=float)
     if abs(np.linalg.det(matrix)) < 1e-300:
         raise SingularMatrixError("holonomy matrix is singular")
-    # the g-length ratio of each transported frame vector, column by column
-    ratios = np.sqrt(np.diag(matrix.T @ g @ matrix) / np.diag(g))
-    scale = float(np.mean(ratios))
+    # The products are the BLAS calls of ``@`` through ndarray.dot, and the
+    # reductions the ufuncs' that np.mean and np.max wrap: their bits, with
+    # less dispatch.  The g-length ratio of each transported frame vector,
+    # column by column:
+    ratios = np.sqrt(matrix.T.dot(g).dot(matrix).diagonal() / g.diagonal())
+    scale = float(np.add.reduce(ratios)) / len(ratios)
     ortho_part = matrix / scale
     u = matrix[:, 0]
-    e1 = np.array([1.0, 0.0, 0.0])
-    cos = float(u @ g @ e1) / math.sqrt(float(u @ g @ u) * float(e1 @ g @ e1))
+    gu = u.dot(g)
+    cos = float(gu.dot(_E1)) / math.sqrt(float(gu.dot(u)) * float(_E1.dot(g).dot(_E1)))
     line_residual = math.sqrt(max(0.0, 1.0 - min(1.0, cos * cos)))
-    orth_res = float(np.max(np.abs(ortho_part.T @ g @ ortho_part - g)))
-    spread = float(np.max(np.abs(ratios - scale)))
+    orth_res = float(np.maximum.reduce(np.abs(ortho_part.T.dot(g).dot(ortho_part) - g),
+                                       axis=None))
+    spread = float(np.maximum.reduce(np.abs(ratios - scale)))
     matrix.setflags(write=False)
     return HolonomyElement(matrix=matrix, scale=scale,
                            ortho_defect=max(orth_res, spread),
@@ -318,23 +329,22 @@ def holonomy_of_loop(a: ToralMatrix, m: MetricField, loop: LoopClass,
     segments = []
     m_acc = np.eye(3)
     b_acc = np.zeros(3)
-    q = base.copy()
+    q = loop.basepoint
+    # the products are the BLAS calls of @ through ndarray.dot
     for gen in loop.word:
         m_gen, b_gen = _generator_affine(gen, a, frame)
-        canonical_end = m_gen @ base + b_gen
-        q_next = m_acc @ canonical_end + b_acc
+        canonical_end = m_gen.dot(base) + b_gen
         try:
-            segments.append(StraightSegment(ChartPoint.from_coords(q),
-                                            ChartPoint.from_coords(q_next)))
+            q_next = ChartPoint.from_coords(m_acc.dot(canonical_end) + b_acc)
+            segments.append(StraightSegment(q, q_next))
         except ChartDomainError as exc:
             raise LiftEscapeError(f"lift of {gen!r} leaves the chart: {exc}") from exc
-        b_acc = m_acc @ b_gen + b_acc
-        m_acc = m_acc @ m_gen
+        b_acc = m_acc.dot(b_gen) + b_acc
+        m_acc = m_acc.dot(m_gen)
         q = q_next
     try:
         curve = CurveSpec(segments)
         p_transport = transport_matrix(m, curve, cfg)
     except ChartDomainError as exc:
         raise LiftEscapeError(f"lifted loop leaves the chart: {exc}") from exc
-    matrix = np.linalg.inv(m_acc) @ p_transport
-    return holonomy_element(matrix, g_base)
+    return holonomy_element(np.linalg.inv(m_acc).dot(p_transport), g_base)

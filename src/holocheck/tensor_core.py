@@ -13,8 +13,9 @@ g from g^-1 and the partials.  The "numeric" method always builds it, from
 central-difference partials, so it stays the independent path.  Geodesics,
 transport, curvature and the sampled checks all read Gamma through
 :func:`_christoffel` or :class:`_Geometry` and need no code of their own;
-the model's closed form also contracts itself for one geodesic state
-(``christoffel.acceleration``), with the bits of that einsum.
+the model's closed form also contracts itself, for one geodesic state
+(``christoffel.acceleration``) and into the linear transport coefficients
+(``christoffel.connection``), with the bits of the generic contractions.
 
 The core functions take coordinates of shape ``(..., dim)`` and return
 arrays with the same leading shape, so one call evaluates a whole batch of
@@ -156,8 +157,13 @@ class MetricField:
     symbols are given.  The callable may also carry an ``acceleration(x,
     v)`` method, -Gamma(v, v) for one state with the bits of the einsum
     contraction of its symbols, which geodesics use in place of that
-    einsum; it belongs to the callable, so a model whose ``christoffel`` is
-    replaced or set to None loses the contraction with the symbols.
+    einsum, and a ``connection(c, v)`` method, the transport coefficients
+    ``sum_i Gamma^k_ij(c) v^i`` for finite v broadcast against c's leading
+    axes, with the bits of transport's broadcast contraction of the
+    symbols, which linear transport uses in place of it.  Both belong to
+    the callable, so a model whose ``christoffel`` is replaced or set to
+    None loses them with the symbols: leaves, the conformal rescaling and
+    mutants take the generic contractions.
     """
 
     components: Callable[[np.ndarray], np.ndarray]
@@ -243,7 +249,24 @@ def warped_metric(exponent: float = 4.0) -> MetricField:
         g2 = 0.5 * -dz
         return [-0.0, -((0.0 + (g1 * vy) * vz) + (g1 * vz) * vy), -(0.0 + (g2 * vy) * vy)]
 
+    # The linear transport coefficients a[..., k, j] = sum_i Gamma^k_ij(c) v^i,
+    # v finite and broadcast against c's leading axes, with the bits of
+    # transport's broadcast contraction of the symbols above: its sum of
+    # zero-symbol products and one nonzero one, plus 0.0, is that product
+    # plus 0.0, and +0 where every product is zero.
+    def connection(c, v):
+        z = c[..., 2]
+        dz = e * z ** (e - 1.0)
+        g1 = 0.5 * ((1.0 / z ** e) * dz)
+        g2 = 0.5 * -dz
+        out = np.zeros(c.shape[:-1] + (3, 3))
+        out[..., 1, 1] = g1 * v[..., 2] + 0.0
+        out[..., 1, 2] = g1 * v[..., 1] + 0.0
+        out[..., 2, 1] = g2 * v[..., 1] + 0.0
+        return out
+
     christoffel.acceleration = acceleration
+    christoffel.connection = connection
     return MetricField(components, partials, label=f"warped z^{e:g}", dim=3,
                        christoffel=christoffel)
 

@@ -165,9 +165,6 @@ _STAGE = (None, *(_A[s, :s] for s in range(1, 12)), _B)
 # BLAS call of ``@``, with its bits, at about half its dispatch cost.
 _STAGE_DOT = (None, *(row.dot for row in _STAGE[1:]))
 _ERR_DOT = _ERR.dot
-# For a linear field, the index of stage s's abscissa among the eleven
-# distinct new ones: stage 12 shares t + h with stage 11.
-_ROW = (None, *range(11), 10)
 # The abscissae as Python floats, so a callable's stage times t + c h are
 # float arithmetic rather than numpy scalar arithmetic (the same bits).
 _C_FLOAT = tuple(_C.tolist())
@@ -179,14 +176,19 @@ _MAX_FACTOR = 10.0
 _EXPONENT = 1.0 / 8.0
 
 
-def _connection_matrices(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``a[..., l, k, j] = sum_i gamma[..., l, k, i, j] v[l, i]`` for (lanes, 3) ``v``.
+def _connection_matrices(m: MetricField, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a[..., l, k, j] = sum_i Gamma^k_ij(c[..., l, :]) v[l, i]`` for (lanes, 3) ``v``.
 
-    Three broadcast products, summed in the order of
+    The model's closed form (``christoffel.connection``) when it ships one;
+    else three broadcast products of the symbols, summed in the order of
     ``np.einsum("...kij,...i->...kj", gamma, v)``, whose sum starts from +0:
     its bits, an all-zero sum's sign included (a test pins them), at a
-    fraction of its cost.
+    fraction of its cost.  The closed form gives the same bits.
     """
+    connection = getattr(m.christoffel, "connection", None)
+    if connection is not None:
+        return connection(c, v)
+    gamma = _christoffel(m, c)
     v = v[:, :, None, None]
     a = gamma[..., 0, :] * v[:, 0]
     a += gamma[..., 1, :] * v[:, 1]
@@ -199,7 +201,7 @@ class _LinearField:
     """The right-hand side A(s) w of the linear transport equation w' = A w.
 
     A(s) = -Gamma(c(s))[c'(s), .] does not depend on w, so its values at
-    several abscissae come from one batched Christoffel evaluation.  Each
+    several abscissae come from one batch (:func:`_connection_matrices`).  Each
     straight segment or piece is one lane, held as a row of the (lanes, 3)
     start and delta arrays; the state is the lanes' (3, width) blocks, flat.
     """
@@ -212,19 +214,19 @@ class _LinearField:
         self.minus_delta = -delta
         self.shape = (len(c0), 3, width)
 
-    def matrices(self, s: np.ndarray) -> np.ndarray:
-        """A at the abscissae ``s`` (shape (n,)) for every lane: (n, lanes, 3, 3).
+    def matrices(self, s) -> np.ndarray:
+        """A at the abscissae ``s`` for every lane: shape s.shape + (lanes, 3, 3).
 
         A point at or below z = 0 gives NaN coefficients, so the step that
         asked for it is rejected.
         """
-        c = self.c0 + s[:, None, None] * self.delta
-        if c[..., 2].min() <= 0.0:
+        c = self.c0 + np.multiply.outer(s, self.delta)
+        if np.minimum.reduce(c[..., 2], axis=None) <= 0.0:
             return np.full(c.shape + (3,), np.nan)
-        return _connection_matrices(_christoffel(self.m, c), self.minus_delta)
+        return _connection_matrices(self.m, c, self.minus_delta)
 
     def __call__(self, s: float, w: np.ndarray) -> np.ndarray:
-        return (self.matrices(np.array([s]))[0] @ w.reshape(self.shape)).ravel()
+        return (self.matrices(s) @ w.reshape(self.shape)).ravel()
 
 
 @dataclass
@@ -268,13 +270,14 @@ def _rk_step(f, t, y, h, k1, stats):
     if isinstance(f, _LinearField):
         a = f.matrices(t + _C[1:12] * h)
         stats.rhs += 11 * f.shape[0]
-        rows = k.reshape((13,) + f.shape)
         y_s = np.empty(y.size)
-        for s in range(1, 13):
+        y_block = y_s.reshape(f.shape)
+        # stage 12 shares its abscissa t + h with stage 11
+        for s, a_s, row in zip(range(1, 13), (*a, a[10]), k.reshape((13,) + f.shape)[1:]):
             _STAGE_DOT[s](k[:s], out=y_s)
             y_s *= h
             y_s += y
-            np.matmul(a[_ROW[s]], y_s.reshape(f.shape), out=rows[s])
+            np.matmul(a_s, y_block, out=row)
         return y_s, k
     y0 = y.tolist()
     for s in range(1, 13):
@@ -313,10 +316,12 @@ def _error_norm(k, h, abs_y0, abs_y1, cfg, lanes):
         return h * (e5 / math.sqrt(den)) / math.sqrt(n)
     e /= cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y0, abs_y1)
     e *= e
-    e5, e3 = e.reshape(2, lanes, n).sum(axis=2)
+    # the ufuncs' reductions, which the sum and max methods wrap
+    e5, e3 = np.add.reduce(e.reshape(2, lanes, n), axis=2)
     den = e5 + 0.01 * e3
     den[den <= 0.0] = 1.0  # both estimates are zero
-    return h * float((e5 / np.sqrt(den)).max()) / math.sqrt(n)
+    e5 /= np.sqrt(den)
+    return h * float(np.maximum.reduce(e5)) / math.sqrt(n)
 
 
 def _initial_step(f, y0, f0, t_end, cfg, lanes):
@@ -354,23 +359,28 @@ def _initial_step(f, y0, f0, t_end, cfg, lanes):
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
 
     def rms(x):
-        return np.sqrt(np.mean((x / scale).reshape(lanes, -1) ** 2, axis=1))
+        # np.mean's bits: each lane's sum of squares over n
+        x = x / scale
+        x *= x
+        return np.sqrt(np.add.reduce(x.reshape(-1, lanes, n), axis=2) / n)
 
-    d0 = rms(y0)
-    d1 = rms(f0)
+    d0, d1 = rms(np.array((y0, f0)))
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
-    moving = (f0 != 0.0).reshape(lanes, -1).any(axis=1)
-    h0 = min(float(np.min(h0[moving])) if moving.any() else 1e-6, t_end)
+    # the smallest over the moving lanes; inf when every lane is at rest
+    moving = np.logical_or.reduce((f0 != 0.0).reshape(lanes, n), axis=1)
+    h0 = float(np.minimum.reduce(h0, where=moving, initial=math.inf))
+    h0 = min(1e-6 if h0 == math.inf else h0, t_end)
     f1 = f(h0, y0 + h0 * f0)
     if not np.isfinite(f1).all():
         return max(1e-8 * t_end, 1e-12)
-    d = np.maximum(d1, rms(f1 - f0) / h0)
+    d = np.maximum(d1, rms(f1 - f0)[0] / h0)
     h1 = np.where(d <= 1e-15, max(1e-6, h0 * 1e-3),
                   (0.01 / np.maximum(d, 1e-15)) ** _EXPONENT)
-    moving |= (f1 != 0.0).reshape(lanes, -1).any(axis=1)
-    if not moving.any():
+    moving |= np.logical_or.reduce((f1 != 0.0).reshape(lanes, n), axis=1)
+    h1 = float(np.minimum.reduce(h1, where=moving, initial=math.inf))
+    if h1 == math.inf:
         return t_end
-    return min(100 * h0, float(np.min(h1[moving])), t_end)
+    return min(100 * h0, h1, t_end)
 
 
 def _hermite_root(e0, m0, e1, m1):
@@ -488,8 +498,8 @@ def _integrate(f, y0, t_end, cfg, floor_index=None, record=True):
             raise IntegrationError(f"step size underflow at t={t}")
         stats.attempted += 1
         y_new, k = _rk_step(f, t, y, h, k1, stats)
-        if np.isfinite(y_new).all():
-            abs_new = np.abs(y_new)
+        abs_new = np.abs(y_new)
+        if np.maximum.reduce(abs_new) < math.inf:  # every entry finite
             err_norm = _error_norm(k, h, abs_y, abs_new, cfg, lanes)
         else:
             err_norm = math.inf
@@ -682,6 +692,8 @@ class StraightSegment:
 
     def __post_init__(self):
         delta = self.end.coords - self.start.coords
+        if not np.isfinite(delta).all():
+            raise CurveError("segment length overflows a float")
         delta.setflags(write=False)
         c0 = self.start.coords
         c0.setflags(write=False)
@@ -801,8 +813,8 @@ def _pieces(m: MetricField, curve: CurveSpec):
     at constant z they are equal in the segment parameter.  Such a piece
     turns the frame by about its parameter length times the larger of
     omega = sqrt(max(0, -tr(A^2) / 2)) at its two ends, where
-    A = -Gamma(c)[delta, .] comes from one Christoffel batch over every cut
-    of the curve.  A piece is split into ceil(turn / _MAX_TURN) equal
+    A = -Gamma(c)[delta, .] comes from one batch over every cut of the
+    curve.  A piece is split into ceil(turn / _MAX_TURN) equal
     sub-pieces, so no fast-turning piece sets the shared step for the
     others.  Where that would give the curve more than _MAX_LANES pieces,
     the turn allowed per sub-piece grows to the curve's total turn over the
@@ -826,24 +838,32 @@ def _pieces(m: MetricField, curve: CurveSpec):
     seg_delta = np.array([seg._delta for seg in curve.segments])
     owner = np.repeat(np.arange(len(cuts)), [len(u) for u in cuts])
     u = np.concatenate(cuts)
-    coeff = _connection_matrices(
-        _christoffel(m, seg_c0[owner] + u[:, None] * seg_delta[owner]), -seg_delta[owner])
+    v = seg_delta[owner]
+    coeff = _connection_matrices(m, seg_c0[owner] + u[:, None] * v, np.negative(v, out=v))
     omega = np.sqrt(np.maximum(0.0, -0.5 * np.einsum("...kj,...jk->...", coeff, coeff)))
-    first = np.flatnonzero(owner[1:] == owner[:-1])  # each piece's first cut
-    width = u[first + 1] - u[first]
-    turn = width * np.maximum(omega[first], omega[first + 1])
+    first = owner[1:] == owner[:-1]  # cut j is the first of a piece
+    k, a, d = owner[:-1][first], u[:-1][first], (u[1:] - u[:-1])[first]
+    turn = d * np.maximum(omega[:-1], omega[1:])[first]
     turn[~np.isfinite(turn)] = 0.0  # a connection that overflows splits nothing
-    spare = _MAX_LANES - len(first)
-    limit = max(_MAX_TURN, turn.sum() / spare) if spare > 0 else math.inf
-    split = np.maximum(1, np.ceil(turn / limit)).astype(int)
-    # per sub-piece: segment, piece start and width, sub-pieces in the piece,
-    # and the index of the piece's first sub-piece
-    k, a, width, s, head = np.repeat([owner[first], u[first], width, split,
-                                      np.cumsum(split) - split], split, axis=1)
-    k = k.astype(int)
-    a += (np.arange(len(k)) - head) / s * width  # sub-piece i of s starts i / s in
-    d = width / s
-    return seg_c0[k] + a[:, None] * seg_delta[k], d[:, None] * seg_delta[k], k, a, d
+    spare = _MAX_LANES - len(k)
+    limit = max(_MAX_TURN, np.add.reduce(turn) / spare) if spare > 0 else math.inf
+    turn /= limit
+    if np.maximum.reduce(turn) > 1.0:
+        split = np.maximum(1, np.ceil(turn)).astype(int)
+        # per sub-piece: segment, piece start and width, sub-pieces in the
+        # piece, and the index of the piece's first sub-piece
+        k, a, d, s, head = np.repeat([k, a, d, split, np.cumsum(split) - split], split,
+                                     axis=1)
+        k = k.astype(int)
+        a += (np.arange(len(k)) - head) / s * d  # sub-piece i of s starts i / s in
+        d = d / s
+    v = seg_delta[k]
+    return seg_c0[k] + a[:, None] * v, d[:, None] * v, k, a, d
+
+
+def _identities(lanes: int) -> np.ndarray:
+    """``lanes`` copies of the 3x3 identity, shape (lanes, 3, 3)."""
+    return np.eye(3)[None].repeat(lanes, axis=0)
 
 
 def parallel_transport(m: MetricField, curve: CurveSpec, w0: TangentVector,
@@ -867,10 +887,9 @@ def transport_matrix(m: MetricField, curve: CurveSpec,
     """
     _check_3d(m)
     c0, delta = _pieces(m, curve)[:2]
-    identities = np.broadcast_to(np.eye(3), (len(c0), 3, 3))
     p = np.eye(3)
-    for p_piece in _transport_lanes(m, c0, delta, identities, cfg, False)[-1][1]:
-        p = p_piece @ p
+    for p_piece in _transport_lanes(m, c0, delta, _identities(len(c0)), cfg, False)[-1][1]:
+        p = p_piece.dot(p)  # the BLAS call of @, with less dispatch
     return p
 
 
@@ -888,8 +907,7 @@ def transport_frame_trace(m: MetricField, curve: CurveSpec,
     c0, delta, k, a, d = _pieces(m, curve)
     t_ends = np.append(k[1:] + a[1:], len(curve.segments))
     ends = np.vstack([c0[1:], curve.segments[-1].end.coords])
-    identities = np.broadcast_to(np.eye(3), (len(c0), 3, 3))
-    samples = _transport_lanes(m, c0, delta, identities, cfg, True)
+    samples = _transport_lanes(m, c0, delta, _identities(len(c0)), cfg, True)
     trace = [(0.0, c0[0], np.eye(3))]
     p = np.eye(3)
     for j in range(len(c0)):

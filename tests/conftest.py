@@ -1,7 +1,30 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
 import holocheck as hc
+
+
+def openblas_kernel():
+    """The kernel numpy's bundled OpenBLAS picked for this CPU, or "unknown"."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas64_*.so*")
+    try:
+        corename = ctypes.CDLL(glob.glob(pattern)[0]).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+
+
+def pytest_report_header(config):
+    # the pinned digests hold on the kernel that took them: the BLAS kernels
+    # differ in FMA use and summation order, so a last bit can move elsewhere
+    return (f"numpy OpenBLAS kernel: {openblas_kernel()} (the digests in "
+            "tests/test_pinned_output.py were taken under SkylakeX)")
 
 
 def euclidean_metric(dim=3):

@@ -206,7 +206,7 @@ class TestRunChecklist:
         # every hyperbolic matrix C1 accepts is certified, up to and past
         # entries of 2^60, where the deck lift spans z from 1 to about 1.2e18
         for trace in (3, 4, 6, 10, 30, 100, 1000, 10 ** 6, 10 ** 12, 2 ** 53 + 2,
-                      2 ** 54 + 2, 2 ** 60 + 2):
+                      2 ** 54 + 2, 2 ** 60 + 2, 2 ** 62 + 2):
             rep = hc.run_checklist(hc.ChecklistConfig(
                 matrix=((trace - 1, trace - 2), (1, 1)), samples=200))
             assert [c.id for c in rep.checks if c.status != "pass"] == [], trace
@@ -312,6 +312,19 @@ class TestCli:
         assert "3/12 checks passed" in proc.stdout
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
             "59e57fa70b7bb08d65ea1b8a39bd9396a2592a6ab6fbdd81b56f2f20dba769e2"
+
+    def test_trace_beyond_the_float_range_exit_one(self):
+        # lambda of trace 2^1030 + 2 is no float: C1 fails and says so, the
+        # other checks are not run, and no traceback reaches stderr
+        big = 2 ** 1030
+        proc = run_module("--samples", "20", "--matrix", f"{big + 1} {big} 1 1",
+                          "--report", "json")
+        assert proc.returncode == 1 and proc.stderr == ""
+        checks = {c["id"]: c for c in json.loads(proc.stdout)["checks"]}
+        assert checks["C1"]["status"] == "fail"
+        assert "lambda cannot be represented as a float" in checks["C1"]["note"]
+        assert all(c["status"] == "fail" and c["note"] == "not run: lambda is not a float"
+                   for check_id, c in checks.items() if check_id != "C1")
 
     def test_mutated_exponent_exit_one(self, capsys):
         assert main(["--samples", "40", "--metric-exponent", "3"]) == 1

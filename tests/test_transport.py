@@ -196,6 +196,11 @@ class TestCurveSpec:
             CurveSpec.from_points([ChartPoint(0, 0, 1), ChartPoint(1, 0, hc.Z_FLOOR),
                                    ChartPoint(2, 0, 1)])
 
+    def test_overflowing_length_rejected(self):
+        # transport coefficients need a finite delta; end - start is inf here
+        with np.errstate(over="ignore"), pytest.raises(hc.CurveError, match="overflows"):
+            hc.StraightSegment(ChartPoint(-1e308, 0, 1), ChartPoint(1e308, 0, 1))
+
 
 class TestLanes:
     """transport_matrix runs the pieces of all segments as lanes of one integration."""
@@ -962,6 +967,82 @@ class TestConnectionBits:
                          tensor_core._christoffel(m, c0 + s[:, None, None] * delta), -delta)
         assert same_bits(got, want)
         assert (got == 0.0).any()  # the zeros were compared by sign too
+
+    # test_closed_form_contraction's exponents: 400 under- and overflows z^e
+    # over these heights, and the others put 2, -1 or 0.5 among the powers
+    EXPONENTS = (4.0, 3.0, 5.5, 0.5, -2.0, 400.0, 2.0, 1.5, 0.0, -1.0)
+
+    @staticmethod
+    def lanes(rng, n):
+        """(n, 3) starts from just above the floor to 1e6 and deltas that keep
+        z above 0, with zero components of both signs."""
+        c0 = rng.uniform(-3.0, 3.0, (n, 3))
+        c0[:, 2] = rng.permutation(np.geomspace(1.01 * hc.Z_FLOOR, 1e6, n))
+        delta = rng.uniform(-2.0, 2.0, (n, 3))
+        delta[:, 2] = c0[:, 2] * rng.uniform(-0.9, 2.0, n)
+        delta[rng.random((n, 3)) < 0.3] = 0.0
+        delta[rng.random((n, 3)) < 0.3] = -0.0
+        return c0, delta
+
+    @pytest.mark.parametrize("exponent", EXPONENTS)
+    def test_closed_form_has_the_broadcast_bits(self, exponent):
+        # the model's closed form gives the broadcast contraction of its
+        # symbols bit for bit: at the stage abscissae of a step, at one
+        # abscissa, and with one v per point as the pieces' turn estimate
+        # calls it, NaN and inf included
+        m = hc.warped_metric(exponent)
+        assert m.christoffel.connection is not None
+        rng = np.random.default_rng(int(exponent * 10) % 997)
+        c0, delta = self.lanes(rng, 400)
+        field = transport._LinearField(m, c0, delta, 3)
+        s = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 9)])
+        with np.errstate(all="ignore"):
+            for si in (s, 0.37):
+                c = c0 + np.multiply.outer(si, delta)
+                want = broadcast_connection(tensor_core._christoffel(m, c), -delta)
+                assert same_bits(field.matrices(si), want)
+            c, v = c.reshape(-1, 3), -delta
+            got = transport._connection_matrices(m, c, v)
+            assert same_bits(got, broadcast_connection(tensor_core._christoffel(m, c), v))
+            want = field.matrices(s)
+        assert (want == 0.0).any() and np.signbit(-delta).any()
+        if exponent == 400.0:  # z^e under- or overflows: non-finite symbols
+            assert np.isnan(want).any() and np.isinf(want).any()
+        else:
+            assert np.isfinite(want).all()
+
+    def test_derived_models_take_the_broadcast_form(self, model):
+        # a mutant, a rescaled metric and a rebuilt connection carry no
+        # closed form, nor does the half-plane leaf (2-D: never transported)
+        derived = {
+            "perturbed": perturbed_connection(),
+            "conformal": hc.quotient_conformal_metric(model),
+            "replaced": dataclasses.replace(model, christoffel=lambda c: model.christoffel(c)),
+        }
+        leaf = hc.induced_halfplane_metric(model)
+        for m in (*derived.values(), leaf):
+            assert getattr(m.christoffel, "connection", None) is None
+        rng = np.random.default_rng(17)
+        c0, v = self.lanes(rng, 300)
+        c0[:, 2] = rng.uniform(0.5, 5.0, 300)  # g' is a rescaling: keep it finite
+        for name, m in derived.items():
+            got = transport._connection_matrices(m, c0, v)
+            assert same_bits(got, broadcast_connection(tensor_core._christoffel(m, c0), v))
+            if name == "perturbed":
+                assert not same_bits(got, model.christoffel.connection(c0, v))
+        with pytest.raises(RuntimeError, match="closed form read"):
+            transport._connection_matrices(dataclasses.replace(model, christoffel=boom), c0, v)
+
+
+def broadcast_connection(gamma, v):
+    """``sum_i gamma[..., k, i, j] v[l, i]`` as three broadcast products summed
+    from +0, the form for a model without a closed-form connection."""
+    v = v[:, :, None, None]
+    a = gamma[..., 0, :] * v[:, 0]
+    a += gamma[..., 1, :] * v[:, 1]
+    a += gamma[..., 2, :] * v[:, 2]
+    a += 0.0
+    return a
 
 
 class TestTableau:
