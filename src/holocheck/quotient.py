@@ -36,7 +36,6 @@ from .transport import (
 )
 
 GENERATORS = ("gx", "gy", "gz", "gz^-1")
-_E1 = np.array([1.0, 0.0, 0.0])
 
 
 class ToralMatrixError(ValueError):
@@ -279,8 +278,9 @@ def holonomy_element(matrix: np.ndarray, g_at_base: np.ndarray) -> HolonomyEleme
     scale = float(np.add.reduce(ratios)) / len(ratios)
     ortho_part = matrix / scale
     u = matrix[:, 0]
+    e1 = np.array([1.0, 0.0, 0.0])
     gu = u.dot(g)
-    cos = float(gu.dot(_E1)) / math.sqrt(float(gu.dot(u)) * float(_E1.dot(g).dot(_E1)))
+    cos = float(gu.dot(e1)) / math.sqrt(float(gu.dot(u)) * float(e1.dot(g).dot(e1)))
     line_residual = math.sqrt(max(0.0, 1.0 - min(1.0, cos * cos)))
     orth_res = float(np.maximum.reduce(np.abs(ortho_part.T.dot(g).dot(ortho_part) - g),
                                        axis=None))

@@ -861,11 +861,6 @@ def _pieces(m: MetricField, curve: CurveSpec):
     return seg_c0[k] + a[:, None] * v, d[:, None] * v, k, a, d
 
 
-def _identities(lanes: int) -> np.ndarray:
-    """``lanes`` copies of the 3x3 identity, shape (lanes, 3, 3)."""
-    return np.eye(3)[None].repeat(lanes, axis=0)
-
-
 def parallel_transport(m: MetricField, curve: CurveSpec, w0: TangentVector,
                        cfg: IntegratorConfig = DEFAULT_CONFIG) -> TangentVector:
     """Parallel transport of w0 along the curve; returns the endpoint vector."""
@@ -887,8 +882,9 @@ def transport_matrix(m: MetricField, curve: CurveSpec,
     """
     _check_3d(m)
     c0, delta = _pieces(m, curve)[:2]
+    identities = np.eye(3)[None].repeat(len(c0), axis=0)
     p = np.eye(3)
-    for p_piece in _transport_lanes(m, c0, delta, _identities(len(c0)), cfg, False)[-1][1]:
+    for p_piece in _transport_lanes(m, c0, delta, identities, cfg, False)[-1][1]:
         p = p_piece.dot(p)  # the BLAS call of @, with less dispatch
     return p
 
@@ -907,7 +903,8 @@ def transport_frame_trace(m: MetricField, curve: CurveSpec,
     c0, delta, k, a, d = _pieces(m, curve)
     t_ends = np.append(k[1:] + a[1:], len(curve.segments))
     ends = np.vstack([c0[1:], curve.segments[-1].end.coords])
-    samples = _transport_lanes(m, c0, delta, _identities(len(c0)), cfg, True)
+    identities = np.eye(3)[None].repeat(len(c0), axis=0)
+    samples = _transport_lanes(m, c0, delta, identities, cfg, True)
     trace = [(0.0, c0[0], np.eye(3))]
     p = np.eye(3)
     for j in range(len(c0)):

@@ -14,7 +14,7 @@ def openblas_kernel():
                            "libscipy_openblas64_*.so*")
     try:
         corename = ctypes.CDLL(glob.glob(pattern)[0]).scipy_openblas_get_corename64_
-        corename.restype = ctypes.c_char_p
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
         return corename().decode()
     except (IndexError, OSError, AttributeError):
         return "unknown"

@@ -88,6 +88,14 @@ class TestEigenBasis:
         np.testing.assert_allclose(frame.eigen_to_torus @ frame.torus_to_eigen,
                                    np.eye(3), atol=1e-14)
 
+    def test_cached_per_matrix_and_read_only(self, frame):
+        # every caller shares the one frame, so none may write into it
+        assert hc.eigen_basis(hc.validate_toral_matrix([[2, 1], [1, 1]])) is frame
+        for arr in (frame.v1, frame.v2, frame.eigen_to_torus, frame.torus_to_eigen):
+            assert not arr.flags.writeable
+        with pytest.raises(OverflowError):  # lambda of trace 2^1030 + 2 is no float
+            hc.eigen_basis(hc.validate_toral_matrix([[2 ** 1030 + 1, 2 ** 1030], [1, 1]]))
+
     def test_other_hyperbolic_matrices(self):
         for n in (1, 2, 5):
             a = hc.validate_toral_matrix([[n + 1, 1], [n, 1]])
