@@ -272,10 +272,11 @@ def _rk_step(f, t, y, h, k1, stats):
         stats.rhs += 11 * f.shape[0]
         y_s = np.empty(y.size)
         y_block = y_s.reshape(f.shape)
+        h_array = np.array(h)  # an in-place product with it dispatches faster than with h
         # stage 12 shares its abscissa t + h with stage 11
         for s, a_s, row in zip(range(1, 13), (*a, a[10]), k.reshape((13,) + f.shape)[1:]):
             _STAGE_DOT[s](k[:s], out=y_s)
-            y_s *= h
+            y_s *= h_array
             y_s += y
             np.matmul(a_s, y_block, out=row)
         return y_s, k

@@ -20,11 +20,22 @@ def openblas_kernel():
         return "unknown"
 
 
+def simd_dispatch():
+    """numpy's SIMD dispatch targets that run on this CPU, or "unknown"."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return "unknown"
+    return " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "baseline"
+
+
 def pytest_report_header(config):
-    # the pinned digests hold on the kernel that took them: the BLAS kernels
-    # differ in FMA use and summation order, so a last bit can move elsewhere
-    return (f"numpy OpenBLAS kernel: {openblas_kernel()} (the digests in "
-            "tests/test_pinned_output.py were taken under SkylakeX)")
+    # The pinned digests hold where they were taken: the BLAS kernels differ
+    # in FMA use and summation order, and numpy's float64 power in its last
+    # bits between SIMD targets, so a digest can move on another host.
+    return [f"numpy OpenBLAS kernel: {openblas_kernel()}; SIMD dispatch: {simd_dispatch()}",
+            "(the digests in tests/test_pinned_output.py were taken under SkylakeX, "
+            "dispatching up to AVX512_SPR)"]
 
 
 def euclidean_metric(dim=3):
