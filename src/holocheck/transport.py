@@ -849,7 +849,7 @@ def _pieces(m: MetricField, curve: CurveSpec):
     spare = _MAX_LANES - len(k)
     limit = max(_MAX_TURN, np.add.reduce(turn) / spare) if spare > 0 else math.inf
     turn /= limit
-    if np.maximum.reduce(turn) > 1.0:
+    if np.maximum.reduce(turn) > 1.0:  # some piece splits
         split = np.maximum(1, np.ceil(turn)).astype(int)
         # per sub-piece: segment, piece start and width, sub-pieces in the
         # piece, and the index of the piece's first sub-piece
