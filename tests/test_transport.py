@@ -1005,7 +1005,9 @@ class TestConnectionBits:
             got = transport._connection_matrices(m, c, v)
             assert same_bits(got, broadcast_connection(tensor_core._christoffel(m, c), v))
             want = field.matrices(s)
-        assert (want == 0.0).any() and np.signbit(-delta).any()
+        # zeros compared by sign: +0 and -0 velocity components, +0 entries
+        assert ((v == 0.0) & np.signbit(v)).any() and ((v == 0.0) & ~np.signbit(v)).any()
+        assert (want == 0.0).any()
         if exponent == 400.0:  # z^e under- or overflows: non-finite symbols
             assert np.isnan(want).any() and np.isinf(want).any()
         else:
