@@ -215,7 +215,7 @@ class _LinearField:
         self.shape = (len(c0), 3, width)
 
     def matrices(self, s) -> np.ndarray:
-        """A at the abscissae ``s`` for every lane: shape s.shape + (lanes, 3, 3).
+        """A at the abscissae ``s`` for every lane: shape np.shape(s) + (lanes, 3, 3).
 
         A point at or below z = 0 gives NaN coefficients, so the step that
         asked for it is rejected.
