@@ -6,14 +6,16 @@ the worst residual/tolerance ratio against 1.0 and list the raw parts in
 the note.  A module error inside a check becomes a failed check with
 diagnostic text, never a crash of the run.
 
-The sampled checks (C2, C3, C4, C9, C11, C12) share one sweep over the
+The sampled checks (C2, C3, C4, C5, C9, C11, C12) share one sweep over the
 sample points, chunk by chunk: the points are validated and g, its exact
 partials, g^-1, the Christoffel symbols and the curvature are built once
 per chunk, and each check folds its residual maxima over them.  The
 Christoffel symbols are the model's closed form, so both parts of C3
 compare that connection with a derivative of g: the exact part with g's
 exact partials, the numeric part with central differences at h = 1e-5,
-which checks the exact partials as well.  A fault in one fold fails only
+which checks the exact partials as well.  C5 reads grad v1 off the same
+symbols: v1 is parallel where every Gamma^k_(i xt) vanishes, so
+transport along any curve fixes it.  A fault in one fold fails only
 that check; a fault in the shared geometry fails every check that reads
 it.  C11 keeps its own derivatives on purpose: it takes the half-plane
 leaf's curvature from the induced 2-D metric at the sweep's heights by
@@ -69,7 +71,6 @@ from .transport import (
     StraightSegment,
     Termination,
     Trajectory,
-    _transport_curves,
     coordinate_rectangle,
     integrate_geodesic,
     integrate_geodesic_coords,
@@ -149,11 +150,6 @@ class _Context:
         self.points = np.stack([xs, ys, zs], axis=-1)
         dirs = rng.uniform(-1.0, 1.0, (n, 3))
         self.directions = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        self.curves = []
-        for _ in range(20):
-            nodes = [ChartPoint(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
-                                rng.uniform(0.5, 5.0)) for _ in range(3)]
-            self.curves.append(CurveSpec.from_points(nodes))
         self.mixed_planes = rng.uniform(0.0, 2.0 * np.pi, n)
         # C12's mixed planes (x, cos theta, sin theta)
         theta, x = rng.uniform([0.0, -1.0], [2.0 * np.pi, 1.0], (n, 2)).T
@@ -280,6 +276,11 @@ def _fold_nonflat(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
     out.fold("flat_planes", np.abs(sectional_curvature(geo.g, riemann, _E1, v)))
 
 
+def _fold_parallel_field(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
+    # v1 = d/dxt is a coordinate field, so grad_(e_i) v1 = Gamma^k_(i xt) e_k
+    out.fold("grad_v1", np.abs(geo.gamma[..., 0]))
+
+
 def _fold_conformal(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
     c, d = geo.c, ctx.directions[sl]
     gp = _metric(ctx.gprime, c)
@@ -339,12 +340,10 @@ def _check_nonflat(ctx: _Context, out: _Maxima) -> _Verdict:
     ])
 
 
-def _check_parallel_field(ctx: _Context) -> _Verdict:
-    # one run per segment index: the curves' k-th segments are its lanes
-    w0 = np.broadcast_to(_E1[:, None], (len(ctx.curves), 3, 1))
-    w = _transport_curves(ctx.metric, ctx.curves, w0, DEFAULT_CONFIG)
-    residual = float(np.max(np.abs(w[..., 0] - _E1)))
-    return _Verdict(residual, 1e-8, f"max over {len(ctx.curves)} random polylines")
+def _check_parallel_field(ctx: _Context, out: _Maxima) -> _Verdict:
+    return _Verdict(out["grad_v1"], 1e-8,
+                   f"max over {len(ctx.points)} points of |Gamma^k_(i xt)| = "
+                   f"|grad_(e_i) v1|")
 
 
 def _check_reducibility(ctx: _Context) -> _Verdict:
@@ -357,8 +356,10 @@ def _check_similarity(ctx: _Context) -> _Verdict:
     lam = ctx.frame.lam
     gz_matrix_res = float(np.max(np.abs(elems["gz"].matrix - np.eye(3) / lam)))
     parts = [("gz_matrix_is_inverse_lambda_identity", gz_matrix_res, 1e-6)]
+    # an isometry keeps every g-length and angle, not only the mean length ratio
     for name in ("gx", "gy", "contractible"):
-        parts.append((f"{name}_scale_is_1", abs(elems[name].scale - 1.0), 1e-7))
+        parts += [(f"{name}_scale_is_1", abs(elems[name].scale - 1.0), 1e-7),
+                  (f"{name}_is_isometry", elems[name].ortho_defect, 1e-7)]
     return _composite(parts)
 
 
@@ -475,7 +476,7 @@ _CHECKS = {
     "C5": _Check("parallel frame field v1",
                  "the coordinate field v1 is parallel: transport along arbitrary "
                  "curves fixes it",
-                 _check_parallel_field),
+                 _check_parallel_field, _fold_parallel_field),
     "C6": _Check("holonomy reducibility (invariant line)",
                  "every holonomy element maps the line spanned by v1 to itself "
                  "(the holonomy group is reducible)",

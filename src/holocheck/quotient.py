@@ -319,7 +319,9 @@ def holonomy_of_loop(a: ToralMatrix, m: MetricField, loop: LoopClass,
     g_base = _metric(m, base)
     if any(gen in ("gz", "gz^-1") for gen in loop.word):
         torus_xy = (frame.eigen_to_torus @ base)[:2]
-        shift = (a.matrix.astype(float) - np.eye(2)) @ torus_xy
+        # from the Python ints: ``a.matrix`` is int64, which entries of 2^63 overflow
+        a_float = np.array([[a.a11, a.a12], [a.a21, a.a22]], dtype=float)
+        shift = (a_float - np.eye(2)) @ torus_xy
         if np.max(np.abs(shift - np.round(shift))) > 1e-9:
             raise ValueError(
                 "gz words need a basepoint whose torus part is fixed by the "

@@ -772,37 +772,20 @@ _MAX_LANES = 256
 
 
 def _transport_lanes(m: MetricField, c0: np.ndarray, delta: np.ndarray,
-                     w0: np.ndarray, cfg: IntegratorConfig, record: bool):
-    """Transport the block w0[j] (3, width) along c0[j] + s delta[j], s in [0, 1].
+                     cfg: IntegratorConfig, record: bool):
+    """Transport the frame along c0[j] + s delta[j], s in [0, 1], from the identity.
 
     The straight paths run as lanes of one integration.  Returns the
-    accepted (s, (lanes, 3, width) state) samples; without ``record`` only
-    the final one.
+    accepted (s, (lanes, 3, 3) frames) samples; without ``record`` only the
+    final one.
     """
-    lanes, _, width = w0.shape
-    field = _LinearField(m, c0, delta, width)
-    samples, status, _, _ = _integrate(field, w0.ravel(), 1.0, cfg, record=record)
+    lanes = len(c0)
+    field = _LinearField(m, c0, delta, 3)
+    samples, status, _, _ = _integrate(field, np.tile(np.eye(3).ravel(), lanes), 1.0, cfg,
+                                       record=record)
     if status != COMPLETED:
         raise IntegrationError(f"transport ran out of steps ({status})")
-    return [(s, y.reshape(lanes, 3, width)) for s, y in samples]
-
-
-def _transport_curves(m: MetricField, curves: Sequence[CurveSpec],
-                      w0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
-    """Carry the block w0[i] (3, width) along curves[i], for all curves at once.
-
-    Round k integrates segment k of every curve that has one, as the lanes
-    of one run, from where round k - 1 left that curve's block.  Returns the
-    end blocks (curves, 3, width).
-    """
-    _check_3d(m)
-    w = np.array(w0, dtype=float)
-    for k in range(max(len(curve.segments) for curve in curves)):
-        active = [i for i, curve in enumerate(curves) if len(curve.segments) > k]
-        c0 = np.array([curves[i].segments[k]._c0 for i in active])
-        delta = np.array([curves[i].segments[k]._delta for i in active])
-        w[active] = _transport_lanes(m, c0, delta, w[active], cfg, False)[-1][1]
-    return w
+    return [(s, y.reshape(lanes, 3, 3)) for s, y in samples]
 
 
 def _pieces(m: MetricField, curve: CurveSpec):
@@ -864,10 +847,10 @@ def _pieces(m: MetricField, curve: CurveSpec):
 
 def parallel_transport(m: MetricField, curve: CurveSpec, w0: TangentVector,
                        cfg: IntegratorConfig = DEFAULT_CONFIG) -> TangentVector:
-    """Parallel transport of w0 along the curve; returns the endpoint vector."""
+    """Parallel transport of w0 along the curve; returns the endpoint vector,
+    :func:`transport_matrix` applied to w0."""
     w = _vector(w0, 3, base=curve.start.coords)
-    w_end = _transport_curves(m, [curve], w[None, :, None], cfg)
-    return TangentVector(curve.end, w_end[0, :, 0])
+    return TangentVector(curve.end, transport_matrix(m, curve, cfg).dot(w))
 
 
 def transport_matrix(m: MetricField, curve: CurveSpec,
@@ -883,9 +866,8 @@ def transport_matrix(m: MetricField, curve: CurveSpec,
     """
     _check_3d(m)
     c0, delta = _pieces(m, curve)[:2]
-    identities = np.eye(3)[None].repeat(len(c0), axis=0)
     p = np.eye(3)
-    for p_piece in _transport_lanes(m, c0, delta, identities, cfg, False)[-1][1]:
+    for p_piece in _transport_lanes(m, c0, delta, cfg, False)[-1][1]:
         p = p_piece.dot(p)  # the BLAS call of @, with less dispatch
     return p
 
@@ -904,8 +886,7 @@ def transport_frame_trace(m: MetricField, curve: CurveSpec,
     c0, delta, k, a, d = _pieces(m, curve)
     t_ends = np.append(k[1:] + a[1:], len(curve.segments))
     ends = np.vstack([c0[1:], curve.segments[-1].end.coords])
-    identities = np.eye(3)[None].repeat(len(c0), axis=0)
-    samples = _transport_lanes(m, c0, delta, identities, cfg, True)
+    samples = _transport_lanes(m, c0, delta, cfg, True)
     trace = [(0.0, c0[0], np.eye(3))]
     p = np.eye(3)
     for j in range(len(c0)):

@@ -143,7 +143,7 @@ class TestRunChecklist:
         ctx = checklist._Context(hc.ChecklistConfig(samples=10), cat)
         assert list(ctx.sweep) == [cid for cid, row in checklist._CHECKS.items()
                                    if row.fold is not None]
-        assert list(ctx.sweep) == ["C2", "C3", "C4", "C9", "C11", "C12"]
+        assert list(ctx.sweep) == ["C2", "C3", "C4", "C5", "C9", "C11", "C12"]
 
     def test_readme_table_lists_the_registry(self):
         readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
@@ -203,10 +203,12 @@ class TestRunChecklist:
         assert "absolute max" in c2.note
 
     def test_trace_sweep_passes(self):
-        # every hyperbolic matrix C1 accepts is certified, up to and past
-        # entries of 2^60, where the deck lift spans z from 1 to about 1.2e18
+        # hyperbolic matrices are certified up to and past entries of 2^60,
+        # where the deck lift spans z from 1 to about 1.2e18, and past 2^63,
+        # which no int64 holds
         for trace in (3, 4, 6, 10, 30, 100, 1000, 10 ** 6, 10 ** 12, 2 ** 53 + 2,
-                      2 ** 54 + 2, 2 ** 60 + 2, 2 ** 62 + 2):
+                      2 ** 54 + 2, 2 ** 60 + 2, 2 ** 62 + 2, 2 ** 63 + 2, 2 ** 64 + 2,
+                      2 ** 100 + 2, 2 ** 200 + 2):
             rep = hc.run_checklist(hc.ChecklistConfig(
                 matrix=((trace - 1, trace - 2), (1, 1)), samples=200))
             assert [c.id for c in rep.checks if c.status != "pass"] == [], trace

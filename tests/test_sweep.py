@@ -1,6 +1,6 @@
 """The one sample sweep of the checklist.
 
-The sampled checks (C2, C3, C4, C9, C11, C12) fold one walk over the sample
+The sampled checks (C2, C3, C4, C5, C9, C11, C12) fold one walk over the sample
 chunks: the shared geometry is built once per chunk, a fault in one fold
 fails only its own check, and a fault in the shared geometry fails every
 check that reads it.  The work counts are exact, where timings are not.
@@ -15,7 +15,7 @@ import holocheck as hc
 from holocheck import checklist, foliation, tensor_core
 from holocheck.tensor_core import CHUNK
 
-SAMPLED = ("C2", "C3", "C4", "C9", "C11", "C12")
+SAMPLED = ("C2", "C3", "C4", "C5", "C9", "C11", "C12")
 CFG = hc.ChecklistConfig(samples=CHUNK + 1)
 
 
@@ -134,6 +134,26 @@ def test_curved_line_leaf_fails_c10(monkeypatch):
     assert "induced_metric_constant: residual=6.400e-01" in c10.note
 
 
+def test_anisotropic_torus_loop_fails_c7_isometry(monkeypatch):
+    # diag(0.9, 1.1, 1) keeps the mean g-length ratio 1 and the v1 line, so
+    # only C7's isometry part sees that the gx loop shrinks v1 and stretches v2
+    stretched = hc.holonomy_element(np.diag([0.9, 1.1, 1.0]), np.eye(3))
+    assert (stretched.scale, stretched.invariant_line_residual) == (1.0, 0.0)
+    original = checklist.holonomy_of_loop
+
+    def patched(a, m, loop, *args):
+        return stretched if loop.word == ("gx",) else original(a, m, loop, *args)
+
+    monkeypatch.setattr(checklist, "holonomy_of_loop", patched)
+    report = hc.run_checklist(hc.ChecklistConfig(samples=10, seed=0))
+    assert failing(report) == ["C7"]
+    c7 = next(c for c in report.checks if c.id == "C7")
+    assert c7.worst_part == "gx_is_isometry"
+    parts = [part.replace(":", "").replace("=", " ").split() for part in c7.note.split("; ")]
+    assert [name for name, _, residual, _, tol in parts
+            if float(residual) > float(tol)] == ["gx_is_isometry"]
+
+
 def test_stretched_z_fails_the_escape_time(cat, monkeypatch):
     # g_zz = (1 + z)^2: the unit-speed descent from z = 1 keeps
     # (1 + z) dz/dt = -2, so it meets z = 0 at t = 3/4, not at t = 1
@@ -149,8 +169,9 @@ def test_stretched_z_fails_the_escape_time(cat, monkeypatch):
 
 
 # The part each sampled check reads first.
-FIRST_PART = {"C2": "relative", "C3": "exact", "C4": "scalar", "C9": "residual",
-              "C11": checklist._LEAF_CURVATURE, "C12": "metric_block_diagonal"}
+FIRST_PART = {"C2": "relative", "C3": "exact", "C4": "scalar", "C5": "grad_v1",
+              "C9": "residual", "C11": checklist._LEAF_CURVATURE,
+              "C12": "metric_block_diagonal"}
 
 
 @pytest.mark.parametrize("check_id", SAMPLED)

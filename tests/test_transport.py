@@ -61,9 +61,7 @@ def same_bits(a, b):
 
 def unsplit_transport(model, segments, cfg, record=False):
     """Each segment transported from the identity as one lane of one run."""
-    identities = np.broadcast_to(np.eye(3), (len(segments), 3, 3))
-    return transport._transport_lanes(model, *lane_arrays(segments), identities, cfg,
-                                      record)
+    return transport._transport_lanes(model, *lane_arrays(segments), cfg, record)
 
 
 class TestIntegratorConfig:
@@ -375,8 +373,9 @@ class TestPieces:
             assert same_bits(got, want)
 
     def test_certification_lifts_keep_the_z_cuts(self, monkeypatch):
-        # C6's three lifts and its rectangle at two matrices: the pieces are
-        # bit for bit the z cuts, so reports and traces keep their bytes
+        # C6's three lifts and its rectangle, and C10's leaf segment, at two
+        # matrices: the pieces are bit for bit the z cuts, so reports and
+        # traces keep their bytes
         curves = []
         original = transport._pieces
 
@@ -387,7 +386,7 @@ class TestPieces:
         monkeypatch.setattr(transport, "_pieces", recorded)
         for matrix in (((2, 1), (1, 1)), ((1000, 999), (1, 1))):
             hc.run_checklist(hc.ChecklistConfig(matrix=matrix, samples=8))
-        assert len(curves) == 8
+        assert len(curves) == 10
         model = hc.warped_metric()
         for curve in curves:
             for got, want in zip(original(model, curve), z_rule_pieces(curve)):
@@ -461,53 +460,43 @@ def sheared_metric(exponent=4.0, eps=0.01):
     return hc.MetricField(components, partials, label=f"sheared eps={eps:g}", dim=3)
 
 
-class TestManyCurves:
-    """Round k carries segment k of every curve as the lanes of one run."""
-
-    def test_matches_one_curve_at_a_time(self, model):
-        # 1-, 2- and 3-segment curves, so lanes drop out between rounds
-        rng = np.random.default_rng(5)
-        curves = [CurveSpec.from_points([
-            ChartPoint(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.5, 5.0))
-            for _ in range(n + 1)]) for n in (1, 3, 2, 1, 3, 2, 2, 1)]
-        for v in (*np.eye(3), np.array([0.3, -1.2, 0.8])):
-            w0 = np.broadcast_to(v[:, None], (len(curves), 3, 1))
-            many = transport._transport_curves(model, curves, w0, TIGHT)
-            for curve, w in zip(curves, many[..., 0]):
-                one = hc.parallel_transport(model, curve,
-                                            TangentVector(curve.start, v), TIGHT).comp
-                assert np.max(np.abs(w - one)) <= 1e-9 * np.max(np.abs(one))
-                g0 = _metric(model, curve.start.coords)
-                g1 = _metric(model, curve.end.coords)
-                assert abs(w @ g1 @ w - v @ g0 @ v) <= 1e-7 * (v @ g0 @ v)
-
-    def test_per_curve_start_blocks(self, model):
-        curves = acceptance_style_curves(3, seed=2)
-        w0 = np.random.default_rng(9).normal(size=(3, 3, 2))
-        many = transport._transport_curves(model, curves, w0, TIGHT)
-        for curve, block, end in zip(curves, w0, many):
-            p = hc.transport_matrix(model, curve, TIGHT)
-            assert np.max(np.abs(end - p @ block)) <= 1e-9 * np.max(np.abs(p @ block))
-
-
 class TestParallelField:
-    """C5 carries e1 along its 20 polylines as lanes across curves."""
+    """C5 reads grad v1 = Gamma^k_(i xt) off the sweep's Christoffel symbols."""
 
-    @pytest.mark.parametrize("seed", (0, 1, 2))
-    def test_two_integrations(self, cat, monkeypatch, seed):
-        ctx = checklist._Context(hc.ChecklistConfig(samples=10, seed=seed), cat)
-        runs = count_calls(monkeypatch, "_integrate")
-        steps = count_calls(monkeypatch, "_rk_step")
-        assert checklist._run(ctx, "C5").passed
-        assert runs[0] == 2  # one per segment index; 40 curve by curve
-        assert steps[0] <= 20
+    @staticmethod
+    def c5_and_c3(cat, monkeypatch, metric):
+        monkeypatch.setattr(checklist, "warped_metric", metric)
+        ctx = checklist._Context(hc.ChecklistConfig(samples=10), cat)
+        return checklist._run(ctx, "C5"), checklist._run(ctx, "C3")
 
     def test_sheared_metric_fails(self, cat, monkeypatch):
-        monkeypatch.setattr(checklist, "warped_metric", sheared_metric)
-        ctx = checklist._Context(hc.ChecklistConfig(samples=10), cat)
-        check = checklist._run(ctx, "C5")
+        check, _ = self.c5_and_c3(cat, monkeypatch, sheared_metric)
         assert not check.passed
-        assert check.residual == pytest.approx(0.0207445690, rel=1e-6)
+        # Gamma^yt_(z xt) = eps g^yy / 2, about eps / (2 z^4), at the lowest
+        # sample, z = 0.478
+        assert check.residual == pytest.approx(0.0961939480, rel=1e-6)
+
+    def test_symbol_without_an_xt_index_keeps_c5(self, cat, monkeypatch):
+        # Gamma^yt_(yt z) off by 1e-6: C3 sees it, while v1 stays parallel
+        c5, c3 = self.c5_and_c3(cat, monkeypatch, perturbed_connection)
+        assert c5.passed and c5.residual == 0.0
+        assert not c3.passed
+
+    def test_symbol_with_an_xt_index_fails_c5(self, cat, monkeypatch):
+        def perturbed(exponent=4.0):
+            base = hc.warped_metric(exponent)
+
+            def christoffel(c):
+                out = base.christoffel(c)
+                out[..., 1, 2, 0] += 1e-6  # Gamma^yt_(z xt) and Gamma^yt_(xt z)
+                out[..., 1, 0, 2] += 1e-6
+                return out
+
+            return dataclasses.replace(base, christoffel=christoffel)
+
+        c5, c3 = self.c5_and_c3(cat, monkeypatch, perturbed)
+        assert not c5.passed and c5.residual == pytest.approx(1e-6, rel=1e-12)
+        assert not c3.passed
 
 
 class TestParallelTransport:
@@ -1265,8 +1254,8 @@ class TestIntegrationStats:
 
     def test_default_run_work_per_check(self, monkeypatch):
         # (attempted, rejected, refinement, rhs) of each integration of the
-        # default run, by check; C7 reads C6's holonomies, and no other
-        # check integrates.  Counts repeat exactly, so a change of the step
+        # default run, by check; C7 reads C6's holonomies, C10's transport
+        # is its segment's 8 pieces, and no other check integrates.  Counts repeat exactly, so a change of the step
         # control shows here where timings on a shared host cannot.
         runs, current = self.record(monkeypatch), []
 
@@ -1284,10 +1273,9 @@ class TestIntegrationStats:
         work = {cid: [(s.attempted, s.rejected, s.refinement, s.rhs) for s in runs[a:b]]
                 for (cid, a), (_, b) in zip(starts, starts[1:]) if b > a}
         assert work == {
-            "C5": [(1, 0, 0, 260)] * 2,
             "C6": [(3, 0, 0, 280)] * 3 + [(3, 0, 0, 1120)],
             "C8": [(3, 0, 2, 62), (6, 0, 0, 74)],
-            "C10": [(8, 0, 0, 98), (1, 0, 0, 13)],
+            "C10": [(8, 0, 0, 98), (1, 0, 0, 104)],
             "C11": [(3, 0, 2, 62)],
         }
 
