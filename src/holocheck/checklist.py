@@ -579,7 +579,7 @@ def _refused(config: ChecklistConfig, note: str, reason: str) -> VerificationRep
 
 def _gz_trace(ctx: _Context) -> str:
     """The frame p11..p33 along the deck lift from z = 1 to z = lambda, one row
-    per accepted step of each piece of the lift."""
+    per transported piece of the lift."""
     lift = CurveSpec.from_points([ChartPoint(0.0, 0.0, 1.0),
                                   ChartPoint(0.0, 0.0, ctx.frame.lam)])
     lines = ["t,xt,yt,z," + ",".join(f"p{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3))]

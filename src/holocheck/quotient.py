@@ -74,7 +74,12 @@ class ToralMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]], dtype=np.int64)
+        """The entries as int64, or as Python ints (dtype object) beyond it."""
+        rows = [[self.a11, self.a12], [self.a21, self.a22]]
+        try:
+            return np.array(rows, dtype=np.int64)
+        except OverflowError:
+            return np.array(rows, dtype=object)
 
     @property
     def trace(self) -> int:
@@ -319,9 +324,7 @@ def holonomy_of_loop(a: ToralMatrix, m: MetricField, loop: LoopClass,
     g_base = _metric(m, base)
     if any(gen in ("gz", "gz^-1") for gen in loop.word):
         torus_xy = (frame.eigen_to_torus @ base)[:2]
-        # from the Python ints: ``a.matrix`` is int64, which entries of 2^63 overflow
-        a_float = np.array([[a.a11, a.a12], [a.a21, a.a22]], dtype=float)
-        shift = (a_float - np.eye(2)) @ torus_xy
+        shift = (a.matrix.astype(float) - np.eye(2)) @ torus_xy
         if np.max(np.abs(shift - np.round(shift))) > 1e-9:
             raise ValueError(
                 "gz words need a basepoint whose torus part is fixed by the "

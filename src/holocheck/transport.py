@@ -2,8 +2,8 @@
 
 One integrator, the Dormand-Prince 8(5,3) pair of Hairer and Wanner's
 DOP853, solves the geodesic equation, with floor escapes as events, and the
-linear transport equation w' = A(s) w, whose straight paths run as the lanes
-of one integration.  Curve tangents come exactly from the curve model.
+linear transport equation w' = A(s) w, each straight piece of a curve in one
+step of its whole length.  Curve tangents come exactly from the curve model.
 README's Modules section describes the step, the events and the pieces.
 """
 
@@ -174,6 +174,8 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 # The step factor is err^(-1/8): the error estimate is of order 7 in h.
 _EXPONENT = 1.0 / 8.0
+# A step (or transported piece) narrower than this, relative to |t|, underflows.
+_MIN_STEP = 1e-14
 
 
 def _connection_matrices(m: MetricField, c: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -202,8 +204,8 @@ class _LinearField:
 
     A(s) = -Gamma(c(s))[c'(s), .] does not depend on w, so its values at
     several abscissae come from one batch (:func:`_connection_matrices`).  Each
-    straight segment or piece is one lane, held as a row of the (lanes, 3)
-    start and delta arrays; the state is the lanes' (3, width) blocks, flat.
+    straight piece is one lane, held as a row of the (lanes, 3) start and
+    delta arrays; the state is the lanes' (3, width) blocks, flat.
     """
 
     def __init__(self, m: MetricField, c0: np.ndarray, delta: np.ndarray, width: int):
@@ -225,23 +227,22 @@ class _LinearField:
             return np.full(c.shape + (3,), np.nan)
         return _connection_matrices(self.m, c, self.minus_delta)
 
-    def __call__(self, s: float, w: np.ndarray) -> np.ndarray:
-        return (self.matrices(s) @ w.reshape(self.shape)).ravel()
-
 
 @dataclass
 class _IntegrationStats:
-    """The work of one integration.
+    """The work of one integration or of one curve's transport.
 
-    ``attempted`` counts the main loop's steps, which the error test either
-    accepted or rejected; ``refinement`` counts the steps that located a
-    floor crossing.  ``rhs`` counts right-hand-side evaluations: the two of
-    the starting-step choice and every stage evaluated, in rejected and
-    refinement steps too; a linear field's batched call counts one per
-    abscissa and lane.  ``h_min`` and ``h_max`` are the smallest and largest
-    accepted step.
+    ``attempted`` steps were accepted or rejected by the error test;
+    ``refinement`` steps located a floor crossing; ``rhs`` counts every
+    right-hand side evaluated, the starting-step choice's two included, and
+    ``h_min`` and ``h_max`` are the extreme accepted steps.  A transport
+    (:func:`_transport_pieces`) takes ``rounds`` batched steps of
+    ``attempted`` pieces, keeps ``accepted`` and cuts ``rejected``; its
+    ``rhs`` counts each piece's twelve abscissae, and it sets no h_min or
+    h_max.
     """
 
+    rounds: int = 0
     attempted: int = 0
     accepted: int = 0
     rejected: int = 0
@@ -254,132 +255,100 @@ class _IntegrationStats:
 def _rk_step(f, t, y, h, k1, stats):
     """One DOP853 step; returns (y_new, k) with k the (13, size) stage slopes.
 
-    Row 12 of ``k`` is the slope at y_new.  ``f`` is a :class:`_LinearField`,
-    whose coefficients at the eleven distinct new stage abscissae come from
-    one batch, each of its stages then one matmul written into that stage's
-    row of ``k``; or a callable f(t, state), evaluated once per stage on the
-    stage state as a list of floats, which it returns as a sequence of
-    floats.  Each stage sum is one BLAS product; a callable's stage states
-    are formed from it in Python floats, which round as numpy's float64
-    arithmetic does.  A callable marks a point off the chart by NaN slopes
-    (the geodesic right-hand side at or below z = 0): the step ends at that
-    stage and returns a NaN state, which the integrator rejects.
+    Row 12 of ``k`` is the slope at y_new.  ``f`` is a :class:`_LinearField`
+    on an array state, whose coefficients at t and the eleven new stage
+    abscissae come from one batch (``k1`` is not read); or a callable
+    f(t, state) on a list of floats, with ``k1`` its slope at (t, y), which
+    returns a sequence of floats.  Each stage sum is one BLAS product; a
+    callable's stage states are formed in Python floats, which round as
+    numpy's float64 arithmetic does.  A callable marks a point off the chart
+    by NaN slopes (the geodesic right-hand side at or below z = 0): the
+    step ends at that stage and returns a NaN state, which is rejected.
     """
-    k = np.empty((13, y.size))
-    k[0] = k1
+    k = np.empty((13, len(y)))
     if isinstance(f, _LinearField):
-        a = f.matrices(t + _C[1:12] * h)
-        stats.rhs += 11 * f.shape[0]
+        # the slope at t comes from the stages' batch, twelve abscissae in all
+        a = f.matrices(t + _C[:12] * h)
+        stats.rhs += 12 * f.shape[0]
+        blocks = k.reshape((13,) + f.shape)
+        np.matmul(a[0], y.reshape(f.shape), out=blocks[0])
         y_s = np.empty(y.size)
         y_block = y_s.reshape(f.shape)
-        h_array = np.array(h)  # an in-place product with it dispatches faster than with h
+        # an in-place product with a 0-d array dispatches faster than with h;
+        # a product with 1 is exact, so a step of h = 1 skips it
+        h_array = np.array(h) if h != 1.0 else None
         # stage 12 shares its abscissa t + h with stage 11
-        for s, a_s, row in zip(range(1, 13), (*a, a[10]), k.reshape((13,) + f.shape)[1:]):
+        for s, a_s, row in zip(range(1, 13), (*a[1:], a[11]), blocks[1:]):
             _STAGE_DOT[s](k[:s], out=y_s)
-            y_s *= h_array
+            if h_array is not None:
+                y_s *= h_array
             y_s += y
             np.matmul(a_s, y_block, out=row)
         return y_s, k
-    y0 = y.tolist()
+    k[0] = k1
     for s in range(1, 13):
-        y_s = [a + h * b for a, b in zip(y0, _STAGE_DOT[s](k[:s]).tolist())]
+        y_s = [a + h * b for a, b in zip(y, _STAGE_DOT[s](k[:s]).tolist())]
         k[s, :] = k_s = f(t + _C_FLOAT[s] * h, y_s)  # [s, :] fills from a list faster
         if math.isnan(k_s[0]):
             stats.rhs += s
             k[s + 1:] = np.nan
-            return np.full(y.size, np.nan), k
+            return [math.nan] * len(y), k
     stats.rhs += 12
-    return np.array(y_s), k
+    return y_s, k
 
 
-def _error_norm(k, h, abs_y0, abs_y1, cfg, lanes):
-    """Hairer's DOP853 error norm of a step; with lanes, the worst lane's.
+def _error_norm(k, h, y0, y1, cfg):
+    """Hairer's DOP853 error norm of a step from y0 to y1 (lists of floats).
 
     The 5th- and 3rd-order estimates e5 = _E5 @ k and e3 = _E3 @ k, scaled by
-    |y| at both step ends, combine as h |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2))
-    over the n components of a lane.
+    max(|y0|, |y1|), combine as h |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2))
+    over the n components.
     """
     e = _ERR_DOT(k[:12])
-    n = e.shape[1] // lanes
-    if lanes == 1 and n < 8:
+    n = e.shape[1]
+    if n < 8:
         # numpy sums fewer than 8 terms left to right, so Python floats give
         # its bits
         e5 = e3 = 0.0
-        for a5, a3, y_max in zip(*e.tolist(), np.maximum(abs_y0, abs_y1).tolist()):
-            scale = cfg.abs_tol + cfg.rel_tol * y_max
+        for a5, a3, u, v in zip(*e.tolist(), y0, y1):
+            scale = cfg.abs_tol + cfg.rel_tol * max(abs(u), abs(v))
             a5 /= scale
             a3 /= scale
             e5 += a5 * a5
             e3 += a3 * a3
-        den = e5 + 0.01 * e3
-        if den <= 0.0:
-            den = 1.0
-        return h * (e5 / math.sqrt(den)) / math.sqrt(n)
-    e /= cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y0, abs_y1)
-    e *= e
-    # the ufuncs' reductions, which the sum and max methods wrap
-    e5, e3 = np.add.reduce(e.reshape(2, lanes, n), axis=2)
+    else:
+        e /= cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y0), np.abs(y1))
+        e *= e
+        e5, e3 = np.add.reduce(e, axis=1).tolist()
     den = e5 + 0.01 * e3
-    den[den <= 0.0] = 1.0  # both estimates are zero
-    e5 /= np.sqrt(den)
-    return h * float(np.maximum.reduce(e5)) / math.sqrt(n)
+    if den <= 0.0:  # both estimates are zero
+        den = 1.0
+    return h * (e5 / math.sqrt(den)) / math.sqrt(n)
 
 
-def _initial_step(f, y0, f0, t_end, cfg, lanes):
-    """Hairer's starting step per lane; the smallest wins, and a lane whose
-    slope is exactly zero at t = 0 and at the probe bounds nothing (t_end).
-
-    One lane of fewer than 8 components is computed in Python floats, with
-    the bits of the array form; the power stays numpy's, whose loop rounds
-    differently from Python's.
-    """
-    n = y0.size // lanes
-    if lanes == 1 and n < 8:
-        # sums of squares in explicit loops: sum() may compensate
-        y0, f0 = y0.tolist(), f0.tolist()
-        scale = [cfg.abs_tol + cfg.rel_tol * abs(a) for a in y0]
-        s0 = s1 = s2 = 0.0
-        for a, b, c in zip(y0, f0, scale):
-            s0 += (a / c) * (a / c)
-            s1 += (b / c) * (b / c)
-        d0, d1 = math.sqrt(s0 / n), math.sqrt(s1 / n)
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / max(d1, 1e-5)
-        moving = any(a != 0.0 for a in f0)
-        h0 = min(h0 if moving else 1e-6, t_end)
-        f1 = f(h0, np.array([a + h0 * b for a, b in zip(y0, f0)])).tolist()
-        if not all(map(math.isfinite, f1)):
-            return max(1e-8 * t_end, 1e-12)
-        for a, b, c in zip(f1, f0, scale):
-            s2 += ((a - b) / c) * ((a - b) / c)
-        d = max(d1, math.sqrt(s2 / n) / h0)
-        h1 = (max(1e-6, h0 * 1e-3) if d <= 1e-15 else
-              float(np.power([0.01 / d], _EXPONENT)[0]))
-        if not (moving or any(a != 0.0 for a in f1)):
-            return t_end
-        return min(100 * h0, h1, t_end)
+def _initial_step(f, y0, f0, t_end, cfg):
+    """Hairer's starting step from y0, whose slope is f0; a slope exactly zero
+    at t = 0 and at the probe bounds nothing (t_end)."""
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
 
     def rms(x):
-        # np.mean's bits: each lane's sum of squares over n
+        # np.mean's bits: the sum of squares over the components
         x = x / scale
         x *= x
-        return np.sqrt(np.add.reduce(x.reshape(-1, lanes, n), axis=2) / n)
+        return math.sqrt(float(np.add.reduce(x)) / x.size)
 
-    d0, d1 = rms(np.array((y0, f0)))
-    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
-    # the smallest over the moving lanes; inf when every lane is at rest
-    moving = np.logical_or.reduce((f0 != 0.0).reshape(lanes, n), axis=1)
-    h0 = float(np.minimum.reduce(h0, where=moving, initial=math.inf))
-    h0 = min(1e-6 if h0 == math.inf else h0, t_end)
+    d0, d1 = rms(y0), rms(f0)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / max(d1, 1e-5)
+    moving = bool(f0.any())
+    h0 = min(h0 if moving else 1e-6, t_end)
     f1 = f(h0, y0 + h0 * f0)
     if not np.isfinite(f1).all():
         return max(1e-8 * t_end, 1e-12)
-    d = np.maximum(d1, rms(f1 - f0)[0] / h0)
-    h1 = np.where(d <= 1e-15, max(1e-6, h0 * 1e-3),
-                  (0.01 / np.maximum(d, 1e-15)) ** _EXPONENT)
-    moving |= np.logical_or.reduce((f1 != 0.0).reshape(lanes, n), axis=1)
-    h1 = float(np.minimum.reduce(h1, where=moving, initial=math.inf))
-    if h1 == math.inf:
+    d = max(d1, rms(f1 - f0) / h0)
+    # numpy's power loop, whose bits Python's pow does not always give
+    h1 = (max(1e-6, h0 * 1e-3) if d <= 1e-15 else
+          float(np.power([0.01 / d], _EXPONENT)[0]))
+    if not (moving or f1.any()):
         return t_end
     return min(100 * h0, h1, t_end)
 
@@ -447,43 +416,34 @@ def _refine_escape(f, t, y, k1, h, y_new, k_new, fi, stats):
     return t + hi, y_hi
 
 
-def _integrate(f, y0, t_end, cfg, floor_index=None, record=True):
+def _integrate(f, y0, t_end, cfg, floor_index=None):
     """Adaptive integration of y' = f(t, y) on [0, t_end].
 
     Returns ``(samples, status, t_event, stats)`` where samples is a list of
-    (t, y) at accepted steps (including the initial state and, for an escape,
-    the refined crossing state); without ``record`` it holds only the
-    latest accepted state.  ``status`` is COMPLETED, BOUNDARY_ESCAPE or
-    STEP_LIMIT; the step budget counts attempted steps.  With
-    ``floor_index``, the run ends with BOUNDARY_ESCAPE where y[floor_index]
-    falls to Z_FLOOR.  While y[floor_index] falls, two kinds of step are
+    (t, y) at accepted steps, y a list of floats (the initial state and,
+    for an escape, the refined crossing state included).  ``status`` is
+    COMPLETED, BOUNDARY_ESCAPE or STEP_LIMIT; the step budget counts
+    attempted steps.  With ``floor_index`` it ends with BOUNDARY_ESCAPE where
+    y[floor_index] falls to Z_FLOOR; while it falls, two kinds of step are
     taken no longer than the slope's path to Z_FLOOR / 2: the retry of a
     step that left the chart, and the step after an accepted one that was
     straight in y[floor_index] (each of its slopes has the floor component
-    of its first).  A straight escape thus lands between the floor and the
-    chart's edge in one step, while a path that bends towards the floor
-    still reaches it through retries.  ``stats`` is the run's
-    :class:`_IntegrationStats`.
-
-    A :class:`_LinearField` holds one system per lane (pieces of curves),
-    side by side in the state; they share the step, whose error is the
-    worst lane's, so each lane is held to the tolerance on its own.  The
-    step after a rejected one does not grow (Hairer-Norsett-Wanner, Solving
-    ODEs I, II.4).
+    of its first), so a straight escape lands between the floor and the
+    chart's edge in one step.  The step after a rejected one does not grow
+    (Hairer-Norsett-Wanner, Solving ODEs I, II.4).  ``stats`` is its work.
     """
     y = np.asarray(y0, dtype=float)
     t = 0.0
-    samples = [(0.0, y.copy())]
-    lanes = f.shape[0] if isinstance(f, _LinearField) else 1
+    samples = [(0.0, y.tolist())]
     stats = _IntegrationStats()
     if t_end <= 0.0:
         return samples, COMPLETED, None, stats
     k1 = f(0.0, y)
     if not np.isfinite(k1).all():
         raise IntegrationError("derivative is not finite at the initial state")
-    h = _initial_step(f, y, k1, t_end, cfg, lanes)
-    stats.rhs += 2 * lanes
-    abs_y = np.abs(y)
+    h = _initial_step(f, y, k1, t_end, cfg)
+    stats.rhs += 2
+    y = samples[0][1]
     rejected = False
     aim = False
     while t < t_end:
@@ -495,13 +455,12 @@ def _integrate(f, y0, t_end, cfg, floor_index=None, record=True):
             # (y - Z_FLOOR / 2) / -y', so a straight path lands between the
             # chart's edge and the floor.
             h = min(h, float((y[floor_index] - 0.5 * Z_FLOOR) / -k1[floor_index]))
-        if h < 1e-14 * max(1.0, abs(t)):
+        if h < _MIN_STEP * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t}")
         stats.attempted += 1
         y_new, k = _rk_step(f, t, y, h, k1, stats)
-        abs_new = np.abs(y_new)
-        if np.maximum.reduce(abs_new) < math.inf:  # every entry finite
-            err_norm = _error_norm(k, h, abs_y, abs_new, cfg, lanes)
+        if all(map(math.isfinite, y_new)):
+            err_norm = _error_norm(k, h, y, y_new, cfg)
         else:
             err_norm = math.inf
         if not math.isfinite(err_norm):
@@ -531,16 +490,13 @@ def _integrate(f, y0, t_end, cfg, floor_index=None, record=True):
         if floor_index is not None:
             column = k[:, floor_index].tolist()
             aim = column.count(column[0]) == 13
-        t_new = t + h
-        if record:
-            samples.append((t_new, y_new))
-        else:
-            samples[-1] = (t_new, y_new)
+        t += h
+        samples.append((t, y_new))
         if rejected:
             factor = min(factor, 1.0)
             rejected = False
         h *= factor
-        t, y, k1, abs_y = t_new, y_new, k[12], abs_new
+        y, k1 = y_new, k[12]
     return samples, COMPLETED, None, stats
 
 
@@ -765,49 +721,23 @@ def _check_3d(m: MetricField) -> None:
 # A transported segment is cut into at least this many pieces, and into
 # more where its z range exceeds a ratio of 2 ** _MIN_PIECES.
 _MIN_PIECES = 8
-# A piece estimated to turn the frame by more than _MAX_TURN radians is split
-# into equal sub-pieces, while splitting leaves a curve at most _MAX_LANES.
-_MAX_TURN = 1.0
+# The most pieces one batched transport step takes, and one cut makes.
 _MAX_LANES = 256
+# The state of _MAX_LANES pieces at their starts: identity frames, flat.
+_IDENTITIES = np.tile(np.eye(3).ravel(), _MAX_LANES)
+_IDENTITIES.setflags(write=False)
 
 
-def _transport_lanes(m: MetricField, c0: np.ndarray, delta: np.ndarray,
-                     cfg: IntegratorConfig, record: bool):
-    """Transport the frame along c0[j] + s delta[j], s in [0, 1], from the identity.
+def _pieces(curve: CurveSpec):
+    """Cut every segment of the curve into pieces, as (pieces, 3) start and delta arrays.
 
-    The straight paths run as lanes of one integration.  Returns the
-    accepted (s, (lanes, 3, 3) frames) samples; without ``record`` only the
-    final one.
-    """
-    lanes = len(c0)
-    field = _LinearField(m, c0, delta, 3)
-    samples, status, _, _ = _integrate(field, np.tile(np.eye(3).ravel(), lanes), 1.0, cfg,
-                                       record=record)
-    if status != COMPLETED:
-        raise IntegrationError(f"transport ran out of steps ({status})")
-    return [(s, y.reshape(lanes, 3, 3)) for s, y in samples]
-
-
-def _pieces(m: MetricField, curve: CurveSpec):
-    """Cut every segment of the curve into pieces, as (lanes, 3) start and delta arrays.
-
-    A segment whose z runs from z0 to z1 is first cut into n = max(_MIN_PIECES,
+    A segment whose z runs from z0 to z1 is cut into n = max(_MIN_PIECES,
     ceil(log2 of the larger over the smaller)) pieces with geometric z
     boundaries z0 (z1 / z0)^(i / n), so no piece spans a z ratio above 2;
-    at constant z they are equal in the segment parameter.  Such a piece
-    turns the frame by about its parameter length times the larger of
-    omega = sqrt(max(0, -tr(A^2) / 2)) at its two ends, where
-    A = -Gamma(c)[delta, .] comes from one batch over every cut of the
-    curve.  A piece is split into ceil(turn / _MAX_TURN) equal
-    sub-pieces, so no fast-turning piece sets the shared step for the
-    others.  Where that would give the curve more than _MAX_LANES pieces,
-    the turn allowed per sub-piece grows to the curve's total turn over the
-    lanes to spare, and z cuts that alone reach _MAX_LANES are not split:
-    the integrator takes the extra steps.  Where A has real eigenvalues
-    (omega = 0, as on the model's vertical segments) or is not finite, the
-    z cuts stay as they are.  Returns ``(c0, delta, k, a, d)``: piece j
-    covers the global curve parameters k[j] + (a[j] + s d[j]) for s in
-    [0, 1] (segment index plus the in-segment parameter).
+    at constant z they are equal in the segment parameter.  Returns
+    ``(c0, delta, k, a, d)``: piece j covers the global curve parameters
+    k[j] + (a[j] + s d[j]) for s in [0, 1] (segment index plus the
+    in-segment parameter).
     """
     cuts = []
     for seg in curve.segments:
@@ -818,31 +748,103 @@ def _pieces(m: MetricField, curve: CurveSpec):
             u = np.expm1(u * log_ratio)
             u /= u[-1]
         cuts.append(u)
-    seg_c0 = np.array([seg._c0 for seg in curve.segments])
-    seg_delta = np.array([seg._delta for seg in curve.segments])
-    owner = np.repeat(np.arange(len(cuts)), [len(u) for u in cuts])
-    u = np.concatenate(cuts)
-    v = seg_delta[owner]
-    coeff = _connection_matrices(m, seg_c0[owner] + u[:, None] * v, np.negative(v, out=v))
-    omega = np.sqrt(np.maximum(0.0, -0.5 * np.einsum("...kj,...jk->...", coeff, coeff)))
-    first = owner[1:] == owner[:-1]  # cut j is the first of a piece
-    k, a, d = owner[:-1][first], u[:-1][first], (u[1:] - u[:-1])[first]
-    turn = d * np.maximum(omega[:-1], omega[1:])[first]
-    turn[~np.isfinite(turn)] = 0.0  # a connection that overflows splits nothing
-    spare = _MAX_LANES - len(k)
-    limit = max(_MAX_TURN, np.add.reduce(turn) / spare) if spare > 0 else math.inf
-    turn /= limit
-    if np.maximum.reduce(turn) > 1.0:  # some piece splits
-        split = np.maximum(1, np.ceil(turn)).astype(int)
-        # per sub-piece: segment, piece start and width, sub-pieces in the
-        # piece, and the index of the piece's first sub-piece
-        k, a, d, s, head = np.repeat([k, a, d, split, np.cumsum(split) - split], split,
-                                     axis=1)
-        k = k.astype(int)
-        a += (np.arange(len(k)) - head) / s * d  # sub-piece i of s starts i / s in
-        d = d / s
-    v = seg_delta[k]
-    return seg_c0[k] + a[:, None] * v, d[:, None] * v, k, a, d
+    k = np.repeat(np.arange(len(cuts)), [len(u) - 1 for u in cuts])
+    a = np.concatenate([u[:-1] for u in cuts])
+    d = np.concatenate([np.diff(u) for u in cuts])
+    v = np.array([seg._delta for seg in curve.segments])[k]
+    c0 = np.array([seg._c0 for seg in curve.segments])[k]
+    return c0 + a[:, None] * v, d[:, None] * v, k, a, d
+
+
+def _piece_errors(k: np.ndarray, y_new: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
+    """Hairer's error norm (see :func:`_error_norm`) of each piece's step of
+    h = 1 from the identity, whose |y| is itself; inf for a piece whose new
+    frame is not finite."""
+    lanes = len(y_new) // 9
+    scale = np.abs(y_new)
+    np.maximum(scale, _IDENTITIES[:len(y_new)], out=scale)
+    scale *= cfg.rel_tol
+    scale += cfg.abs_tol
+    e = _ERR_DOT(k[:12])
+    e /= scale
+    e *= e
+    e5, e3 = np.add.reduce(e.reshape(2, lanes, 9), axis=2)
+    den = e5 + 0.01 * e3
+    den[den <= 0.0] = 1.0  # both estimates are zero
+    err = e5 / np.sqrt(9.0 * den)
+    err[~np.isfinite(y_new).reshape(lanes, 9).all(axis=1)] = math.inf  # overflowed
+    return err
+
+
+def _transport_pieces(m: MetricField, c0: np.ndarray, delta: np.ndarray,
+                      cfg: IntegratorConfig):
+    """Transport the frame from the identity along c0[j] + s delta[j], s in [0, 1].
+
+    Each piece takes one DOP853 step of its whole length (h = 1), with the
+    pending pieces as lanes, at most _MAX_LANES to a batched step.  A piece
+    whose own error norm is at most 1 is kept; any other is cut into
+    n = ceil(1 / factor) equal sub-pieces, stepped before the pieces after
+    them, with :func:`_integrate`'s factor _SAFETY err^(-1/8) (_MIN_FACTOR
+    for a non-finite step) and n at most _MAX_LANES.  Returns
+    ``(j, u, frames, stats)`` for the kept pieces in curve order: piece i
+    starts at s = u[i] of piece j[i], and frames[i] is its transport.
+    Raises IntegrationError when the piece-steps would exceed _MAX_STEPS or
+    a piece would be narrower than _MIN_STEP.
+    """
+    stats = _IntegrationStats()
+    # pending runs of equal pieces: run r is n[r] pieces of width w[r] in
+    # piece j[r], the first at u[r]; each cut adds one run, so few pend
+    runs = [np.arange(len(c0)), np.zeros(len(c0)), np.ones(len(c0)), np.ones(len(c0), int)]
+    kept = []
+    while len(runs[0]):
+        cum = np.cumsum(runs[3])
+        r = int(np.searchsorted(cum, _MAX_LANES, side="right"))  # runs stepped whole
+        j, u, w, n = (x[:r] for x in runs)
+        runs = [x[r:] for x in runs]  # views nothing else reads: their head may change
+        spare = _MAX_LANES - (int(cum[r - 1]) if r else 0)
+        if len(runs[0]) and spare:  # the next run's first pieces fill the step
+            j, u, w = (np.append(a, b[0]) for a, b in zip((j, u, w), runs))
+            n = np.append(n, spare)
+            runs[1][0] += spare * runs[2][0]
+            runs[3][0] -= spare
+        if len(n) < (lanes := int(n.sum())):  # a run of several pieces
+            first = np.repeat(np.cumsum(n) - n, n)  # each piece's run's first piece
+            j, w = np.repeat(j, n), np.repeat(w, n)
+            u = np.repeat(u, n) + (np.arange(lanes) - first) * w
+        field = _LinearField(m, c0[j] + u[:, None] * delta[j], w[:, None] * delta[j], 3)
+        y_new, k = _rk_step(field, 0.0, _IDENTITIES[:9 * lanes], 1.0, None, stats)
+        stats.rounds += 1
+        stats.attempted += lanes
+        err = _piece_errors(k, y_new, cfg)
+        ok = err <= 1.0  # NaN from a non-finite step is cut too
+        kept.append((j[ok], u[ok], y_new.reshape(lanes, 3, 3)[ok]))
+        if ok.all():
+            continue
+        cut = ~ok
+        err = err[cut]
+        stats.rejected += len(err)
+        factor = np.where(np.isfinite(err), _SAFETY * err ** -_EXPONENT, _MIN_FACTOR)
+        n = np.minimum(np.ceil(1.0 / factor), _MAX_LANES).astype(int)
+        if stats.attempted + runs[3].sum() + n.sum() > _MAX_STEPS:
+            raise IntegrationError("transport ran out of steps")
+        w = w[cut] / n
+        if w.min() < _MIN_STEP:  # a piece's own t starts at 0
+            raise IntegrationError("step size underflow at t=0.0")
+        runs = [np.concatenate(x) for x in zip((j[cut], u[cut], w, n), runs)]
+    stats.accepted = stats.attempted - stats.rejected
+    if len(kept) == 1:
+        return (*kept[0], stats)
+    j, u, frames = (np.concatenate(x) for x in zip(*kept))
+    order = np.lexsort((u, j))
+    return j[order], u[order], frames[order], stats
+
+
+def _product(frames: np.ndarray) -> np.ndarray:
+    """frames[-1] @ ... @ frames[0], as a pairwise tree of stacked 3x3 products."""
+    while len(frames) > 1:
+        pairs = np.matmul(frames[1::2], frames[:-1:2])
+        frames = np.concatenate((pairs, frames[-1:])) if len(frames) % 2 else pairs
+    return frames[0]
 
 
 def parallel_transport(m: MetricField, curve: CurveSpec, w0: TangentVector,
@@ -857,43 +859,37 @@ def transport_matrix(m: MetricField, curve: CurveSpec,
                      cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Matrix P whose columns are the transports of the coordinate frame.
 
-    Every segment is cut into pieces (see :func:`_pieces`), every piece is
-    transported from the identity as one lane of a single integration, and
-    P is the product of the piece matrices, last piece leftmost.  Transport
-    is linear, so the product is the transport along the whole curve.  P is
-    a g-isometry between the endpoint tangent spaces:
-    ``P.T g(end) P = g(start)`` up to integration tolerance.
+    The product, last piece leftmost, of the frames that
+    :func:`_transport_pieces` carries along the curve's pieces
+    (:func:`_pieces`): transport is linear.  P is a g-isometry between the
+    endpoint tangent spaces, ``P.T g(end) P = g(start)`` up to integration
+    tolerance.
     """
     _check_3d(m)
-    c0, delta = _pieces(m, curve)[:2]
-    p = np.eye(3)
-    for p_piece in _transport_lanes(m, c0, delta, cfg, False)[-1][1]:
-        p = p_piece.dot(p)  # the BLAS call of @, with less dispatch
-    return p
+    c0, delta = _pieces(curve)[:2]
+    return _product(_transport_pieces(m, c0, delta, cfg)[2])
 
 
 def transport_frame_trace(m: MetricField, curve: CurveSpec,
                           cfg: IntegratorConfig = DEFAULT_CONFIG):
-    """Accepted-step history of the frame transport along the curve.
+    """The frame transport along the curve, one row per transported piece.
 
     Returns [(t, coords, P), ...] in increasing t, the global curve
     parameter (segment index plus the in-segment parameter): the start,
-    then one row per accepted step of each piece of :func:`transport_matrix`,
-    whose frame is composed with the product of the pieces before it; a
-    piece ends at the next piece's start, the last at the curve's end.
+    then a row at the end of each piece that :func:`transport_matrix`
+    multiplies, with the product up to it.  A piece ends at the next piece's
+    start, the last at the curve's end.
     """
     _check_3d(m)
-    c0, delta, k, a, d = _pieces(m, curve)
-    t_ends = np.append(k[1:] + a[1:], len(curve.segments))
-    ends = np.vstack([c0[1:], curve.segments[-1].end.coords])
-    samples = _transport_lanes(m, c0, delta, cfg, True)
-    trace = [(0.0, c0[0], np.eye(3))]
-    p = np.eye(3)
-    for j in range(len(c0)):
-        trace += [(t_ends[j], ends[j], y[j] @ p) if s == 1.0 else
-                  (k[j] + (a[j] + s * d[j]), c0[j] + s * delta[j], y[j] @ p)
-                  for s, y in samples[1:]]
-        p = samples[-1][1][j] @ p
+    c0, delta, k, a, d = _pieces(curve)
+    j, u, frames, _ = _transport_pieces(m, c0, delta, cfg)
+    t_starts = k[j] + (a[j] + u * d[j])
+    starts = c0[j] + u[:, None] * delta[j]
+    t_ends = np.append(t_starts[1:], len(curve.segments))
+    ends = np.vstack([starts[1:], curve.segments[-1].end.coords])
+    trace = [(0.0, starts[0], np.eye(3))]
+    for t, c, frame in zip(t_ends, ends, frames):
+        trace.append((t, c, frame @ trace[-1][2]))
     return trace
 
 

@@ -65,6 +65,19 @@ class TestValidateToralMatrix:
                 hc.validate_toral_matrix(bad)
 
 
+    @pytest.mark.parametrize("entries,dtype", [
+        ([[2, 1], [1, 1]], np.int64),
+        ([[2 ** 63 - 1, 2 ** 63 - 2], [1, 1]], np.int64),
+        ([[2 ** 63 + 1, 2 ** 63], [1, 1]], object),    # beyond int64
+        ([[2 ** 200 + 1, 2 ** 200], [1, 1]], object),
+    ])
+    def test_matrix_keeps_every_entry(self, entries, dtype):
+        # int64 where the entries fit, exact Python ints where they do not
+        m = hc.validate_toral_matrix(entries).matrix
+        assert m.dtype == dtype and m.tolist() == entries
+        assert np.array_equal(m.astype(float), np.array(entries, dtype=float))
+
+
 class TestEigenBasis:
     def test_lambda_closed_form(self, frame):
         assert abs(frame.lam - LAM) < 1e-14
