@@ -8,9 +8,10 @@ diagnostic text, never a crash of the run.
 
 The sampled checks (C2, C3, C4, C5, C9, C11, C12) share one sweep over the
 sample points, chunk by chunk: the points are validated and g, its exact
-partials, g^-1, the Christoffel symbols and the curvature are built once
-per chunk, and each check folds its residual maxima over them.  The
-Christoffel symbols are the model's closed form, so both parts of C3
+partials, g^-1, the Christoffel symbols, the curvature and g at the deck
+images (C2's and C9's) are built once per chunk, and each check folds its
+residual maxima over them.  The Christoffel symbols and their derivatives
+in the curvature are the model's closed form, so both parts of C3
 compare that connection with a derivative of g: the exact part with g's
 exact partials, the numeric part with central differences at h = 1e-5,
 which checks the exact partials as well.  C5 reads grad v1 off the same
@@ -39,11 +40,12 @@ from .quotient import (
     LoopClass,
     ToralMatrixError,
     _deck_defect,
+    _rescaled,
+    _rescaled_partials,
     deck_differential,
     eigen_basis,
     holonomy_element,
     holonomy_of_loop,
-    quotient_conformal_metric,
     validate_toral_matrix,
 )
 from .report import CheckResult, VerificationReport, passes
@@ -52,6 +54,7 @@ from .tensor_core import (
     MetricField,
     TangentVector,
     Z_FLOOR,
+    _axis_sectional,
     _conformal_fit,
     _Geometry,
     _Maxima,
@@ -60,7 +63,6 @@ from .tensor_core import (
     _partials,
     _worst,
     chunks,
-    sectional_curvature,
     warped_metric,
 )
 from .transport import (
@@ -140,7 +142,6 @@ class _Context:
         self.frame = eigen_basis(matrix)
         self.df = deck_differential(matrix, self.frame)
         self.metric = warped_metric(config.metric_exponent)
-        self.gprime = quotient_conformal_metric(self.metric)
         self.leaf = induced_halfplane_metric(self.metric)
         rng = np.random.default_rng(config.seed)
         n = config.samples
@@ -193,7 +194,7 @@ class _Context:
                  if check.fold is not None]
         results = {check_id: _Maxima() for check_id, _ in folds}
         for sl in chunks(len(self.points)):
-            geo = _Geometry(self.metric, self.points[sl])
+            geo = _Chunk(self.metric, self.points[sl], self.df)
             for check_id, fold in folds:
                 out = results[check_id]
                 if isinstance(out, Exception):
@@ -203,6 +204,23 @@ class _Context:
                 except Exception as exc:
                     results[check_id] = exc
         return results
+
+
+class _Chunk(_Geometry):
+    """One chunk of the sweep: its shared geometry and the metric at the
+    deck images of its points, built once for C2 and C9."""
+
+    def __init__(self, m: MetricField, points: np.ndarray, df: np.ndarray):
+        super().__init__(m, points)
+        self.df = df
+
+    @cached_property
+    def deck_c(self) -> np.ndarray:
+        return self.c @ self.df.T
+
+    @cached_property
+    def deck_g(self) -> np.ndarray:
+        return _metric(self.m, self.deck_c)
 
 
 class _Verdict(NamedTuple):
@@ -245,55 +263,59 @@ def _composite(parts) -> _Verdict:
     return _Verdict(max(0.0, worst), 1.0, "; ".join(details), worst_part)
 
 
-_E1, _E2, _E3 = np.eye(3)
+_E1, _, _E3 = np.eye(3)
 
 
-def _fold_homothety(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
+def _fold_homothety(ctx: _Context, geo: _Chunk, sl: slice, out: _Maxima):
     # The residual is roundoff on entries of size lambda^2 z^4, so each
     # point's residual is measured against its largest entry of lambda^2 g.
     lam2 = ctx.frame.lam ** 2
-    residual = _deck_defect(ctx.df, lam2, ctx.metric, geo.c, geo.g)
+    residual = _deck_defect(ctx.df, lam2, geo.deck_g, geo.g)
     out.fold("relative", residual / (lam2 * np.max(np.abs(geo.g), axis=(-2, -1))))
     out.fold("absolute", residual)
 
 
-def _fold_compatibility(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
-    out.fold("exact", np.abs(_nabla(geo.gamma, geo.g, geo.dg)))
-    # The same connection against g's central differences, which also
-    # cross-check the exact partials.
+def _fold_compatibility(ctx: _Context, geo: _Chunk, sl: slice, out: _Maxima):
+    # The connection against g's exact partials and against its central
+    # differences, which also cross-check the exact partials.
     d = _partials(ctx.metric, geo.c, "numeric", 1e-5)
-    out.fold("numeric", np.abs(_nabla(geo.gamma, geo.g, d)))
+    exact, numeric = np.abs(_nabla(geo.gamma, geo.g, np.stack((geo.dg, d))))
+    out.fold("exact", exact)
+    out.fold("numeric", numeric)
 
 
-def _fold_nonflat(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
+def _fold_nonflat(ctx: _Context, geo: _Chunk, sl: slice, out: _Maxima):
     riemann, _, scalar = geo.curvature
     z2 = geo.c[:, 2] ** 2
     out.fold("scalar", np.abs(scalar * z2 / -4.0 - 1.0))
-    k23 = sectional_curvature(geo.g, riemann, _E2, _E3)
+    k23 = _axis_sectional(geo.g, riemann, 1, _E3)
     out.fold("halfplane", np.abs(k23 * z2 / -2.0 - 1.0))
     theta = ctx.mixed_planes[sl]
     v = np.stack([np.full_like(theta, 0.3), np.cos(theta), np.sin(theta)], axis=-1)
-    out.fold("flat_planes", np.abs(sectional_curvature(geo.g, riemann, _E1, v)))
+    out.fold("flat_planes", np.abs(_axis_sectional(geo.g, riemann, 0, v)))
 
 
-def _fold_parallel_field(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
+def _fold_parallel_field(ctx: _Context, geo: _Chunk, sl: slice, out: _Maxima):
     # v1 = d/dxt is a coordinate field, so grad_(e_i) v1 = Gamma^k_(i xt) e_k
     out.fold("grad_v1", np.abs(geo.gamma[..., 0]))
 
 
-def _fold_conformal(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
+def _fold_conformal(ctx: _Context, geo: _Chunk, sl: slice, out: _Maxima):
+    # g' = z^-2 g and its partials from the chunk's g and d g, as
+    # quotient_conformal_metric computes them
     c, d = geo.c, ctx.directions[sl]
-    gp = _metric(ctx.gprime, c)
-    mu, res = _conformal_fit(_nabla(geo.gamma, gp, _partials(ctx.gprime, c)), gp, d)
+    gp = _rescaled(c, geo.g)
+    dp = _rescaled_partials(c, geo.g, geo.dg)
+    mu, res = _conformal_fit(_nabla(geo.gamma, gp, dp), gp, d)
     out.fold("residual", res)
     out.fold("mu_err", np.abs(mu - (-2.0 * d[:, 2] / c[:, 2])))
-    out.fold("invariance", _deck_defect(ctx.df, 1.0, ctx.gprime, c, gp))
+    out.fold("invariance", _deck_defect(ctx.df, 1.0, _rescaled(geo.deck_c, geo.deck_g), gp))
 
 
 _LEAF_CURVATURE = "gaussian_curvature_times_z2_is_minus_2"
 
 
-def _fold_halfplane_leaf(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
+def _fold_halfplane_leaf(ctx: _Context, geo: _Chunk, sl: slice, out: _Maxima):
     # The leaf's own induced metric at the sweep's heights, not the ambient
     # Riemann tensor: C11 stays an independent cross-check of C4.
     z = geo.c[:, 2]
@@ -307,14 +329,14 @@ _MIXED[0, :, :] = _MIXED[:, 0, :] = _MIXED[:, :, 0] = True
 _SHIFT = np.array([1.3, -0.7, 0.0])
 
 
-def _fold_split(ctx: _Context, geo: _Geometry, sl: slice, out: _Maxima):
+def _fold_split(ctx: _Context, geo: _Chunk, sl: slice, out: _Maxima):
     g = geo.g
     out.fold("metric_block_diagonal", np.abs(g[:, 0, 1:]))
     out.fold("line_block_constant", np.abs(g[:, 0, 0] - 1.0))
     out.fold("blocks_depend_only_on_z", np.abs(_metric(geo.m, geo.c + _SHIFT) - g))
     out.fold("mixed_christoffel_vanish", np.abs(geo.gamma[:, _MIXED]))
     out.fold("planes_containing_line_flat",
-             np.abs(sectional_curvature(g, geo.curvature[0], _E1, ctx.split_planes[sl])))
+             np.abs(_axis_sectional(g, geo.curvature[0], 0, ctx.split_planes[sl])))
 
 
 def _check_gluing(ctx: _Context) -> _Verdict:
@@ -450,7 +472,7 @@ class _Check(NamedTuple):
     description: str
     claim: str
     run: Callable[..., _Verdict]
-    fold: Optional[Callable[[_Context, _Geometry, slice, _Maxima], None]] = None
+    fold: Optional[Callable[[_Context, _Chunk, slice, _Maxima], None]] = None
 
 
 # Every check, one row each, in report order; the sampled checks fold each

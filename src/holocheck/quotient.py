@@ -179,17 +179,30 @@ def pullback_metric_residual(a: ToralMatrix, m: MetricField, p,
     if expected_factor is None:
         expected_factor = frame.lam ** 2
     c = p.coords if isinstance(p, ChartPoint) else _coords(m, p, batch=True)
-    residual = _deck_defect(df, expected_factor, m, c, _metric(m, c))
+    residual = _deck_defect(df, expected_factor, _metric(m, c @ df.T), _metric(m, c))
     return float(residual) if residual.ndim == 0 else residual
 
 
-def _deck_defect(df: np.ndarray, factor: float, m: MetricField, c: np.ndarray,
+def _deck_defect(df: np.ndarray, factor: float, g_image: np.ndarray,
                  g_here: np.ndarray) -> np.ndarray:
-    """Max-abs entry of df^T g(f c) df - factor * g_here, one per point of ``c``."""
-    g_image = _metric(m, c @ df.T)
+    """Max-abs entry of df^T g(f c) df - factor * g(c), one per point c, from
+    g at the deck images f c = c @ df.T and at the points themselves."""
     # the right factor as one product over the flattened batch
     pulled = ((df.T @ g_image).reshape(-1, 3) @ df).reshape(g_image.shape)
     return np.max(np.abs(pulled - factor * g_here), axis=(-2, -1))
+
+
+def _rescaled(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g' = z^-2 g at ``c``, from g there."""
+    return g / (c[..., 2] ** 2)[..., None, None]
+
+
+def _rescaled_partials(c: np.ndarray, g: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """d_k g' = z^-2 d_k g - 2 z^-3 g dz_k at ``c``, from g and d_k g there."""
+    z = c[..., 2, None, None]
+    out = d / (z ** 2)[..., None]
+    out[..., 2, :, :] += -2.0 / z ** 3 * g
+    return out
 
 
 def quotient_conformal_metric(m: MetricField) -> MetricField:
@@ -205,15 +218,13 @@ def quotient_conformal_metric(m: MetricField) -> MetricField:
     base_p = m.exact_partials
 
     def components(c):
-        return np.asarray(base_c(c), dtype=float) / (c[..., 2] ** 2)[..., None, None]
+        return _rescaled(c, np.asarray(base_c(c), dtype=float))
 
     partials = None
     if base_p is not None:
         def partials(c):
-            z = c[..., 2, None, None]
-            out = np.asarray(base_p(c), dtype=float) / (z ** 2)[..., None]
-            out[..., 2, :, :] += -2.0 / z ** 3 * np.asarray(base_c(c), dtype=float)
-            return out
+            return _rescaled_partials(c, np.asarray(base_c(c), dtype=float),
+                                      np.asarray(base_p(c), dtype=float))
 
     label = f"z^-2 ({m.label})" if m.label else "z^-2 rescaling"
     return MetricField(components, partials, label=label, dim=3)

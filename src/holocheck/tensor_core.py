@@ -15,7 +15,9 @@ transport, curvature and the sampled checks all read Gamma through
 :func:`_christoffel` or :class:`_Geometry` and need no code of their own;
 the model's closed form also contracts itself, for one geodesic state
 (``christoffel.acceleration``) and into the linear transport coefficients
-(``christoffel.connection``), with the bits of the generic contractions.
+(``christoffel.connection``), with the bits of the generic contractions,
+and differentiates itself (``christoffel.partials``), so its curvature
+takes no difference stencil and is exact to roundoff down to the floor.
 
 The core functions take coordinates of shape ``(..., dim)`` and return
 arrays with the same leading shape, so one call evaluates a whole batch of
@@ -25,12 +27,17 @@ point arrays in slices of :data:`CHUNK` points (:func:`chunks`), which keeps
 the rank-4 curvature arrays small.  The checklist walks them once: a
 :class:`_Geometry` holds one chunk's g, partials, inverse, Christoffel
 symbols and curvature, each built at most once, and every sampled check
-folds its running maxima (:class:`_Maxima`) over those arrays.
+keeps its per-chunk maxima (:class:`_Maxima`) of residuals computed from
+those arrays, reduced once when the check reads them.  The sampled planes
+all contain a coordinate axis, so their sectional curvature
+(:func:`_axis_sectional`) contracts only the slice of R along that axis.
 
 The chunk kernels are stacked matmuls (one BLAS gemv over the flattened
-batch for a constant vector) and fancy-index gathers, not generic einsums.
-On the model metrics and the checks' directions they give the einsum forms'
-bits; where they sum several nonzero products the last bit may differ.
+batch for a constant vector) and fancy-index gathers, not generic einsums;
+the sliced plane kernel's small einsums read its strided slice of R in
+place, where a gemv would first copy it.  On the model metrics and the
+checks' directions they give the einsum forms' bits; where they sum
+several nonzero products the last bit may differ.
 
 Index conventions, fixed here and used everywhere (leading batch axes are
 left out):
@@ -160,10 +167,14 @@ class MetricField:
     einsum, and a ``connection(c, v)`` method, the transport coefficients
     ``sum_i Gamma^k_ij(c) v^i`` for finite v broadcast against c's leading
     axes, with the bits of transport's broadcast contraction of the
-    symbols, which linear transport uses in place of it.  Both belong to
-    the callable, so a model whose ``christoffel`` is replaced or set to
-    None loses them with the symbols: leaves, the conformal rescaling and
-    mutants take the generic contractions.
+    symbols, which linear transport uses in place of it, and a
+    ``partials(c)`` method, the symbols' derivatives ``[..., k, a, i, j] =
+    d_k Gamma^a_ij`` in closed form, which the curvature reads under "auto"
+    and "exact" with no explicit step in place of central differences of
+    the symbols.  All three belong to the callable, so a model whose
+    ``christoffel`` is replaced or set to None loses them with the symbols:
+    leaves, the conformal rescaling and mutants take the generic
+    contractions and the difference stencil.
     """
 
     components: Callable[[np.ndarray], np.ndarray]
@@ -265,8 +276,20 @@ def warped_metric(exponent: float = 4.0) -> MetricField:
         out[..., 2, 1] = g2 * v[..., 1] + 0.0
         return out
 
+    # The z-derivatives of the two symbols, d_z (e/(2z)) = -e/(2z^2) and
+    # d_z (-(e/2) z^(e-1)) = -(e/2)(e-1) z^(e-2), in the stencil's layout
+    # out[..., k, a, i, j] = d_k Gamma^a_ij; the curvature reads them in place
+    # of central differences of the symbols.
+    def dgamma(c):
+        z = c[..., 2]
+        out = np.zeros(c.shape[:-1] + (3, 3, 3, 3))
+        out[..., 2, 1, 1, 2] = out[..., 2, 1, 2, 1] = -0.5 * e / z ** 2
+        out[..., 2, 2, 1, 1] = -0.5 * e * (e - 1.0) * z ** (e - 2.0)
+        return out
+
     christoffel.acceleration = acceleration
     christoffel.connection = connection
+    christoffel.partials = dgamma
     return MetricField(components, partials, label=f"warped z^{e:g}", dim=3,
                        christoffel=christoffel)
 
@@ -459,7 +482,11 @@ def _curvature(m: MetricField, c: np.ndarray, method: str = "auto",
         gamma = _christoffel(m, c, method, h)
     if ginv is None:
         ginv = _inv_small(_metric(m, c))
-    dgamma = _central_difference(m, lambda x: _christoffel(m, x, method, h), c, h)
+    closed = getattr(m.christoffel, "partials", None)
+    if closed is not None and method != "numeric" and h is None:
+        dgamma = np.asarray(closed(c), dtype=float)
+    else:
+        dgamma = _central_difference(m, lambda x: _christoffel(m, x, method, h), c, h)
     # gg[i, k, l, j] = G^i_kp G^p_lj, one (dim^2, dim) x (dim, dim^2) product
     n, lead = m.dim, gamma.shape[:-3]
     gg = gamma.reshape(lead + (n * n, n)) @ gamma.reshape(lead + (n, n * n))
@@ -477,11 +504,14 @@ def _curvature(m: MetricField, c: np.ndarray, method: str = "auto",
 
 
 def _nabla(gamma: np.ndarray, g: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``nabla[k, i, j] = d_k g_ij - G^l_ki g_lj - G^l_kj g_il`` from arrays."""
+    """``nabla[k, i, j] = d_k g_ij - G^l_ki g_lj - G^l_kj g_il`` from arrays.
+
+    ``d`` may stack several partials of g on one more leading axis; the
+    Gamma.g correction is formed once and taken from each of them."""
     # p[k, i, j] = G^l_ki g_lj, one (dim^2, dim) x (dim, dim) product; g is
     # symmetric, so G^l_kj g_il is p[k, j, i]
     n = g.shape[-1]
-    p = (gamma.reshape(gamma.shape[:-3] + (n, n * n)).swapaxes(-1, -2) @ g).reshape(d.shape)
+    p = (gamma.reshape(gamma.shape[:-3] + (n, n * n)).swapaxes(-1, -2) @ g).reshape(gamma.shape)
     return d - (p + p.swapaxes(-1, -2))
 
 
@@ -506,11 +536,15 @@ def _worst(values) -> float:
 
 
 class _Maxima(dict):
-    """Running maxima of named residuals, folded in one chunk at a time; a
-    part that no fold wrote raises KeyError, so its check fails."""
+    """Maxima of named residuals, one per folded chunk, reduced by
+    :func:`_worst` when a part is read; a part that no fold wrote raises
+    KeyError, so its check fails."""
 
     def fold(self, name: str, values) -> None:
-        self[name] = max(self.get(name, 0.0), _worst(values))
+        self.setdefault(name, []).append(np.maximum.reduce(values, axis=None))
+
+    def __getitem__(self, name: str) -> float:
+        return _worst(dict.__getitem__(self, name))
 
 
 class _Geometry:
@@ -571,8 +605,11 @@ def riemann_at(m: MetricField, p: PointLike, method: str = "auto",
                h: Optional[float] = None) -> CurvatureAtPoint:
     """Riemann, Ricci and scalar curvature of ``m`` at ``p``.
 
-    Derivatives of the Christoffel symbols are taken by central differences
-    (the symbols themselves are exact when the model ships them in closed
+    "auto" and "exact" with no explicit ``h`` read the derivatives of the
+    Christoffel symbols from the model when it ships them in closed form
+    (``christoffel.partials``; the model metric does); otherwise, and
+    always for "numeric" or an explicit ``h``, they are central differences
+    of the symbols (themselves exact when the model ships them in closed
     form or ships exact partials).
     """
     riemann, ricci, scalar = _curvature(m, _coords(m, p), method, h)
@@ -606,6 +643,35 @@ def sectional_curvature(g: np.ndarray, riemann: np.ndarray,
         raise DegeneratePlaneError("directions are linearly dependent")
     k = inner / gram
     return float(k) if k.ndim == 0 else k
+
+
+def _axis_sectional(g: np.ndarray, riemann: np.ndarray, a: int, v: np.ndarray) -> np.ndarray:
+    """Sectional curvature of span(e_a, v) at each point of a batch.
+
+    :func:`sectional_curvature` with u the coordinate axis e_a, contracting
+    only R^i_(j a l) and the products that axis leaves; on the checks'
+    planes it gives that function's bits.  ``v`` is one vector or one per
+    point.  A point whose g or R has a non-finite entry anywhere gets NaN
+    and no degeneracy test, as the full contraction's zero products give
+    it.  Raises :class:`DegeneratePlaneError` if the plane degenerates at
+    any other point.
+    """
+    # einsums read the strided slice in place, where a gemv would copy it
+    ruvv = np.einsum("...ij,...j->...i", np.einsum("...ijl,...l->...ij", riemann[..., a, :], v), v)
+    gv = np.einsum("...ij,...j->...i", g, v)
+    inner = np.einsum("...i,...i->...", ruvv, g[..., a])
+    uu, vv, uv = g[..., a, a], np.einsum("...i,...i->...", gv, v), gv[..., a]
+    gram = uu * vv - uv * uv
+    k = inner / gram
+    degenerate = gram <= 1e-12 * uu * vv
+    if not math.isfinite(g.sum() + riemann.sum()):  # a whole-chunk test first
+        lead = k.shape + (-1,)
+        bad = ~(np.isfinite(g.reshape(lead)).all(-1) & np.isfinite(riemann.reshape(lead)).all(-1))
+        k[bad] = np.nan
+        degenerate &= ~bad
+    if np.any(degenerate):
+        raise DegeneratePlaneError("directions are linearly dependent")
+    return k
 
 
 def covariant_metric_derivative_at(m_conn: MetricField, m_target: MetricField,

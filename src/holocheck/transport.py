@@ -770,9 +770,15 @@ def _piece_errors(k: np.ndarray, y_new: np.ndarray, cfg: IntegratorConfig) -> np
     e *= e
     e5, e3 = np.add.reduce(e.reshape(2, lanes, 9), axis=2)
     den = e5 + 0.01 * e3
-    den[den <= 0.0] = 1.0  # both estimates are zero
+    rest = den <= 0.0  # both estimates are zero
+    if rest.any():
+        den[rest] = 1.0
     err = e5 / np.sqrt(9.0 * den)
-    err[~np.isfinite(y_new).reshape(lanes, 9).all(axis=1)] = math.inf  # overflowed
+    # an overflowed frame makes its scale infinite, which can drive its norm
+    # to 0, so the frames themselves are tested, lane by lane only when the
+    # batch is not finite
+    if not np.isfinite(y_new).all():
+        err[~np.isfinite(y_new).reshape(lanes, 9).all(axis=1)] = math.inf
     return err
 
 

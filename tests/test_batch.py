@@ -140,7 +140,8 @@ def test_checklist_residuals_are_single_point_maxima(cat):
     cfg = hc.ChecklistConfig(samples=CHUNK + 1, seed=5)
     by_id = {c.id: c.residual for c in hc.run_checklist(cfg).checks}
     ctx = checklist._Context(cfg, cat)
-    m, gprime = ctx.metric, ctx.gprime
+    m = ctx.metric
+    gprime = hc.quotient_conformal_metric(m)
     pts = [ChartPoint(*c) for c in ctx.points]
     z = ctx.points[:, 2]
     e1, e2, e3 = np.eye(3)

@@ -45,6 +45,43 @@ def test_curvature_built_once_per_chunk(monkeypatch):
     assert dims == [3, 3]
 
 
+def test_two_stencils_per_chunk(cat, monkeypatch):
+    dims = []
+    original = tensor_core._central_difference
+
+    def counted(m, *args):
+        dims.append(m.dim)
+        return original(m, *args)
+
+    for module in (tensor_core, checklist, foliation):
+        if hasattr(module, "_central_difference"):
+            monkeypatch.setattr(module, "_central_difference", counted)
+    checklist._Context(CFG, cat).sweep
+    # per chunk, C3's numeric partials of g and C11's Brioschi stencil on the
+    # leaf; the curvature reads the model's closed-form derivatives of the
+    # symbols (a third stencil per chunk when it took their differences)
+    assert dims == [3, 2, 3, 2]
+
+
+def test_nan_anywhere_in_riemann_fails_c4_and_c12(cat, monkeypatch):
+    # C4's and C12's planes contract only the slices of R along e1 and e2,
+    # yet a NaN in any one of R's 81 entries at one point fails both, with
+    # Ricci and the scalar curvature left finite
+    cfg = hc.ChecklistConfig(samples=10, seed=0)
+    original = tensor_core._Geometry.curvature.func
+    for entry in np.ndindex(3, 3, 3, 3):
+        def curvature(geo, entry=entry):
+            riemann, ricci, scalar = original(geo)
+            riemann[(3,) + entry] = np.nan
+            return riemann, ricci, scalar
+
+        monkeypatch.setattr(tensor_core._Geometry, "curvature", property(curvature))
+        ctx = checklist._Context(cfg, cat)
+        results = [checklist._run(ctx, check_id) for check_id in SAMPLED if check_id != "C11"]
+        assert [r.id for r in results if not r.passed] == ["C4", "C12"], entry
+        assert all(r.residual == np.inf for r in results if r.id in ("C4", "C12"))
+
+
 def test_fold_fault_fails_only_its_check(monkeypatch):
     monkeypatch.setattr(checklist, "_conformal_fit", boom)
     report = hc.run_checklist(CFG)
@@ -192,7 +229,7 @@ def test_nan_fold_is_worst():
     out.fold("a", [3.0])
     out.fold("b", [np.nan])
     out.fold("b", [1.0])
-    assert out == {"a": np.inf, "b": np.inf}
+    assert {name: out[name] for name in out} == {"a": np.inf, "b": np.inf}
     assert tensor_core._worst([0.25, 0.5]) == 0.5
 
 

@@ -345,6 +345,48 @@ class TestClosedFormConnection:
         numeric = hc.christoffel_at(unread, p, method="numeric").gamma
         np.testing.assert_allclose(numeric, gamma_closed_form(2.0), rtol=1e-9, atol=1e-9)
 
+    def test_curvature_reads_dgamma_unless_numeric_or_stepped(self, model):
+        def christoffel(c):
+            return model.christoffel(c)
+
+        christoffel.partials = boom
+        unread = dataclasses.replace(model, christoffel=christoffel)
+        p = ChartPoint(0.4, -1.0, 2.0)
+        for method in ("auto", "exact"):
+            with pytest.raises(RuntimeError):
+                hc.riemann_at(unread, p, method=method)
+        for kwargs in ({"method": "numeric"}, {"h": 1e-5}, {"method": "exact", "h": 1e-5}):
+            riemann = hc.riemann_at(unread, p, **kwargs).riemann
+            np.testing.assert_allclose(riemann, hc.riemann_at(model, p).riemann,
+                                       rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("exponent", (4.0, 3.0, 4.001))
+    def test_shipped_dgamma(self, exponent):
+        # the model's d_k Gamma^a_ij against sympy's derivative of the
+        # oracle's symbols, and against central differences of its symbols
+        oracle = symbolic_model()
+        sp, z, e, gamma = oracle.sp, oracle.z, oracle.e, oracle.gamma
+        m = hc.warped_metric(exponent)
+        zs = np.geomspace(0.02, 100.0, 41)
+        c = np.stack([np.full_like(zs, 0.3), np.full_like(zs, -1.2), zs], -1)
+        got = m.christoffel.partials(c)
+        assert got.shape == (zs.size, 3, 3, 3, 3)
+        e_exact = sp.Rational(exponent)  # the float's exact value
+        for a, i, j in np.ndindex(3, 3, 3):
+            dz = sp.diff(gamma[a][i][j], z).subs(e, e_exact)
+            for zv, row in zip(zs, got):
+                assert row[0, a, i, j] == row[1, a, i, j] == 0.0
+                want = float(sp.N(dz.subs(z, sp.Float(zv, 30)), 30))
+                if want == 0.0:
+                    assert row[2, a, i, j] == 0.0
+                else:
+                    assert abs(row[2, a, i, j] - want) <= 4 * np.spacing(abs(want))
+        stencil = tensor_core._central_difference(m, m.christoffel, c, None)
+        np.testing.assert_allclose(stencil, got, rtol=0, atol=3e-7 * np.max(np.abs(got)))
+        big = zs >= 0.5
+        np.testing.assert_allclose(stencil[big], got[big], rtol=0,
+                                   atol=1e-9 * np.max(np.abs(got[big])))
+
     def test_unknown_method_still_rejected(self, model):
         with pytest.raises(ValueError):
             hc.christoffel_at(model, ChartPoint(0, 0, 1), method="closed")
@@ -385,10 +427,13 @@ class TestClosedFormConnection:
             if 0 in (i, j, k, l):
                 assert oracle.riemann[i, j, k, l] == 0
 
-    # The Riemann tensor takes central differences of the closed-form symbols
-    # at h = 1e-5 max(1, z), whose relative truncation error is about (h/z)^2:
-    # from z = 0.5 up it stays under the Christoffel oracle's bound for
-    # central differences, 1e-9 relative.
+    # The Riemann tensor reads the model's closed-form derivatives of the
+    # symbols, so it is exact to roundoff down to z = 0.02.  Central
+    # differences of the symbols at h = 1e-5 max(1, z), the stencil an
+    # explicit step takes, have a relative truncation error of about
+    # (h/z)^2: from z = 0.5 up it stays under the Christoffel oracle's bound
+    # for central differences, 1e-9 relative (2.5e-9 at z = 0.2, 2.5e-7 at
+    # z = 0.02).
     HEIGHTS = (0.5, 1.0, 2.0, 7.5, 30.0, 100.0)
 
     @pytest.mark.parametrize("exponent", (4.0, 3.0))
@@ -398,16 +443,18 @@ class TestClosedFormConnection:
         at = sp.lambdify(z, sp.Array(oracle.riemann).subs(e, sp.Integer(int(exponent))))
         m = hc.warped_metric(exponent)
         ex, ey, ez = np.eye(3)
-        for zv in self.HEIGHTS:
+        paths = [(zv, None, 2e-15) for zv in (0.02, 0.2) + self.HEIGHTS]
+        paths += [(zv, 1e-5 * max(1.0, zv), 1e-9) for zv in self.HEIGHTS]
+        for zv, h, rtol in paths:
             want = np.array(at(zv), dtype=float)
-            curv = hc.riemann_at(m, ChartPoint(0.3, -1.2, zv))
-            np.testing.assert_allclose(curv.riemann, want, rtol=1e-9, atol=0)
+            curv = hc.riemann_at(m, ChartPoint(0.3, -1.2, zv), h=h)
+            np.testing.assert_allclose(curv.riemann, want, rtol=rtol, atol=0)
             scalar = float(oracle.scalar.subs({e: exponent, z: zv}))
-            assert curv.scalar == pytest.approx(scalar, rel=1e-9)
+            assert curv.scalar == pytest.approx(scalar, rel=rtol, abs=0)
             g = m.components(np.array([0.3, -1.2, zv]))
             k23 = float(oracle.k23.subs({e: exponent, z: zv}))
             assert hc.sectional_curvature(g, curv.riemann, ey, ez) == \
-                pytest.approx(k23, rel=1e-9)
+                pytest.approx(k23, rel=rtol, abs=0)
             assert hc.sectional_curvature(g, curv.riemann, ex, ez) == 0.0
 
     def test_sympy_lee_form(self, model):
@@ -439,6 +486,20 @@ class TestClosedFormConnection:
         assert hc.quotient_conformal_metric(model).christoffel is None
         assert hc.induced_halfplane_metric(model).christoffel is None
         assert hc.induced_line_metric(model).christoffel is None
+        # nor do they, or a model whose symbols are replaced, carry the
+        # model's closed-form derivatives of the symbols
+        assert callable(model.christoffel.partials)
+        replaced = dataclasses.replace(model, christoffel=lambda c: model.christoffel(c))
+        for derived in (hc.quotient_conformal_metric(model), hc.induced_halfplane_metric(model),
+                        hc.induced_line_metric(model), replaced, perturbed_connection()):
+            assert getattr(derived.christoffel, "partials", None) is None
+        # so their curvature takes the stencil, with the bits it had
+        p = ChartPoint(0.3, -1.2, 1.7)
+        c = p.coords
+        stencil = tensor_core._central_difference(
+            model, lambda x: tensor_core._christoffel(model, x), c, None)
+        assert same_bits(tensor_core._curvature(replaced, c)[0],
+                         riemann_from(model.christoffel(c), stencil))
 
     def test_perturbed_symbols_fail_c3(self, cat, monkeypatch):
         # Both parts of C3 compare the closed form with a derivative of g,
@@ -535,11 +596,18 @@ def einsum_sectional_curvature(g, riemann, u, v):
 
 
 def einsum_curvature(m, c, method="auto", h=None, gamma=None, ginv=None):
-    """``tensor_core._curvature`` with the Riemann sum over einsum views."""
+    """``tensor_core._curvature`` with the Riemann sum over einsum views.
+
+    The derivatives of the symbols come from where ``_curvature`` takes
+    them: the model's closed form under "auto" and "exact" with no step,
+    else a central-difference loop."""
     if gamma is None:
         gamma = tensor_core._christoffel(m, c, method, h)
     if ginv is None:
         ginv = tensor_core._inv_small(tensor_core._metric(m, c))
+    closed = getattr(m.christoffel, "partials", None)
+    if closed is not None and method != "numeric" and h is None:
+        return riemann_from(gamma, closed(c), ginv)
     step = tensor_core._fd_step(m, c, h)
     tensor_core._check_stencil(m, c, step)
     den = 2.0 * np.asarray(step)[..., None, None, None]
@@ -549,13 +617,21 @@ def einsum_curvature(m, c, method="auto", h=None, gamma=None, ginv=None):
         e[..., k] = step
         dgamma[..., k, :, :, :] = (tensor_core._christoffel(m, c + e, method, h)
                                    - tensor_core._christoffel(m, c - e, method, h)) / den
-    n, lead = m.dim, gamma.shape[:-3]
+    return riemann_from(gamma, dgamma, ginv)
+
+
+def riemann_from(gamma, dgamma, ginv=None):
+    """R^i_jkl from Gamma and d_k Gamma by einsum views; with ``ginv``, also
+    Ricci and the scalar curvature."""
+    n, lead = gamma.shape[-1], gamma.shape[:-3]
     gg = (gamma.reshape(lead + (n * n, n))
           @ gamma.reshape(lead + (n, n * n))).reshape(lead + (n,) * 4)
     riemann = (np.einsum("...kilj->...ijkl", dgamma)
                - np.einsum("...likj->...ijkl", dgamma)
                + np.einsum("...iklj->...ijkl", gg)
                - np.einsum("...ilkj->...ijkl", gg))
+    if ginv is None:
+        return riemann
     ricci = np.einsum("...ijil->...jl", riemann)
     scalar = np.einsum("...jl,...jl->...", ginv, ricci)
     return riemann, ricci, scalar
@@ -570,8 +646,15 @@ def moveaxis_inv_small(g):
     return np.moveaxis(cof, (0, 1), (-2, -1)) / (a * e - b * d)[..., None, None]
 
 
+def einsum_axis_sectional(g, riemann, a, v):
+    """``tensor_core._axis_sectional`` as the einsum sectional curvature of
+    span(e_a, v)."""
+    return einsum_sectional_curvature(g, riemann, np.eye(g.shape[-1])[a], v)
+
+
 EINSUM_KERNELS = {"_nabla": einsum_nabla, "_levi_civita": einsum_levi_civita,
                   "sectional_curvature": einsum_sectional_curvature,
+                  "_axis_sectional": einsum_axis_sectional,
                   "_inv_small": moveaxis_inv_small, "_curvature": einsum_curvature}
 
 
@@ -663,6 +746,14 @@ class TestKernelBits:
         for a, b in cases:
             assert same_bits(hc.sectional_curvature(g, riemann, a, b),
                              einsum_sectional_curvature(g, riemann, a, b))
+        # the sliced kernel on planes through a coordinate axis: C4's
+        # (e2, e3) plane, C4's and C12's planes through e1, and axis pairs
+        axis_cases = [(m.dim - 2, e[-1]), (m.dim - 1, u)]
+        if name == "warped":
+            axis_cases.append((0, planes))
+        for a, b in axis_cases:
+            assert same_bits(tensor_core._axis_sectional(g, riemann, a, b),
+                             einsum_axis_sectional(g, riemann, a, b))
         # the 2x2 cofactors of general matrices, not only of the diagonal leaf
         general = np.random.default_rng(n).normal(size=(n, 2, 2))
         assert same_bits(tensor_core._inv_small(general), moveaxis_inv_small(general))
@@ -681,7 +772,7 @@ class TestKernelBits:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, kernel)
         assert checklist._nabla is einsum_nabla
-        assert checklist.sectional_curvature is einsum_sectional_curvature
+        assert checklist._axis_sectional is einsum_axis_sectional
         assert hc.emit_report(hc.run_checklist(cfg), "json") == matmul
 
     @pytest.mark.parametrize("n", (1, CHUNK + 1))

@@ -707,6 +707,19 @@ class TestStepBits:
                                                textbook_norm(k, 1.0, y, y_new, cfg, lanes),
                                                rtol=1e-13, atol=1e-300)
 
+    def test_piece_errors_of_overflowed_and_resting_pieces(self):
+        # an overflowed frame has an infinite scale, which drives its own
+        # error estimate to 0, so its piece fails on the frame's finiteness;
+        # a piece whose two estimates are both zero has error 0
+        rng = np.random.default_rng(0)
+        k = np.zeros((12, 27))
+        k[:, :18] = rng.normal(scale=1e-9, size=(12, 18))
+        y_new = np.tile(np.eye(3).ravel(), 3)
+        y_new[13] = math.inf
+        err = transport._piece_errors(k, y_new, hc.IntegratorConfig())
+        assert 0.0 < err[0] < math.inf
+        assert err[1:].tolist() == [math.inf, 0.0]
+
     @pytest.mark.parametrize("leaf", (False, True))
     def test_geodesic_rhs(self, model, leaf):
         m = hc.induced_halfplane_metric(model) if leaf else model
