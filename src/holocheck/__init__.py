@@ -31,21 +31,17 @@ from .transport import (
     IntegrationError,
     IntegratorConfig,
     StraightSegment,
-    Termination,
     Trajectory,
-    TrajectorySample,
     coordinate_rectangle,
     curvature_via_loop,
     geodesic_energy_drift,
     integrate_geodesic,
     integrate_geodesic_coords,
-    parallel_transport,
     trajectory_to_csv,
     transport_frame_trace,
     transport_matrix,
 )
 from .quotient import (
-    EigenBasis,
     HolonomyElement,
     LiftEscapeError,
     LoopClass,
@@ -61,7 +57,6 @@ from .quotient import (
     validate_toral_matrix,
 )
 from .foliation import (
-    LeafModel,
     gaussian_curvature,
     halfplane_leaf,
     induced_halfplane_metric,

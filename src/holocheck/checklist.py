@@ -7,10 +7,14 @@ the note.  A module error inside a check becomes a failed check with
 diagnostic text, never a crash of the run.
 
 The sampled checks (C2, C3, C4, C5, C9, C11, C12) share one sweep over the
-sample points, chunk by chunk: the points are validated and g, its exact
-partials, g^-1, the Christoffel symbols, the curvature and g at the deck
-images (C2's and C9's) are built once per chunk, and each check folds its
-residual maxima over them.  The Christoffel symbols and their derivatives
+sample points in chunks of :data:`CHUNK` points, which keeps the rank-4
+curvature arrays small: per chunk a :class:`_Chunk` validates the points and
+builds g, its exact partials, g^-1, the Christoffel symbols, the curvature
+and g at the deck images (C2's and C9's) at most once, and each check keeps
+its per-chunk maxima (:class:`_Maxima`) of residuals computed from those
+arrays, reduced once when the check reads them.  The sampled planes all
+contain a coordinate axis, so their sectional curvature contracts only the
+slice of R along that axis.  The Christoffel symbols and their derivatives
 in the curvature are the model's closed form, so both parts of C3
 compare that connection with a derivative of g: the exact part with g's
 exact partials, the numeric part with central differences at h = 1e-5,
@@ -54,15 +58,12 @@ from .tensor_core import (
     MetricField,
     TangentVector,
     Z_FLOOR,
-    _axis_sectional,
     _conformal_fit,
     _Geometry,
-    _Maxima,
     _metric,
     _nabla,
     _partials,
-    _worst,
-    chunks,
+    sectional_curvature,
     warped_metric,
 )
 from .transport import (
@@ -76,7 +77,6 @@ from .transport import (
     coordinate_rectangle,
     integrate_geodesic,
     integrate_geodesic_coords,
-    parallel_transport,
     trajectory_to_csv,
     transport_frame_trace,
     transport_matrix,
@@ -85,6 +85,12 @@ from .transport import (
 
 class ConfigError(ValueError):
     """The checklist configuration itself is unusable."""
+
+
+# Points per chunk of the sweep: large enough that numpy overhead is spread
+# over many points, small enough that the (CHUNK, 3, 3, 3, 3) curvature
+# arrays stay a few hundred kB.
+CHUNK = 256
 
 
 # The horizon of the downward probes from height 1 (C8, C11 and the escape
@@ -131,6 +137,28 @@ class ChecklistConfig:
             raise ConfigError("seed must be non-negative")
         if not math.isfinite(self.metric_exponent):
             raise ConfigError("metric_exponent must be finite")
+
+
+def _worst(values) -> float:
+    """The largest of ``values`` as a float, +inf if any of them is NaN.
+
+    Python's ``max`` skips a NaN that comes second, and a residual of NaN
+    would pass no check, so a NaN residual reads as the worst one.
+    """
+    top = float(np.max(values))
+    return np.inf if np.isnan(top) else top
+
+
+class _Maxima(dict):
+    """Maxima of named residuals, one per folded chunk, reduced by
+    :func:`_worst` when a part is read; a part that no fold wrote raises
+    KeyError, so its check fails."""
+
+    def fold(self, name: str, values) -> None:
+        self.setdefault(name, []).append(np.maximum.reduce(values, axis=None))
+
+    def __getitem__(self, name: str) -> float:
+        return _worst(dict.__getitem__(self, name))
 
 
 class _Context:
@@ -193,7 +221,8 @@ class _Context:
         folds = [(check_id, check.fold) for check_id, check in _CHECKS.items()
                  if check.fold is not None]
         results = {check_id: _Maxima() for check_id, _ in folds}
-        for sl in chunks(len(self.points)):
+        for start in range(0, len(self.points), CHUNK):
+            sl = slice(start, start + CHUNK)
             geo = _Chunk(self.metric, self.points[sl], self.df)
             for check_id, fold in folds:
                 out = results[check_id]
@@ -263,7 +292,7 @@ def _composite(parts) -> _Verdict:
     return _Verdict(max(0.0, worst), 1.0, "; ".join(details), worst_part)
 
 
-_E1, _, _E3 = np.eye(3)
+_E1, _E2, _E3 = np.eye(3)
 
 
 def _fold_homothety(ctx: _Context, geo: _Chunk, sl: slice, out: _Maxima):
@@ -288,11 +317,11 @@ def _fold_nonflat(ctx: _Context, geo: _Chunk, sl: slice, out: _Maxima):
     riemann, _, scalar = geo.curvature
     z2 = geo.c[:, 2] ** 2
     out.fold("scalar", np.abs(scalar * z2 / -4.0 - 1.0))
-    k23 = _axis_sectional(geo.g, riemann, 1, _E3)
+    k23 = sectional_curvature(geo.g, riemann, _E2, _E3)
     out.fold("halfplane", np.abs(k23 * z2 / -2.0 - 1.0))
     theta = ctx.mixed_planes[sl]
     v = np.stack([np.full_like(theta, 0.3), np.cos(theta), np.sin(theta)], axis=-1)
-    out.fold("flat_planes", np.abs(_axis_sectional(geo.g, riemann, 0, v)))
+    out.fold("flat_planes", np.abs(sectional_curvature(geo.g, riemann, _E1, v)))
 
 
 def _fold_parallel_field(ctx: _Context, geo: _Chunk, sl: slice, out: _Maxima):
@@ -336,7 +365,7 @@ def _fold_split(ctx: _Context, geo: _Chunk, sl: slice, out: _Maxima):
     out.fold("blocks_depend_only_on_z", np.abs(_metric(geo.m, geo.c + _SHIFT) - g))
     out.fold("mixed_christoffel_vanish", np.abs(geo.gamma[:, _MIXED]))
     out.fold("planes_containing_line_flat",
-             np.abs(_axis_sectional(g, geo.curvature[0], 0, ctx.split_planes[sl])))
+             np.abs(sectional_curvature(g, geo.curvature[0], _E1, ctx.split_planes[sl])))
 
 
 def _check_gluing(ctx: _Context) -> _Verdict:
@@ -433,8 +462,8 @@ def leaf_first_check(m: MetricField, t_max: float = 1e3,
     _, yt, z = traj.xs[-1]
     drift_res = _worst([abs(yt), abs(z - 1.0)])
     curve = CurveSpec([StraightSegment(p0, ChartPoint(7.0, 0.0, 1.0))])
-    w = parallel_transport(m, curve, TangentVector(p0, [1.0, 0.0, 0.0]), cfg)
-    fix_res = float(np.max(np.abs(w.comp - _E1)))
+    # the transport of v1 = e1 is the matrix's first column
+    fix_res = float(np.max(np.abs(transport_matrix(m, curve, cfg)[:, 0] - _E1)))
     return _composite([
         ("induced_metric_constant", const_res, 1e-12),
         ("long_horizon_geodesic_completes", horizon_res, 0.0),

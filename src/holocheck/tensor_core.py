@@ -22,22 +22,15 @@ takes no difference stencil and is exact to roundoff down to the floor.
 The core functions take coordinates of shape ``(..., dim)`` and return
 arrays with the same leading shape, so one call evaluates a whole batch of
 points; a single point is the empty leading shape.  The public ``*_at``
-functions are single-point calls on that core.  Sampled checks walk their
-point arrays in slices of :data:`CHUNK` points (:func:`chunks`), which keeps
-the rank-4 curvature arrays small.  The checklist walks them once: a
-:class:`_Geometry` holds one chunk's g, partials, inverse, Christoffel
-symbols and curvature, each built at most once, and every sampled check
-keeps its per-chunk maxima (:class:`_Maxima`) of residuals computed from
-those arrays, reduced once when the check reads them.  The sampled planes
-all contain a coordinate axis, so their sectional curvature
-(:func:`_axis_sectional`) contracts only the slice of R along that axis.
+functions are single-point calls on that core.  A :class:`_Geometry`
+holds g, partials, inverse, Christoffel symbols and curvature at a batch
+of points, each built at most once, for the checklist's sweep.
 
-The chunk kernels are stacked matmuls (one BLAS gemv over the flattened
-batch for a constant vector) and fancy-index gathers, not generic einsums;
-the sliced plane kernel's small einsums read its strided slice of R in
-place, where a gemv would first copy it.  On the model metrics and the
-checks' directions they give the einsum forms' bits; where they sum
-several nonzero products the last bit may differ.
+The batch kernels are stacked matmuls and fancy-index gathers, not
+generic einsums; the sectional curvature's small einsums read a strided
+slice of R in place, where a gemv would first copy it.  On the model
+metrics and the checks' directions they give the einsum forms' bits; where
+they sum several nonzero products the last bit may differ.
 
 Index conventions, fixed here and used everywhere (leading batch axes are
 left out):
@@ -60,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,11 +64,6 @@ Z_FLOOR = 1e-6
 
 # Default central-difference step is FD_STEP_SCALE * max(1, |z|).
 FD_STEP_SCALE = 1e-5
-
-# Points per batch in the sampled checks: large enough that numpy overhead
-# is spread over many points, small enough that the (CHUNK, 3, 3, 3, 3)
-# curvature arrays stay a few hundred kB.
-CHUNK = 256
 
 # Flat indices into a row-major 3x3 matrix for its cofactors as cross
 # products of rolled rows: _ROLL[a, b][i, j] = 3 * (i + a) + (j + b), mod 3.
@@ -194,12 +182,6 @@ def fiber_index(m: MetricField) -> Optional[int]:
     if m.fiber_axis is None:
         return None
     return m.fiber_axis % m.dim
-
-
-def chunks(n: int) -> Iterator[slice]:
-    """Slices that cover ``range(n)`` in consecutive runs of CHUNK points."""
-    for start in range(0, n, CHUNK):
-        yield slice(start, min(start + CHUNK, n))
 
 
 def warped_metric(exponent: float = 4.0) -> MetricField:
@@ -525,34 +507,13 @@ def _conformal_fit(nabla: np.ndarray, g: np.ndarray, v: np.ndarray):
     return mu, np.sqrt(np.sum(r * r, axis=(-2, -1)))
 
 
-def _worst(values) -> float:
-    """The largest of ``values`` as a float, +inf if any of them is NaN.
-
-    Python's ``max`` skips a NaN that comes second, and a residual of NaN
-    would pass no check, so a NaN residual reads as the worst one.
-    """
-    top = float(np.max(values))
-    return np.inf if np.isnan(top) else top
-
-
-class _Maxima(dict):
-    """Maxima of named residuals, one per folded chunk, reduced by
-    :func:`_worst` when a part is read; a part that no fold wrote raises
-    KeyError, so its check fails."""
-
-    def fold(self, name: str, values) -> None:
-        self.setdefault(name, []).append(np.maximum.reduce(values, axis=None))
-
-    def __getitem__(self, name: str) -> float:
-        return _worst(dict.__getitem__(self, name))
-
-
 class _Geometry:
     """The geometry of ``m`` at one chunk of points, each array built once.
 
     The points are validated on first use; g, its exact partials, g^-1, the
     Christoffel symbols (the model's closed form when it ships one, else
-    the Levi-Civita connection of g) and ``(riemann, ricci, scalar)`` are
+    the Levi-Civita connection :func:`_christoffel` builds from its own
+    evaluation of g and the partials) and ``(riemann, ricci, scalar)`` are
     each computed at most once, however many checks read them.  An array
     whose construction raises is not cached, so it raises again for every
     reader: a fault in the shared geometry fails each check that uses it.
@@ -580,9 +541,7 @@ class _Geometry:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        if self.m.christoffel is not None:
-            return _christoffel(self.m, self.c, "exact")
-        return _levi_civita(self.ginv, self.dg)
+        return _christoffel(self.m, self.c, "exact")
 
     @cached_property
     def curvature(self):
@@ -616,62 +575,42 @@ def riemann_at(m: MetricField, p: PointLike, method: str = "auto",
     return CurvatureAtPoint(riemann=riemann, ricci=ricci, scalar=float(scalar))
 
 
-def _contract(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of ``t`` against one vector ``w`` (a gemv over
-    the flattened batch) or one per point of ``t`` (a stacked matmul)."""
-    n = t.shape[-1]
-    if w.ndim == 1:
-        return (t.reshape(-1, n) @ w).reshape(t.shape[:-1])
-    return (t.reshape(w.shape[:-1] + (-1, n)) @ w[..., None]).reshape(t.shape[:-1])
-
-
 def sectional_curvature(g: np.ndarray, riemann: np.ndarray,
                         u: np.ndarray, v: np.ndarray):
     """Sectional curvature of span(u, v) from precomputed g and R^i_jkl.
 
     ``g`` and ``riemann`` may carry leading batch axes; ``u`` and ``v`` are
     each one vector for every point or one per point, with that leading
-    shape.  A single point gives a float, a batch an array.
-    Raises :class:`DegeneratePlaneError` if the plane degenerates at any point.
+    shape.  A single point gives a float, a batch an array.  A ``u`` that
+    is one coordinate axis e_a (a 1-D vector of one 1.0 and zeros) reads
+    only the slice R^i_(j a l) and g's column a; any other ``u`` is
+    contracted into R and g first.  A point whose g or R has a non-finite
+    entry anywhere reads NaN and skips the degeneracy test.  Raises
+    :class:`DegeneratePlaneError` if the plane degenerates at any other
+    point.
     """
-    ruvv = _contract(_contract(_contract(riemann, v), u), v)
-    gu, gv = _contract(g, u), _contract(g, v)
-    inner = _contract(ruvv, gu)
-    uu, vv, uv = _contract(gu, u), _contract(gv, v), _contract(gu, v)
+    gv = np.einsum("...ij,...j->...i", g, v)
+    entries = u.tolist() if u.ndim == 1 else []
+    if entries.count(1.0) == 1 and entries.count(0.0) == len(entries) - 1:
+        a = entries.index(1.0)
+        ru, gu, uu, uv = riemann[..., a, :], g[..., a], g[..., a, a], gv[..., a]
+    else:
+        ru = np.einsum("...ijkl,...k->...ijl", riemann, u)
+        gu = np.einsum("...ij,...j->...i", g, u)
+        uu, uv = np.einsum("...i,...i->...", gu, u), np.einsum("...i,...i->...", gv, u)
+    # einsums read a strided slice of R in place, where a gemv would copy it
+    ruvv = np.einsum("...ij,...j->...i", np.einsum("...ijl,...l->...ij", ru, v), v)
+    inner = np.einsum("...i,...i->...", ruvv, gu)
+    vv = np.einsum("...i,...i->...", gv, v)
     gram = uu * vv - uv * uv
+    if not math.isfinite(g.sum() + riemann.sum()):  # a whole-batch test first
+        lead = gram.shape + (-1,)
+        bad = ~(np.isfinite(g.reshape(lead)).all(-1) & np.isfinite(riemann.reshape(lead)).all(-1))
+        gram = np.where(bad, np.nan, gram)  # NaN fails the test below and is the quotient
     if np.any(gram <= 1e-12 * uu * vv):
         raise DegeneratePlaneError("directions are linearly dependent")
     k = inner / gram
     return float(k) if k.ndim == 0 else k
-
-
-def _axis_sectional(g: np.ndarray, riemann: np.ndarray, a: int, v: np.ndarray) -> np.ndarray:
-    """Sectional curvature of span(e_a, v) at each point of a batch.
-
-    :func:`sectional_curvature` with u the coordinate axis e_a, contracting
-    only R^i_(j a l) and the products that axis leaves; on the checks'
-    planes it gives that function's bits.  ``v`` is one vector or one per
-    point.  A point whose g or R has a non-finite entry anywhere gets NaN
-    and no degeneracy test, as the full contraction's zero products give
-    it.  Raises :class:`DegeneratePlaneError` if the plane degenerates at
-    any other point.
-    """
-    # einsums read the strided slice in place, where a gemv would copy it
-    ruvv = np.einsum("...ij,...j->...i", np.einsum("...ijl,...l->...ij", riemann[..., a, :], v), v)
-    gv = np.einsum("...ij,...j->...i", g, v)
-    inner = np.einsum("...i,...i->...", ruvv, g[..., a])
-    uu, vv, uv = g[..., a, a], np.einsum("...i,...i->...", gv, v), gv[..., a]
-    gram = uu * vv - uv * uv
-    k = inner / gram
-    degenerate = gram <= 1e-12 * uu * vv
-    if not math.isfinite(g.sum() + riemann.sum()):  # a whole-chunk test first
-        lead = k.shape + (-1,)
-        bad = ~(np.isfinite(g.reshape(lead)).all(-1) & np.isfinite(riemann.reshape(lead)).all(-1))
-        k[bad] = np.nan
-        degenerate &= ~bad
-    if np.any(degenerate):
-        raise DegeneratePlaneError("directions are linearly dependent")
-    return k
 
 
 def covariant_metric_derivative_at(m_conn: MetricField, m_target: MetricField,

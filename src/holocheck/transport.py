@@ -853,14 +853,6 @@ def _product(frames: np.ndarray) -> np.ndarray:
     return frames[0]
 
 
-def parallel_transport(m: MetricField, curve: CurveSpec, w0: TangentVector,
-                       cfg: IntegratorConfig = DEFAULT_CONFIG) -> TangentVector:
-    """Parallel transport of w0 along the curve; returns the endpoint vector,
-    :func:`transport_matrix` applied to w0."""
-    w = _vector(w0, 3, base=curve.start.coords)
-    return TangentVector(curve.end, transport_matrix(m, curve, cfg).dot(w))
-
-
 def transport_matrix(m: MetricField, curve: CurveSpec,
                      cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Matrix P whose columns are the transports of the coordinate frame.

@@ -13,7 +13,7 @@ import pytest
 import holocheck as hc
 from holocheck import ChartDomainError, ChartPoint, DegeneratePlaneError, checklist
 from holocheck import tensor_core as tc
-from holocheck.tensor_core import CHUNK
+from holocheck.checklist import CHUNK
 from holocheck.transport import DEFAULT_CONFIG
 
 SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1)
@@ -235,15 +235,36 @@ class TestBatchSafetyChecks:
         # the default step shrinks per point, so the same batch is fine
         assert np.all(np.isfinite(tc._partials(model, c, "numeric")))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_degenerate_plane_in_batch(self, model):
+        # v = 2u makes the Gram determinant exactly 0, on the axis path and
+        # on the contracted one: the test comes before the division, so no
+        # division-by-zero warning is emitted first
         c = self.batch()
         riemann, _, _ = tc._curvature(model, c)
-        u = np.array([0.0, 1.0, 0.0])
-        v = np.random.default_rng(6).uniform(-1.0, 1.0, c.shape)
-        hc.sectional_curvature(tc._metric(model, c), riemann, u, v)
-        v[BAD] = 2.0 * u
-        with pytest.raises(DegeneratePlaneError):
+        for u in (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.6, 0.8])):
+            v = np.random.default_rng(6).uniform(-1.0, 1.0, c.shape)
             hc.sectional_curvature(tc._metric(model, c), riemann, u, v)
+            v[BAD] = 2.0 * u
+            with pytest.raises(DegeneratePlaneError):
+                hc.sectional_curvature(tc._metric(model, c), riemann, u, v)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_riemann_reads_nan_at_its_point(self, model):
+        # u is no coordinate axis, so it is contracted into R first; the
+        # infinite entry alone would make K infinite there, the rule makes it NaN
+        c = self.batch()
+        g = tc._metric(model, c)
+        riemann, _, _ = tc._curvature(model, c)
+        u = np.array([0.0, 0.6, 0.8])
+        v = np.random.default_rng(6).uniform(-1.0, 1.0, c.shape)
+        want = hc.sectional_curvature(g, riemann, u, v)
+        riemann[BAD, 1, 2, 1, 2] = np.inf
+        got = hc.sectional_curvature(g, riemann, u, v)
+        assert np.isnan(got[BAD])
+        others = np.arange(len(c)) != BAD
+        assert np.array_equal(got[others], want[others])
+        assert np.isnan(hc.sectional_curvature(g[BAD], riemann[BAD], u, v[BAD]))
 
     def test_zero_direction_in_batch(self, model):
         c = self.batch()

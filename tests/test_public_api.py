@@ -17,18 +17,17 @@ PUBLIC = {
     "warped_metric",
     # transport
     "BOUNDARY_ESCAPE", "COMPLETED", "STEP_LIMIT", "CurveError", "CurveSpec",
-    "IntegrationError", "IntegratorConfig", "StraightSegment", "Termination",
-    "Trajectory", "TrajectorySample", "coordinate_rectangle", "curvature_via_loop",
-    "geodesic_energy_drift", "integrate_geodesic", "integrate_geodesic_coords",
-    "parallel_transport", "trajectory_to_csv", "transport_frame_trace",
-    "transport_matrix",
+    "IntegrationError", "IntegratorConfig", "StraightSegment", "Trajectory",
+    "coordinate_rectangle", "curvature_via_loop", "geodesic_energy_drift",
+    "integrate_geodesic", "integrate_geodesic_coords", "trajectory_to_csv",
+    "transport_frame_trace", "transport_matrix",
     # quotient
-    "EigenBasis", "HolonomyElement", "LiftEscapeError", "LoopClass",
+    "HolonomyElement", "LiftEscapeError", "LoopClass",
     "SingularMatrixError", "ToralMatrix", "ToralMatrixError", "deck_differential",
     "eigen_basis", "holonomy_element", "holonomy_of_loop", "pullback_metric_residual",
     "quotient_conformal_metric", "validate_toral_matrix",
     # foliation
-    "LeafModel", "gaussian_curvature", "halfplane_leaf",
+    "gaussian_curvature", "halfplane_leaf",
     "induced_halfplane_metric", "induced_line_metric",
     # report and checklist
     "CheckResult", "VerificationReport", "emit_report", "ChecklistConfig",
@@ -45,7 +44,7 @@ def test_public_surface():
     exported = {name for name, obj in vars(hc).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)}
     assert exported == PUBLIC
-    assert len(PUBLIC) == 58
+    assert len(PUBLIC) == 53
 
 
 def test_config_fields():

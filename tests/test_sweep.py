@@ -13,7 +13,7 @@ import pytest
 
 import holocheck as hc
 from holocheck import checklist, foliation, tensor_core
-from holocheck.tensor_core import CHUNK
+from holocheck.checklist import CHUNK
 
 SAMPLED = ("C2", "C3", "C4", "C5", "C9", "C11", "C12")
 CFG = hc.ChecklistConfig(samples=CHUNK + 1)
@@ -223,14 +223,14 @@ def test_unmeasured_part_fails(cat, monkeypatch, check_id):
 
 
 def test_nan_fold_is_worst():
-    out = tensor_core._Maxima()
+    out = checklist._Maxima()
     out.fold("a", [1.0, 2.0])
     out.fold("a", np.array([np.nan, 0.5]))
     out.fold("a", [3.0])
     out.fold("b", [np.nan])
     out.fold("b", [1.0])
     assert {name: out[name] for name in out} == {"a": np.inf, "b": np.inf}
-    assert tensor_core._worst([0.25, 0.5]) == 0.5
+    assert checklist._worst([0.25, 0.5]) == 0.5
 
 
 def test_nan_metric_fails_every_sampled_check(cat, monkeypatch):

@@ -33,7 +33,8 @@ from holocheck import (
     foliation,
     tensor_core,
 )
-from holocheck.tensor_core import CHUNK, Z_FLOOR
+from holocheck.checklist import CHUNK
+from holocheck.tensor_core import Z_FLOOR
 
 
 def gamma_closed_form(z):
@@ -646,15 +647,8 @@ def moveaxis_inv_small(g):
     return np.moveaxis(cof, (0, 1), (-2, -1)) / (a * e - b * d)[..., None, None]
 
 
-def einsum_axis_sectional(g, riemann, a, v):
-    """``tensor_core._axis_sectional`` as the einsum sectional curvature of
-    span(e_a, v)."""
-    return einsum_sectional_curvature(g, riemann, np.eye(g.shape[-1])[a], v)
-
-
 EINSUM_KERNELS = {"_nabla": einsum_nabla, "_levi_civita": einsum_levi_civita,
                   "sectional_curvature": einsum_sectional_curvature,
-                  "_axis_sectional": einsum_axis_sectional,
                   "_inv_small": moveaxis_inv_small, "_curvature": einsum_curvature}
 
 
@@ -739,21 +733,15 @@ class TestKernelBits:
         v, _ = axis_vectors(n, m.dim, axes, seed=n + 1)
         theta = np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, n)
         planes = np.stack([np.full(n, 0.3), np.cos(theta), np.sin(theta)], -1)
-        cases = [(e[-2], e[-1]),  # C4's (e2, e3) pair, C11's (e1, e2): the gemv branch
-                 (e[-1], u), (u, e[-1]), (u, v)]
+        # a first vector e_a reads R's slice along the axis: C4's (e2, e3)
+        # plane, C11's (e1, e2), an axis with per-point axes, and C4's and
+        # C12's flat planes through e1; a per-point u is contracted first
+        cases = [(e[-2], e[-1]), (e[-1], u), (u, e[-1]), (u, v)]
         if name == "warped":
-            cases.append((e[0], planes))  # C4's and C12's flat planes containing e1
+            cases.append((e[0], planes))
         for a, b in cases:
             assert same_bits(hc.sectional_curvature(g, riemann, a, b),
                              einsum_sectional_curvature(g, riemann, a, b))
-        # the sliced kernel on planes through a coordinate axis: C4's
-        # (e2, e3) plane, C4's and C12's planes through e1, and axis pairs
-        axis_cases = [(m.dim - 2, e[-1]), (m.dim - 1, u)]
-        if name == "warped":
-            axis_cases.append((0, planes))
-        for a, b in axis_cases:
-            assert same_bits(tensor_core._axis_sectional(g, riemann, a, b),
-                             einsum_axis_sectional(g, riemann, a, b))
         # the 2x2 cofactors of general matrices, not only of the diagonal leaf
         general = np.random.default_rng(n).normal(size=(n, 2, 2))
         assert same_bits(tensor_core._inv_small(general), moveaxis_inv_small(general))
@@ -772,7 +760,7 @@ class TestKernelBits:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, kernel)
         assert checklist._nabla is einsum_nabla
-        assert checklist._axis_sectional is einsum_axis_sectional
+        assert checklist.sectional_curvature is einsum_sectional_curvature
         assert hc.emit_report(hc.run_checklist(cfg), "json") == matmul
 
     @pytest.mark.parametrize("n", (1, CHUNK + 1))
