@@ -271,11 +271,22 @@ def _failed(note: str) -> _Verdict:
     return _Verdict(math.inf, 0.0, note)
 
 
+# Two parts' ratios tie when they agree to 9 significant digits.  A residual
+# such as |x - 1| with x near 1 carries roundoff of a few ulps of x, which
+# is relative to the residual itself 1 / |x - 1| times larger: C4's two
+# parts, equal in exact arithmetic at exponents other than 4, differ by 9e-13
+# of their ratio at exponent 4.001 (5,859 ulps).  The text report prints 4.
+_TIE = 1.0 + 1e-9
+
+
 def _composite(parts) -> _Verdict:
     """Fold named (residual, tolerance) parts into one normalized check.
 
-    The check's residual is the largest residual/tolerance ratio; the first
-    part with that ratio is named as the worst part.
+    The check's residual is the largest residual/tolerance ratio.  The worst
+    part named is the first with that ratio, where a later part whose ratio
+    exceeds the largest so far by a factor below ``_TIE`` ties with it:
+    parts equal in exact arithmetic keep the name of the first, whichever
+    roundoff makes larger.
     """
     worst, worst_part = -math.inf, ""
     details = []
@@ -287,7 +298,9 @@ def _composite(parts) -> _Verdict:
         else:
             ratio = 0.0 if residual <= 0.0 else math.inf
         if ratio > worst:
-            worst, worst_part = ratio, name
+            if ratio > worst * _TIE:
+                worst_part = name
+            worst = ratio
         details.append(f"{name}: residual={residual:.3e} tol={tolerance:.1e}")
     return _Verdict(max(0.0, worst), 1.0, "; ".join(details), worst_part)
 

@@ -198,10 +198,13 @@ def _rescaled(c: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _rescaled_partials(c: np.ndarray, g: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """d_k g' = z^-2 d_k g - 2 z^-3 g dz_k at ``c``, from g and d_k g there."""
+    """d_k g' = z^-2 d_k g - 2 z^-3 g dz_k at ``c``, from g and d_k g there.
+
+    z^3 is the product (z z) z, as the model metric takes its whole powers,
+    so its bits do not depend on numpy's SIMD dispatch."""
     z = c[..., 2, None, None]
     out = d / (z ** 2)[..., None]
-    out[..., 2, :, :] += -2.0 / z ** 3 * g
+    out[..., 2, :, :] += -2.0 / (z * z * z) * g
     return out
 
 

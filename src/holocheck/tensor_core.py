@@ -184,6 +184,29 @@ def fiber_index(m: MetricField) -> Optional[int]:
     return m.fiber_axis % m.dim
 
 
+def _power(n: float) -> Callable:
+    """``z -> z^n`` for a float or an array of them, one function per exponent.
+
+    A whole n from 1 to 4 is taken by products, (z z) z and (z z)(z z): they
+    round alike in Python floats and in numpy's loops on every SIMD target,
+    so a float and the same value inside an array get the same bits.  Any
+    other n takes numpy's power, whose last bits depend on the SIMD target
+    numpy dispatches.
+    """
+    if n == 1.0:
+        return lambda z: z
+    if n == 2.0:
+        return lambda z: z * z
+    if n == 3.0:
+        return lambda z: z * z * z
+    if n == 4.0:
+        def fourth(z):
+            z2 = z * z
+            return z2 * z2
+        return fourth
+    return lambda z: np.power(z, n)
+
+
 def warped_metric(exponent: float = 4.0) -> MetricField:
     """The model metric dx^2 + z^exponent dy^2 + dz^2 on the 3D chart.
 
@@ -191,17 +214,21 @@ def warped_metric(exponent: float = 4.0) -> MetricField:
     so tests can break the deck-map homothety on purpose.
     """
     e = float(exponent)
+    # z^e, z^(e-1) and z^(e-2), chosen once: every form below reads them, so
+    # the closed forms and the Levi-Civita path built from g and its
+    # partials keep the same bits
+    pe, pm, pm2 = _power(e), _power(e - 1.0), _power(e - 2.0)
 
     def components(c):
         g = np.zeros(c.shape[:-1] + (3, 3))
         g[..., 0, 0] = 1.0
-        g[..., 1, 1] = c[..., 2] ** e
+        g[..., 1, 1] = pe(c[..., 2])
         g[..., 2, 2] = 1.0
         return g
 
     def partials(c):
         d = np.zeros(c.shape[:-1] + (3, 3, 3))
-        d[..., 2, 1, 1] = e * c[..., 2] ** (e - 1.0)
+        d[..., 2, 1, 1] = e * pm(c[..., 2])
         return d
 
     def christoffel(c):
@@ -209,9 +236,9 @@ def warped_metric(exponent: float = 4.0) -> MetricField:
         # as the Levi-Civita path computes them, 1/2 (g^yy d_z g_yy) and
         # 1/2 (-d_z g_yy), so the two give the same bits.
         z = c[..., 2]
-        dz = e * z ** (e - 1.0)
+        dz = e * pm(z)
         out = np.zeros(c.shape[:-1] + (3, 3, 3))
-        out[..., 1, 1, 2] = out[..., 1, 2, 1] = 0.5 * ((1.0 / z ** e) * dz)
+        out[..., 1, 1, 2] = out[..., 1, 2, 1] = 0.5 * ((1.0 / pe(z)) * dz)
         out[..., 2, 1, 1] = 0.5 * -dz
         return out
 
@@ -219,25 +246,17 @@ def warped_metric(exponent: float = 4.0) -> MetricField:
     # -np.einsum("kij,i,j->k", christoffel(x), v, v): the symbols as above,
     # einsum's products (Gamma^k_ij v^i) v^j in i-major order summed from +0,
     # and its all-NaN result when a zero symbol meets a non-finite v.  Python
-    # floats round as float64 does; the reciprocal is inf where z^e underflows
-    # to 0, as numpy's division gives.  numpy's power loop takes a
-    # scalar exponent of 2, -1 or 0.5 as a square, reciprocal or square root,
-    # which its pow over an array of exponents does not match, so only other
-    # exponent pairs share one np.power call.
-    powers = np.array([e - 1.0, e])
-    paired = not {e - 1.0, e} & {2.0, -1.0, 0.5}
-
+    # floats round as float64 does, and the powers give a float z the bits
+    # of the same z in an array; the reciprocal is inf where z^e underflows
+    # to 0, as numpy's division gives.
     def acceleration(x, v):
         """-Gamma(v, v) at the point x, both sequences of floats, as a list."""
         vx, vy, vz = v
         if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
             return [math.nan] * 3
         z = x[2]
-        if paired:
-            zm, ze = np.power(z, powers).tolist()
-        else:
-            zm, ze = float(np.power(z, e - 1.0)), float(np.power(z, e))
-        dz = e * zm
+        ze = pe(z)
+        dz = e * pm(z)
         g1 = 0.5 * ((1.0 / ze if ze else math.inf) * dz)
         g2 = 0.5 * -dz
         return [-0.0, -((0.0 + (g1 * vy) * vz) + (g1 * vz) * vy), -(0.0 + (g2 * vy) * vy)]
@@ -249,8 +268,8 @@ def warped_metric(exponent: float = 4.0) -> MetricField:
     # plus 0.0, and +0 where every product is zero.
     def connection(c, v):
         z = c[..., 2]
-        dz = e * z ** (e - 1.0)
-        g1 = 0.5 * ((1.0 / z ** e) * dz)
+        dz = e * pm(z)
+        g1 = 0.5 * ((1.0 / pe(z)) * dz)
         g2 = 0.5 * -dz
         out = np.zeros(c.shape[:-1] + (3, 3))
         out[..., 1, 1] = g1 * v[..., 2] + 0.0
@@ -266,7 +285,7 @@ def warped_metric(exponent: float = 4.0) -> MetricField:
         z = c[..., 2]
         out = np.zeros(c.shape[:-1] + (3, 3, 3, 3))
         out[..., 2, 1, 1, 2] = out[..., 2, 1, 2, 1] = -0.5 * e / z ** 2
-        out[..., 2, 2, 1, 1] = -0.5 * e * (e - 1.0) * z ** (e - 2.0)
+        out[..., 2, 2, 1, 1] = -0.5 * e * (e - 1.0) * pm2(z)
         return out
 
     christoffel.acceleration = acceleration

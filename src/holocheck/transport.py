@@ -345,9 +345,8 @@ def _initial_step(f, y0, f0, t_end, cfg):
     if not np.isfinite(f1).all():
         return max(1e-8 * t_end, 1e-12)
     d = max(d1, rms(f1 - f0) / h0)
-    # numpy's power loop, whose bits Python's pow does not always give
-    h1 = (max(1e-6, h0 * 1e-3) if d <= 1e-15 else
-          float(np.power([0.01 / d], _EXPONENT)[0]))
+    # Python's pow, whose bits do not depend on numpy's SIMD dispatch
+    h1 = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** _EXPONENT
     if not (moving or f1.any()):
         return t_end
     return min(100 * h0, h1, t_end)
@@ -745,7 +744,8 @@ def _pieces(curve: CurveSpec):
         n = max(_MIN_PIECES, math.ceil(abs(log_ratio) / math.log(2.0)))
         u = np.arange(n + 1) / n
         if log_ratio != 0.0:
-            u = np.expm1(u * log_ratio)
+            # libm's expm1, whose bits do not depend on numpy's SIMD dispatch
+            u = np.array([math.expm1(x * log_ratio) for x in u.tolist()])
             u /= u[-1]
         cuts.append(u)
     k = np.repeat(np.arange(len(cuts)), [len(u) - 1 for u in cuts])

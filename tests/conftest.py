@@ -30,12 +30,13 @@ def simd_dispatch():
 
 
 def pytest_report_header(config):
-    # The pinned digests hold where they were taken: the BLAS kernels differ
-    # in FMA use and summation order, and numpy's float64 power in its last
-    # bits between SIMD targets, so a digest can move on another host.
+    # The pinned digests hold under the BLAS kernel that took them: the
+    # kernels differ in FMA use and summation order, so a digest can move on
+    # another host.  numpy's SIMD dispatch does not move them, which
+    # test_pinned_output checks with its AVX512 targets turned off.
     return [f"numpy OpenBLAS kernel: {openblas_kernel()}; SIMD dispatch: {simd_dispatch()}",
-            "(the digests in tests/test_pinned_output.py were taken under SkylakeX, "
-            "dispatching up to AVX512_SPR)"]
+            "(the digests in tests/test_pinned_output.py were taken under SkylakeX; "
+            "they hold with numpy's AVX512 dispatch on or off)"]
 
 
 def euclidean_metric(dim=3):

@@ -5,12 +5,25 @@ refactor to the next.  A change that moves any residual by one bit, or
 any byte of the JSON layout, fails here; a change that means to do so
 says why and pins the new digest.
 
-The curvature reading the model's closed-form derivatives of its symbols
-moved C4's residual and note in the three reports below that run the
-sweep, and nothing else.
+The model metric's whole powers z^e, z^(e-1) and z^(e-2) are products,
+the starting step's power is libm's and the z cuts of a transported
+segment are libm's expm1, so no pinned output reads a numpy loop whose
+bits depend on the SIMD target numpy dispatches; a child process with
+numpy's AVX512 targets turned off checks that every digest holds.  That
+change moved every digest below except the refused "1 1 1 1" report and
+the escape trace, whose geodesic has v_y = 0 and so zero acceleration
+whatever the powers' last bits.
 """
 
+import contextlib
 import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +34,11 @@ from holocheck.cli import main
 
 REPORT_DIGESTS = [
     (["--samples", "200"],
-     "6ebcd57862bc391b0875bb2f1b125e8ca88a6f6c0270ef8e7b7fa26480878c81"),
+     "e0b7db0a3bd0d0f260186ce0402ae07923bd1352894ba1a400edaefce765e8a0"),
     (["--metric-exponent", "3"],
-     "62b8c61099d4e46f37f79d45028c91920acf88124bd3ba37dcc08526c06aaf9d"),
+     "ff09cb0f84fcb458d54b2a3c472a29f3f219ebdc5e176fbf4e7d55c753f39e9f"),
     (["--matrix", "9007199254740993 9007199254740992 1 1", "--samples", "200"],
-     "ebd0bd929431ed43dda16d6adf330bc7ee0ddecd112795d8b485eb9f0c37708b"),
+     "06cd29f2aaf52c9e9ef54aa4fc87259ac37c3da11ab49c30336a7c800d7feb14"),
     (["--matrix", "1 1 1 1"],
      "a6b302fd753f52f093251ad5727d5c2297af8768c1f9f910399c26c60e602223"),
 ]
@@ -46,7 +59,7 @@ GEODESICS = [
     (3.0, (0.0, 0.0, 1.0), (-0.2, 1e-14, -1.0), 3.0),
     (3.0, (2.0, 1.0, 0.8), (-0.1, 0.0, -0.9), 3.0),
 ]
-GEODESIC_DIGEST = "82dc0b6a22543a7f49115495b304813e778e65b7703ad361e5e60c9b3d69d5e7"
+GEODESIC_DIGEST = "e56f42d0a826099e89cdbf7d47689c5ae4ce42d59f1dd58aa119b16929e520ca"
 
 
 def many_geodesic_starts():
@@ -72,7 +85,7 @@ def many_geodesic_starts():
     return out
 
 
-MANY_GEODESICS_DIGEST = "0400118f8060c773febb07375333d50192bfc15472ae2dd23cce85eac2f3ff7d"
+MANY_GEODESICS_DIGEST = "4dfb403d6120c833c1d8a50f1aa76658f1b49ef48865a2d19e438a5672160a05"
 
 # Frame transport of its own: acceptance-style polylines, vertical segments
 # up and down, one polyline's frame trace, and the gx, gy and gz holonomies
@@ -84,14 +97,14 @@ MANY_GEODESICS_DIGEST = "0400118f8060c773febb07375333d50192bfc15472ae2dd23cce85e
 HOLONOMY_MATRICES = ("2 1 1 1", "1 1 1 2", "5 4 1 1", "1000 999 1 1")
 TRANSPORT_DIGESTS = {
     "default": (hc.IntegratorConfig(),
-                "57cc11eb23d7f4b36c70ebc8d191cb7cad9ee86e5028ccc2a59a92f55758ae88"),
+                "b8181045f85749ede1af81c35fac68f86212ee69f88651703f1e4dcec3e88d40"),
     "tight": (hc.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12),
-              "a448c872ed0a68f9a54fd057fd6b3ac83921b0fdc229d8cce3ec5efa2964f4c3"),
+              "023fa6309ddf44697ab6581079259559cb3843216b6de58f804ffeac4b2aea29"),
 }
 
 TRACE_DIGESTS = {
     "escape_geodesic.csv": "28ca1aeab5aea7bcab0dd9d28189e688fc12954ce9cf3df23f992458b66528b1",
-    "gz_transport.csv": "e405239852312cddbbbba06bc5a4b204039d6c0cd642195258e147db50dd4c66",
+    "gz_transport.csv": "c3539cd3a9abe7ba28762d0c86978f34395902738ac41d4b231a18d6206eff55",
 }
 
 
@@ -102,8 +115,8 @@ def sha256(data: bytes) -> str:
 def host():
     """A digest mismatch's likely cause, named where pytest -q prints no header."""
     return (f"this host: OpenBLAS kernel {openblas_kernel()}, SIMD dispatch "
-            f"{simd_dispatch()}; the digests were taken under SkylakeX, dispatching "
-            "up to AVX512_SPR")
+            f"{simd_dispatch()}; the digests were taken under the SkylakeX kernel, "
+            "and hold with numpy's AVX512 dispatch on or off")
 
 
 @pytest.mark.parametrize("argv,digest", REPORT_DIGESTS,
@@ -136,9 +149,12 @@ def test_geodesic_bytes():
     assert geodesics_digest(GEODESICS) == GEODESIC_DIGEST, host()
 
 
+def many_geodesic_runs():
+    return [(e, *start) for e in (4.0, 3.0) for start in many_geodesic_starts()]
+
+
 def test_many_geodesic_bytes():
-    runs = [(e, *start) for e in (4.0, 3.0) for start in many_geodesic_starts()]
-    assert geodesics_digest(runs) == MANY_GEODESICS_DIGEST, host()
+    assert geodesics_digest(many_geodesic_runs()) == MANY_GEODESICS_DIGEST, host()
 
 
 def transport_curves():
@@ -157,9 +173,7 @@ def transport_curves():
     return curves
 
 
-@pytest.mark.parametrize("name", list(TRANSPORT_DIGESTS))
-def test_transport_bytes(name):
-    cfg, digest = TRANSPORT_DIGESTS[name]
+def transport_digest(cfg):
     model = hc.warped_metric()
     h = hashlib.sha256()
     curves = transport_curves()
@@ -175,4 +189,59 @@ def test_transport_bytes(name):
             h.update(elem.matrix.tobytes())
             h.update(repr((elem.scale, elem.ortho_defect,
                            elem.invariant_line_residual)).encode())
-    assert h.hexdigest() == digest, host()
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(TRANSPORT_DIGESTS))
+def test_transport_bytes(name):
+    cfg, digest = TRANSPORT_DIGESTS[name]
+    assert transport_digest(cfg) == digest, host()
+
+
+def pinned():
+    """Every digest pinned above, by name."""
+    return {**{" ".join(argv): digest for argv, digest in REPORT_DIGESTS},
+            **TRACE_DIGESTS, "geodesics": GEODESIC_DIGEST,
+            "many_geodesics": MANY_GEODESICS_DIGEST,
+            **{f"transport {name}": digest for name, (_, digest) in TRANSPORT_DIGESTS.items()}}
+
+
+def digests():
+    """Every pinned digest computed in this process, keyed as :func:`pinned`."""
+    out = {}
+    for argv, _ in REPORT_DIGESTS:
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            main([*argv, "--report", "json"])
+        out[" ".join(argv)] = sha256(stdout.getvalue().encode())
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--samples", "20", "--emit-traces", tmp]) == 0
+        out.update((name, sha256(Path(tmp, name).read_bytes())) for name in TRACE_DIGESTS)
+    out["geodesics"] = geodesics_digest(GEODESICS)
+    out["many_geodesics"] = geodesics_digest(many_geodesic_runs())
+    out.update((f"transport {name}", transport_digest(cfg))
+               for name, (cfg, _) in TRANSPORT_DIGESTS.items())
+    return out
+
+
+# numpy's dispatch targets above X86_V3 (AVX2); without them its float64
+# power, among other loops, gives other last bits
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+@pytest.mark.skipif(not set(AVX512_TARGETS) <= set(simd_dispatch().split()),
+                    reason="numpy does not dispatch all of " + ", ".join(AVX512_TARGETS)
+                           + " on this host")
+def test_digests_hold_without_avx512_dispatch():
+    # every pinned digest, computed in a child process whose numpy
+    # dispatches no AVX512 target
+    here = Path(__file__).parent
+    code = ("import json, conftest, test_pinned_output as t; "
+            "print(json.dumps([conftest.simd_dispatch(), t.digests()]))")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": ",".join(AVX512_TARGETS),
+           "PYTHONPATH": os.pathsep.join([str(here), str(Path(hc.__file__).parents[1])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    dispatch, found = json.loads(proc.stdout)
+    assert not set(AVX512_TARGETS) & set(dispatch.split()), dispatch
+    assert found == pinned(), f"{proc.stderr}; {host()}"

@@ -95,6 +95,14 @@ class TestEmitReport:
         assert check.worst_part == "b" and check.residual == pytest.approx(0.2)
         assert _composite([("a", 0.0, 1.0), ("b", 0.0, 0.0)]).worst_part == "a"
 
+    @pytest.mark.parametrize("exponent", ("3", "4.001", "5"))
+    def test_equal_parts_name_the_first(self, capsys, exponent):
+        # off exponent 4, C4's scalar and half-plane parts are the same
+        # number in exact arithmetic, so the first declared part is named
+        main(["--metric-exponent", exponent, "--report", "text"])
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("C4 "))
+        assert "worst=scalar_times_z2_is_minus_4 " in line
+
     def test_import_leaves_json_out(self):
         # only the JSON report needs json, so importing holocheck does not load it
         src = os.path.dirname(os.path.dirname(os.path.abspath(hc.__file__)))

@@ -521,6 +521,59 @@ class TestClosedFormConnection:
         assert out["numeric"] > 1e-5  # the numeric part's tolerance
 
 
+class TestPowers:
+    """The model's powers of z: a whole exponent from 1 to 4 by products,
+    the same bits for a float and for the same value inside an array, and
+    numpy's power for every other exponent."""
+
+    # from just above the chart floor to 1e6, and heights where z^4
+    # underflows to a subnormal and to 0 or overflows
+    Z = np.concatenate([np.geomspace(1.01 * Z_FLOOR, 1e6, 2000), [1e-80, 1e-90, 1e80, 1e90]])
+
+    @pytest.mark.parametrize("n", (1.0, 2.0, 3.0, 4.0))
+    def test_float_and_array_bits(self, n):
+        power = tensor_core._power(n)
+        with np.errstate(over="ignore"):
+            want = power(self.Z)
+            got = [power(z) for z in self.Z.tolist()]
+            assert all(type(x) is float for x in got)
+            assert same_bits(np.array(got), want)
+            assert same_bits(np.array([power(z) for z in self.Z]), want)  # numpy scalars
+            # a square is one product either way; z^3 and z^4 round twice
+            assert (want != self.Z ** n).any() == (n > 2.0)
+        assert np.isinf(want[-1]) == (n == 4.0)
+
+    @pytest.mark.parametrize("exponent", (4.001, 53.0, 400.0))
+    def test_other_exponents_keep_numpy_power(self, exponent):
+        m = hc.warped_metric(exponent)
+        c = np.stack([np.full_like(self.Z, 0.3), np.full_like(self.Z, -1.2), self.Z], -1)
+        with np.errstate(all="ignore"):
+            want = self.Z ** exponent
+            assert same_bits(m.components(c)[:, 1, 1], want)
+            assert same_bits(m.exact_partials(c)[:, 2, 1, 1],
+                             exponent * self.Z ** (exponent - 1.0))
+        if exponent >= 53.0:  # z^e overflows and underflows over these heights
+            assert np.isinf(want).any() and (want == 0.0).any()
+
+    @pytest.mark.parametrize("exponent", (2.0, 3.0, 4.0, 5.0))
+    def test_acceleration_is_the_einsum(self, exponent):
+        # -Gamma(v, v) for one state has the bits of the einsum over the
+        # model's symbols at that point, signed zeros included, whether the
+        # state is Python floats or a numpy array
+        m = hc.warped_metric(exponent)
+        rng = np.random.default_rng(int(exponent))
+        zs = np.geomspace(1.01 * Z_FLOOR, 1e6, 500)
+        for z in zs:
+            x = np.array([*rng.uniform(-3.0, 3.0, 2), z])
+            v = rng.normal(size=3)
+            v[rng.random(3) < 0.3] = 0.0
+            v[rng.random(3) < 0.1] = -0.0
+            want = -np.einsum("kij,i,j->k", m.christoffel(x), v, v)
+            for state in ((x.tolist(), v.tolist()), (x, v)):
+                got = np.array(m.christoffel.acceleration(*state), dtype=float)
+                assert same_bits(got, want), (z, v)
+
+
 class TestLeviCivitaWork:
     """The model's geodesics and transport never build Levi-Civita."""
 
